@@ -30,13 +30,3 @@ let touch t (d : Executor.dyn) =
   | Isa.Call -> Ras.push t.ras (d.Executor.pc + 1)
   | Isa.Ret -> ignore (Ras.pop_value t.ras)
   | _ -> ()
-
-let checkpoint_magic = "crisp-branch1:"
-
-let checkpoint t = checkpoint_magic ^ Marshal.to_string t []
-
-let restore blob =
-  let n = String.length checkpoint_magic in
-  if String.length blob < n || String.sub blob 0 n <> checkpoint_magic then
-    invalid_arg "Branch_warm.restore: not a branch-state checkpoint";
-  (Marshal.from_string blob n : t)

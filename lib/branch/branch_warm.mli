@@ -23,11 +23,3 @@ val touch : t -> Executor.dyn -> unit
     predict-and-update on every conditional branch, BTB install on a
     correctly predicted taken branch, RAS push on [Call] / pop on
     [Ret].  Non-control micro-ops are ignored. *)
-
-val checkpoint : t -> string
-(** Serialise all three predictors as an opaque blob.  Restoring yields
-    an independent deep copy. *)
-
-val restore : string -> t
-(** @raise Invalid_argument if the blob is not a branch-state
-    checkpoint. *)

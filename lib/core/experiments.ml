@@ -87,15 +87,8 @@ let checkpoint_cell ident v =
                Printf.sprintf "checkpoint write failed (injected fault at %s); \
                                cell kept in memory only" site }))
 
-(* The pointer-chasing giants dominate the wall clock of every grid.  In
-   a nod to the paper's own topic, schedule the critical (long-pole)
-   jobs first so they never straggle behind a queue of cheap cells. *)
-let long_poles = [ "mcf"; "xhpcg"; "omnetpp"; "moses" ]
-
-let weight name = if List.mem name long_poles then 1 else 0
-
 (* [submit_cells ~tag ~degraded ~names ~cols ~cell] fans the full grid
-   out to the pool as supervised jobs, heaviest rows first, and
+   out to the pool as supervised jobs in {!Grid.row_order}, and
    reassembles rows in catalog order.  Cells are pure (memoised through
    Runner), so execution order cannot change the values.  A cell with a
    valid checkpoint is restored instead of recomputed; a cell whose job
@@ -107,9 +100,7 @@ let submit_cells ~tag ~degraded ~names ~cols ~cell =
   let p = !pool in
   let policy = (!resilience).policy in
   let indexed = List.mapi (fun i name -> (i, name)) names in
-  let by_weight =
-    List.stable_sort (fun (_, a) (_, b) -> compare (weight b) (weight a)) indexed
-  in
+  let by_weight = List.map (List.nth indexed) (Grid.row_order names) in
   (* On the sequential pool the thunk runs inline at spawn, so join (and
      the checkpoint write) right away: a kill mid-grid then salvages
      every completed cell instead of losing them all to the deferred

@@ -51,9 +51,9 @@ val current_resilience : unit -> resilience
 
 val set_sample : Sample_config.t option -> unit
 (** Install (or clear) the sampling config for the figure grids: with a
-    config installed, Gain cells evaluate through
-    {!Runner.evaluate_sampled} — sampled timing simulation with interval
-    CPI — instead of full-fidelity runs.  Sampled cells keep their own
+    config installed, grid cells evaluate through {!Runner.evaluate}
+    with [~sample] — sampled timing simulation with interval CPI —
+    instead of full-fidelity runs.  Sampled cells keep their own
     memo identity, and callers journalling a sampled run must fold the
     config into the journal signature (the CLI does) so sampled and full
     checkpoints never mix. *)

@@ -72,10 +72,16 @@ val cell_value :
   eval_instrs:int -> train_instrs:int -> name:string -> metric:metric ->
   column -> float
 (** Compute one cell (memoised through {!Runner.evaluate}).  With
-    [sample] set, Gain cells use sampled timing runs
-    ({!Runner.evaluate_sampled}, separate memo identity); artifact
-    metrics come from the full-fidelity FDO pass either way.
+    [sample] set, cells use sampled timing runs (a separate memo
+    identity); artifact metrics come from the full-fidelity FDO pass
+    either way.
     @raise Invalid_argument on a column {!validate} would reject. *)
+
+val row_order : string list -> int list
+(** The indices of [names] in scheduling order: the long-pole workloads
+    (mcf, xhpcg, omnetpp, moses) first, then the rest, each group in its
+    original order.  Scheduling order never changes cell values, only
+    how soon the slowest rows start. *)
 
 val full_rows :
   spec -> (string * float list) list -> (string * float list) list

@@ -1,6 +1,6 @@
 (** Plain-text rendering of experiment results: aligned tables, percentage
-    columns and ASCII bar charts, so `bench/main.exe` output reads like the
-    paper's figures. *)
+    columns and ASCII bar charts, so [crisp_sim experiments] output reads
+    like the paper's figures. *)
 
 val print_table :
   title:string -> header:string list -> (string * float list) list -> unit

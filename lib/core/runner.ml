@@ -22,21 +22,9 @@ type 'a sealed = {
   fingerprint : string;
 }
 
-(* Sampled outcomes live in their own table: a sampled cell must never
-   share a memo identity with a full-fidelity cell. *)
-type sampled = {
-  sampled_result : Sampler.result;
-  sampled_artifacts : Fdo.artifacts option;
-}
-
 let cache : (string, outcome sealed) Exec.Memo.t = Exec.Memo.create ~size_hint:64 ()
 
-let sampled_cache : (string, sampled sealed) Exec.Memo.t =
-  Exec.Memo.create ~size_hint:64 ()
-
-let clear_cache () =
-  Exec.Memo.clear cache;
-  Exec.Memo.clear sampled_cache
+let clear_cache () = Exec.Memo.clear cache
 
 let cache_stats () = Exec.Memo.stats cache
 
@@ -56,12 +44,25 @@ let unseal ~ident sealed =
       Some sealed.outcome
     else None
 
-let cache_key ~cfg ~eval_instrs ~train_instrs ~name variant =
+let cache_key ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
   (* Every component must be plain data (no closures, no custom blocks) so
      that the structural digest is a sound key; see the invariant in
      runner.mli.  Marshal rejects functional values — turn that into a
-     loud, actionable error instead of a cryptic [Invalid_argument]. *)
-  match Marshal.to_string (cfg, eval_instrs, train_instrs, name, variant) [] with
+     loud, actionable error instead of a cryptic [Invalid_argument].
+
+     A sampled key appends the literal "sampled" tag plus the canonical
+     sample-config string, so it can never collide with the full-run key
+     of the same (cfg, instrs, variant) coordinates. *)
+  let repr () =
+    match sample with
+    | None -> Marshal.to_string (cfg, eval_instrs, train_instrs, name, variant) []
+    | Some sample ->
+      Marshal.to_string
+        (cfg, eval_instrs, train_instrs, name, variant, "sampled",
+         Sample_config.to_string sample)
+        []
+  in
+  match repr () with
   | repr -> Digest.string repr
   | exception Invalid_argument _ ->
     invalid_arg
@@ -72,34 +73,39 @@ let cache_key ~cfg ~eval_instrs ~train_instrs ~name variant =
           shared across domains"
          name)
 
-let run_variant ?tracer ~cfg ~eval_instrs ~train_instrs ~name variant =
+let run_variant ?tracer ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
   let eval_workload = Catalog.make ~input:Workload.Ref ~instrs:eval_instrs name in
   let eval_trace = Workload.trace eval_workload in
+  (* The timing step is the only part sampling replaces: profiling/FDO
+     and IBDA's online learning stay full-fidelity. *)
+  let time ?criticality cfg =
+    match sample with
+    | None -> Cpu_core.run ?criticality ?tracer cfg eval_trace
+    | Some sample -> (Sampler.run ?criticality ~sample cfg eval_trace).Sampler.stats
+  in
   match variant with
   | Ooo ->
-    let cfg = Cpu_config.with_policy Scheduler.Oldest_ready cfg in
-    { stats = Cpu_core.run ?tracer cfg eval_trace; artifacts = None }
+    { stats = time (Cpu_config.with_policy Scheduler.Oldest_ready cfg); artifacts = None }
   | Crisp (thresholds, options) ->
     let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
     let artifacts =
       Fdo.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_workload
     in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
     let stats =
-      Cpu_core.run ~criticality:(Fdo.criticality artifacts) ?tracer cfg eval_trace
+      time ~criticality:(Fdo.criticality artifacts)
+        (Cpu_config.with_policy Scheduler.Crisp cfg)
     in
     { stats; artifacts = Some artifacts }
   | Ibda ibda_cfg ->
     (* IBDA is hardware: it learns online while the evaluated input runs. *)
     let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval_trace in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
     let stats =
-      Cpu_core.run ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
-        ?tracer cfg eval_trace
+      time ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
+        (Cpu_config.with_policy Scheduler.Crisp cfg)
     in
     { stats; artifacts = None }
 
-let memoised ~cache ~key ~ident compute =
+let memoised ~key ~ident compute =
   let rec attempt budget =
     let sealed = Exec.Memo.find_or_run cache key compute in
     match unseal ~ident sealed with
@@ -123,82 +129,22 @@ let memoised ~cache ~key ~ident compute =
   attempt 2
 
 let evaluate ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
-    ?(train_instrs = 150_000) ~name variant =
-  let key = cache_key ~cfg ~eval_instrs ~train_instrs ~name variant in
+    ?(train_instrs = 150_000) ?sample ~name variant =
+  let key = cache_key ?sample ~cfg ~eval_instrs ~train_instrs ~name variant in
   (* The injection ident is per cache entry (name for substring
      selectors, key prefix for uniqueness), so Nth-hit triggers count
-     each entry independently — deterministic under work stealing. *)
-  let ident = Printf.sprintf "%s/%s" name (String.sub (Digest.to_hex key) 0 8) in
-  let compute () =
-    Resil.Fault_plan.hit ~ident "runner.run";
-    seal ~ident (run_variant ~cfg ~eval_instrs ~train_instrs ~name variant)
-  in
-  memoised ~cache ~key ~ident compute
-
-(* ------------------------------------------------------------------ *)
-(* Sampled evaluation.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let sampled_cache_key ~cfg ~eval_instrs ~train_instrs ~sample ~name variant =
-  (* The literal "sampled" tag plus the canonical sample-config string
-     guarantee these digests can never collide with full-run keys, even
-     for identical (cfg, instrs, variant) coordinates. *)
-  match
-    Marshal.to_string
-      (cfg, eval_instrs, train_instrs, name, variant, "sampled",
-       Sample_config.to_string sample)
-      []
-  with
-  | repr -> Digest.string repr
-  | exception Invalid_argument _ ->
-    invalid_arg
-      (Printf.sprintf
-         "Runner.sampled_cache_key: variant for workload %S contains a closure \
-          or other unmarshalable value"
-         name)
-
-let run_variant_sampled ~cfg ~eval_instrs ~train_instrs ~sample ~name variant =
-  let eval_workload = Catalog.make ~input:Workload.Ref ~instrs:eval_instrs name in
-  let eval_trace = Workload.trace eval_workload in
-  match variant with
-  | Ooo ->
-    let cfg = Cpu_config.with_policy Scheduler.Oldest_ready cfg in
-    { sampled_result = Sampler.run ~sample cfg eval_trace; sampled_artifacts = None }
-  | Crisp (thresholds, options) ->
-    (* Profiling/FDO stays full-fidelity — it is the paper's offline
-       software pass, cheap relative to timing simulation; only the
-       timing run is sampled. *)
-    let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
-    let artifacts =
-      Fdo.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_workload
-    in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let sampled_result =
-      Sampler.run ~criticality:(Fdo.criticality artifacts) ~sample cfg eval_trace
-    in
-    { sampled_result; sampled_artifacts = Some artifacts }
-  | Ibda ibda_cfg ->
-    let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval_trace in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let sampled_result =
-      Sampler.run
-        ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
-        ~sample cfg eval_trace
-    in
-    { sampled_result; sampled_artifacts = None }
-
-let evaluate_sampled ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
-    ?(train_instrs = 150_000) ~sample ~name variant =
-  let key = sampled_cache_key ~cfg ~eval_instrs ~train_instrs ~sample ~name variant in
+     each entry independently — deterministic under work stealing.
+     Sampled entries carry a "/sampled" infix chaos selectors match on. *)
   let ident =
-    Printf.sprintf "%s/sampled/%s" name (String.sub (Digest.to_hex key) 0 8)
+    Printf.sprintf "%s/%s%s" name
+      (if sample = None then "" else "sampled/")
+      (String.sub (Digest.to_hex key) 0 8)
   in
   let compute () =
     Resil.Fault_plan.hit ~ident "runner.run";
-    seal ~ident
-      (run_variant_sampled ~cfg ~eval_instrs ~train_instrs ~sample ~name variant)
+    seal ~ident (run_variant ?sample ~cfg ~eval_instrs ~train_instrs ~name variant)
   in
-  memoised ~cache:sampled_cache ~key ~ident compute
+  memoised ~key ~ident compute
 
 let traced ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
     ?(train_instrs = 150_000) ?tracer ~name variant =

@@ -34,6 +34,7 @@ val evaluate :
   ?cfg:Cpu_config.t ->
   ?eval_instrs:int ->
   ?train_instrs:int ->
+  ?sample:Sample_config.t ->
   name:string ->
   variant ->
   outcome
@@ -42,37 +43,22 @@ val evaluate :
     The CRISP variants profile on the [Train] input and evaluate on [Ref]
     (Section 5.1); IBDA learns online during the evaluation run itself.
 
+    With [sample] set the timing run is replaced by statistical sampling
+    ({!Sampler.run}) and [stats] are its stitched measured-window
+    statistics; the CRISP profiling/FDO pass and IBDA's online learning
+    stay full-fidelity.  A sampled key embeds the canonical sample-config
+    string, so a sampled cell can never be served from (or pollute) a
+    full-fidelity cell with the same coordinates.
+
     Fault-injection sites (inert unless a {!Resil.Fault_plan} is armed):
     ["runner.run"] at cache-miss computation, ["memo.store"] /
     ["memo.lookup"] around the integrity-sealed memo entry.  A cached
     entry whose integrity check fails is evicted, logged as quarantined
     and recomputed (bounded); if recomputation keeps failing the call
     raises {!Resil.Supervise.Quarantined_failure} — a corrupt result is
-    never returned. *)
-
-type sampled = {
-  sampled_result : Sampler.result;
-  sampled_artifacts : Fdo.artifacts option;  (** CRISP variants only *)
-}
-
-val evaluate_sampled :
-  ?cfg:Cpu_config.t ->
-  ?eval_instrs:int ->
-  ?train_instrs:int ->
-  sample:Sample_config.t ->
-  name:string ->
-  variant ->
-  sampled
-(** {!evaluate} with the timing run replaced by statistical sampling
-    ({!Sampler.run}): CPI and CRISP headline statistics come from the
-    measured windows, as a mean with a 95% confidence interval.  The
-    CRISP profiling/FDO pass and IBDA's online learning stay
-    full-fidelity — only timing simulation is sampled.
-
-    Sampled outcomes are memoised in a dedicated table whose keys embed
-    the canonical sample-config string, so a sampled cell can never be
-    served from (or pollute) a full-fidelity cell with the same
-    coordinates. *)
+    never returned.  Fault idents are [name/<8hex>] for full runs and
+    [name/sampled/<8hex>] for sampled ones, the hex being the key
+    prefix. *)
 
 val traced :
   ?cfg:Cpu_config.t ->
@@ -98,5 +84,5 @@ val clear_cache : unit -> unit
 
 val cache_stats : unit -> Exec.Memo.stats
 (** Lifetime hit/miss/dedup counters of the simulation memo — how often a
-    requested (name, sizes, config, variant) cell was served without
-    rerunning the simulator. *)
+    requested (name, sizes, config, variant, sample) cell was served
+    without rerunning the simulator. *)

@@ -731,29 +731,6 @@ let warm_touch w layout (d : Executor.dyn) =
   | _ -> ());
   w.wpos <- w.wpos + 1
 
-let warm_checkpoint_magic = "crisp-warm1:"
-
-let warm_checkpoint w =
-  warm_checkpoint_magic
-  ^ Marshal.to_string
-      ( w.wpos,
-        w.wline,
-        Memory_system.checkpoint w.wmem,
-        Branch_warm.checkpoint w.wbranch )
-      []
-
-let warm_restore blob =
-  let n = String.length warm_checkpoint_magic in
-  if String.length blob < n || String.sub blob 0 n <> warm_checkpoint_magic then
-    invalid_arg "Cpu_core.warm_restore: not a warm-state checkpoint";
-  let wpos, wline, mem_blob, branch_blob =
-    (Marshal.from_string blob n : int * int * string * string)
-  in
-  { wmem = Memory_system.restore mem_blob;
-    wbranch = Branch_warm.restore branch_blob;
-    wpos;
-    wline }
-
 (* Cumulative counter snapshot, for expressing a window as a delta. *)
 type counters = {
   c_cycle : int;
@@ -803,8 +780,8 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
   in
   let s = make_state ?criticality ?layout ?warm ~start cfg trace in
   (* The window's cycle counter starts at zero; state adopted from a warm
-     carrier (or a restored checkpoint) may hold stamps from a previous
-     window's time base, which must not read as in-flight work here. *)
+     carrier may hold stamps from a previous window's time base, which
+     must not read as in-flight work here. *)
   (match warm with Some _ -> Memory_system.quiesce s.mem | None -> ());
   let max_cycles =
     match cfg.Cpu_config.max_cycles with
@@ -812,8 +789,8 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
     | None -> (400 * target) + 100_000
   in
   (* Retirement is width-granular; the retire ceiling makes both window
-     boundaries exact, so chunked runs partition the trace with no
-     overlap and stitched counts sum to the full-run counts. *)
+     boundaries exact, so a window measures precisely the instructions
+     it was asked for. *)
   s.retire_stop <- warmup;
   run_cycles s ~target:warmup ~max_cycles;
   let warmed = s.retired in

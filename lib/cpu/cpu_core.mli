@@ -42,18 +42,17 @@ val run :
     configured cycle budget (indicates a model bug, not a workload
     property). *)
 
-(** {1 Sampled and time-parallel simulation}
+(** {1 Sampled simulation}
 
-    Primitives for the SMARTS-style sampling engines in [lib/sample]:
+    Primitives for the SMARTS-style interval sampler in [lib/sample]:
     functional fast-forward carries microarchitectural state between
-    detail windows, and checkpoints let one long trace be split into
-    chunks simulated concurrently. *)
+    detail windows. *)
 
 type warm
 (** Microarchitectural state carried through functional fast-forward: a
     memory hierarchy in warming mode plus the TAGE/BTB/RAS predictors,
     and the trace position they have been warmed up to.  Not
-    thread-safe; each concurrent chunk restores its own copy. *)
+    thread-safe. *)
 
 val warm_create : Cpu_config.t -> warm
 
@@ -66,15 +65,6 @@ val warm_touch : warm -> Layout.t -> Executor.dyn -> unit
     for its fetch line, replay it into the branch predictors, and warm
     the data hierarchy for its memory access — with no timing model.
     Must be called in trace order. *)
-
-val warm_checkpoint : warm -> string
-(** Serialise the warm state as an opaque blob.  Restoring yields an
-    independent deep copy, so one checkpoint can seed several concurrent
-    chunk simulations. *)
-
-val warm_restore : string -> warm
-(** @raise Invalid_argument if the blob is not a warm-state
-    checkpoint. *)
 
 val run_window :
   ?criticality:criticality ->
@@ -90,9 +80,8 @@ val run_window :
     [start], retire [warmup] instructions to absorb the cold-start bias,
     then measure the next [measure] instructions (both clamped to the
     end of the trace).  A retirement ceiling makes both boundaries
-    exact — a [chunks]-way split of a trace measures each instruction
-    exactly once — and the returned statistics cover exactly the
-    measured window: [retired] is the measured count, [cycles] the
+    exact, and the returned statistics cover exactly the measured
+    window: [retired] is the measured count, [cycles] the
     measured-window cycles.
 
     With [warm] supplied the window adopts its memory hierarchy and

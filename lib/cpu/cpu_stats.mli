@@ -29,9 +29,9 @@ type t = {
 }
 
 val add : t -> t -> t
-(** Field-wise sum — the stitch-up of per-window or per-chunk statistics
-    from sampled / time-parallel simulation.  [upc_timeline] does not
-    stitch (windows have disjoint time bases) and is dropped. *)
+(** Field-wise sum — the stitch-up of per-window statistics from
+    sampled simulation.  [upc_timeline] does not stitch (windows have
+    disjoint time bases) and is dropped. *)
 
 val zero : t
 (** Identity for {!add}. *)

@@ -73,9 +73,8 @@ let add t ~now ~cycle data =
 
    Due means [<= cycle], not [= cycle]: under the drain-every-cycle
    contract the two are equivalent (an entry is popped on the cycle it
-   falls due), but a consumer whose cycle counter {e jumps} — a restored
-   checkpoint rebasing time, a window that fast-forwards past a quiet
-   region — would strand an exact-match entry forever: its due cycle is
+   falls due), but a consumer whose cycle counter {e jumps} — a window
+   that fast-forwards past a quiet region — would strand an exact-match entry forever: its due cycle is
    skipped, [pending] never reaches zero, and the core's forward-progress
    guard trips.  Overdue entries are instead delivered at the first pop
    that reaches them. *)
@@ -109,13 +108,3 @@ let pop t ~cycle =
   end
   else -1
 
-(* Drop every scheduled event.  A checkpoint restore rebuilds the
-   calendar from scratch at a new time origin; clearing (rather than
-   recreating) keeps the grown slot vectors, so a restored run stays
-   allocation-free.  Ring slots hold no cycle stamps — only the overflow
-   bucket does — so after [clear] the wheel is indistinguishable from a
-   fresh one at any [now]. *)
-let clear t =
-  Array.fill t.slot_len 0 t.horizon 0;
-  t.ov_len <- 0;
-  t.pending <- 0

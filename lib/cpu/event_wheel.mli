@@ -26,13 +26,8 @@ val pop : t -> cycle:int -> int
     Overflow-bucket entries whose due cycle has already passed are also
     delivered (late) rather than stranded: a consumer that honours the
     drain-every-cycle contract never observes the difference, but one
-    whose cycle counter jumps — e.g. resuming from a restored checkpoint —
-    must not leave [pending] events unreachable. *)
-
-val clear : t -> unit
-(** Drop all scheduled events (ring slots and overflow bucket), keeping
-    the allocated slot capacity.  Used when a checkpoint restore rebuilds
-    the completion calendar at a new time origin. *)
+    whose cycle counter jumps — e.g. a window that fast-forwards past a
+    quiet region — must not leave [pending] events unreachable. *)
 
 val pending : t -> int
 (** Events scheduled and not yet popped. *)

@@ -224,17 +224,6 @@ let spec_of_req (g : P.grid_req) : Grid.spec =
     columns = g.columns;
     names = g.names }
 
-(* Spawn the long-pole applications first so the slowest rows overlap
-   with everything else (same ordering as Experiments.submit_cells). *)
-let long_poles = [ "mcf"; "xhpcg"; "omnetpp"; "moses" ]
-
-let row_order names =
-  let indexed = List.mapi (fun i n -> (i, n)) names in
-  let heavy, light =
-    List.partition (fun (_, n) -> List.mem n long_poles) indexed
-  in
-  List.map fst (heavy @ light)
-
 (* ----- request admission ----- *)
 
 (* Enough for any committed figure at golden or paper sizes, small
@@ -326,7 +315,7 @@ let serve_grid t ~send (g : P.grid_req) =
                 (acquire t ?sample ~metric:g.metric ~eval_instrs:g.eval_instrs
                    ~train_instrs:g.train_instrs ~name:names.(r) column))
           columns)
-      (row_order g.names);
+      (Grid.row_order g.names);
     let computed = ref 0 and memo_hits = ref 0 and journal_hits = ref 0 in
     let degraded = ref 0 in
     for r = 0 to nrows - 1 do

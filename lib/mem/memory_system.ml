@@ -312,20 +312,6 @@ let quiesce t =
   Array.fill t.i_ready 0 (Array.length t.i_ready) 0;
   Dram.quiesce t.dram
 
-let checkpoint_magic = "crisp-msys1:"
-
-let checkpoint t =
-  (* The tracer is the one non-data field; a checkpoint never carries
-     it.  Every other component is plain mutable records and arrays, so
-     the structural marshal is a faithful deep snapshot. *)
-  checkpoint_magic ^ Marshal.to_string { t with tracer = None } []
-
-let restore blob =
-  let n = String.length checkpoint_magic in
-  if String.length blob < n || String.sub blob 0 n <> checkpoint_magic then
-    invalid_arg "Memory_system.restore: not a memory-system checkpoint";
-  (Marshal.from_string blob n : t)
-
 type stats = {
   l1d_hits : int;
   l1d_misses : int;

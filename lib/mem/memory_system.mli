@@ -116,20 +116,6 @@ val quiesce : t -> unit
     quiesce first, or stamps from the previous window's time base read as
     in-flight misses and queueing delay. *)
 
-(** {1 Checkpointing} *)
-
-val checkpoint : t -> string
-(** Serialise the complete hierarchy state — caches, prefetchers, DRAM,
-    MSHR files, statistics — as an opaque blob (the tracer attachment is
-    not captured).  The blob is self-contained: restoring it yields an
-    independent deep copy, so one captured state can seed several
-    concurrent chunk simulations. *)
-
-val restore : string -> t
-(** Rebuild a hierarchy from a {!checkpoint} blob (no tracer attached).
-    @raise Invalid_argument if the blob is not a memory-system
-    checkpoint. *)
-
 (** {1 Statistics} *)
 
 type stats = {
@@ -153,4 +139,4 @@ val diff_stats : after:stats -> before:stats -> stats
     two {!stats} snapshots (the counters are cumulative). *)
 
 val add_stats : stats -> stats -> stats
-(** Field-wise sum: stitching per-chunk statistics back together. *)
+(** Field-wise sum: stitching per-window statistics back together. *)

@@ -17,6 +17,9 @@ let static_critical_of = function
   | Some (Cpu_core.Static_tags f) -> f
   | _ -> fun _ -> false
 
+(* The layout a plain [Cpu_core.run] with the same arguments would use,
+   so fast-forward warming fetches the same instruction addresses as the
+   detail windows. *)
 let resolve_layout ?criticality ?layout (trace : Executor.t) =
   match layout with
   | Some l -> l

@@ -20,13 +20,6 @@ type result = {
   total_instrs : int;
 }
 
-val resolve_layout :
-  ?criticality:Cpu_core.criticality -> ?layout:Layout.t -> Executor.t -> Layout.t
-(** The layout a plain [Cpu_core.run] with the same arguments would use:
-    explicit when given, otherwise computed from the static criticality
-    tags.  Shared with {!Chunked} so fast-forward warming fetches the
-    same instruction addresses as the detail windows. *)
-
 val run :
   ?criticality:Cpu_core.criticality ->
   ?layout:Layout.t ->

@@ -40,8 +40,7 @@ let cond_eval cond a b =
   | Isa.Le -> a <= b
   | Isa.Gt -> a > b
 
-let run_internal ?(reg_init = []) ?mem_init ?on_step ?(boundaries = []) ~max_instrs prog
-    =
+let run ?(reg_init = []) ?mem_init ?on_step ~max_instrs prog =
   let code : Program.decoded array = prog.Program.code in
   let n = Array.length code in
   let regs = Array.make Isa.num_regs 0 in
@@ -57,24 +56,7 @@ let run_internal ?(reg_init = []) ?mem_init ?on_step ?(boundaries = []) ~max_ins
   let halted = ref false in
   let pc = ref 0 in
   let count = ref 0 in
-  (* Snapshot boundaries, ascending; a snapshot at [b] captures the
-     architectural state after exactly [b] dynamic micro-ops. *)
-  let bounds = ref (List.sort_uniq compare boundaries) in
-  let snaps = ref [] in
-  let take_snapshot at =
-    let image = Hashtbl.fold (fun a v acc -> (a, v) :: acc) mem [] in
-    let image = List.sort (fun (a, _) (b, _) -> compare a b) image in
-    snaps := (at, Array.copy regs, Array.of_list image) :: !snaps
-  in
-  let check_boundary () =
-    match !bounds with
-    | b :: rest when b <= !count ->
-      take_snapshot b;
-      bounds := rest
-    | _ -> ()
-  in
   while (not !halted) && !pc >= 0 && !pc < n && !count < max_instrs do
-    check_boundary ();
     (match on_step with Some f -> f !pc regs | None -> ());
     let d = code.(!pc) in
     let operand2 = if d.src2 >= 0 then regs.(d.src2) else d.imm in
@@ -128,16 +110,7 @@ let run_internal ?(reg_init = []) ?mem_init ?on_step ?(boundaries = []) ~max_ins
     pc := !next;
     incr count
   done;
-  (* A boundary that coincides with the end of the trace still gets its
-     snapshot (the state after the last executed micro-op). *)
-  check_boundary ();
-  ({ prog; dyns = Vec.to_array dyns; halted = !halted }, List.rev !snaps)
-
-let run ?reg_init ?mem_init ?on_step ~max_instrs prog =
-  fst (run_internal ?reg_init ?mem_init ?on_step ~max_instrs prog)
-
-let snapshots ?reg_init ?mem_init ~boundaries ~max_instrs prog =
-  run_internal ?reg_init ?mem_init ~boundaries ~max_instrs prog
+  { prog; dyns = Vec.to_array dyns; halted = !halted }
 
 let count_if pred t = Array.fold_left (fun acc d -> if pred d then acc + 1 else acc) 0 t.dyns
 

@@ -45,24 +45,6 @@ val run :
     properties compare dataflow facts against.  The register array is the
     live one: callers must not mutate it. *)
 
-val snapshots :
-  ?reg_init:(Isa.reg * int) list ->
-  ?mem_init:(int, int) Hashtbl.t ->
-  boundaries:int list ->
-  max_instrs:int ->
-  Program.t ->
-  t * (int * int array * (int * int) array) list
-(** [run] that additionally captures the architectural state at the given
-    instruction boundaries, in one pass.  A snapshot [(b, regs, mem)]
-    holds the register file and the (sorted, address–value) memory image
-    after exactly [b] dynamic micro-ops — i.e. immediately before
-    micro-op index [b] executes.  Boundaries are deduplicated and
-    processed in ascending order; boundaries past the end of the trace
-    are dropped.  Snapshots are the architectural half of a
-    time-parallel chunk checkpoint: they pin down the exact machine
-    state at each chunk boundary so that per-chunk results can be
-    audited and stitched deterministically. *)
-
 val load_count : t -> int
 (** Number of dynamic loads in the trace (excluding software prefetches). *)
 

@@ -1,5 +1,5 @@
-(* Tests for the branch prediction substrate: bimodal, gshare, TAGE, the
-   branch target buffer and the return address stack. *)
+(* Tests for the branch prediction substrate: bimodal, TAGE, the branch
+   target buffer and the return address stack. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -24,20 +24,6 @@ let test_bimodal_learns_not_taken () =
     Bimodal.update p ~pc:8 ~taken:false
   done;
   check bool "predicts not taken" false (Bimodal.predict p ~pc:8)
-
-(* ---------------- Gshare ---------------- *)
-
-let test_gshare_learns_alternation () =
-  let p = Gshare.create () in
-  (* strict alternation is history-predictable *)
-  let correct = ref 0 in
-  for i = 1 to 2000 do
-    let taken = i land 1 = 0 in
-    if Gshare.predict p ~pc:400 = taken then incr correct;
-    Gshare.update p ~pc:400 ~taken
-  done;
-  check bool "gshare learns alternating pattern (>90% on last half)" true
-    (!correct > 1700)
 
 (* ---------------- TAGE ---------------- *)
 
@@ -140,7 +126,6 @@ let () =
     [ ( "bimodal",
         [ Alcotest.test_case "saturation and hysteresis" `Quick test_bimodal_saturation;
           Alcotest.test_case "learns not-taken" `Quick test_bimodal_learns_not_taken ] );
-      ("gshare", [ Alcotest.test_case "alternation" `Quick test_gshare_learns_alternation ]);
       ( "tage",
         [ Alcotest.test_case "biased branch" `Quick test_tage_biased_branch;
           Alcotest.test_case "loop exit" `Quick test_tage_short_loop;

@@ -397,6 +397,44 @@ let test_slice_verifier_rejects_corruption () =
        edge_violations
     && edge_violations <> [])
 
+(* Open finding, pinned: a trace whose two dynamic instances of one
+   static pc have different producers.  Both Slicer.extract and the
+   verifier's independent walk stop expanding at the first-seen instance
+   of a pc, so which instance gets expanded depends on traversal order:
+   Slicer's LIFO stack reaches B (pc 2, fed by C at pc 3) first, while
+   the verifier's recursive DFS reaches B' (pc 2, fed by D at pc 4)
+   through A.  The slice is therefore {0,1,2,3} where the verifier
+   expects {0,1,2,4}.  This test pins the current verdict so a fix to
+   either walk shows up here (and in the goldens) on purpose.
+
+   dyn index: 0:D(pc 4)  1:B'(pc 2 <- 0)  2:C(pc 3)  3:B(pc 2 <- 2)
+              4:A(pc 1 <- 1)  5:R(pc 0 <- 4, 3) *)
+let test_slice_order_dependent_finding () =
+  let nop : Program.decoded =
+    { Program.op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; imm = 0; target = -1 }
+  in
+  let prog = { Program.name = "probe"; code = Array.make 5 nop; labels = [] } in
+  let dyn pc =
+    { Executor.pc; op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; addr = -1;
+      taken = false; next_pc = 0 }
+  in
+  let trace =
+    { Executor.prog; dyns = [| dyn 4; dyn 2; dyn 3; dyn 2; dyn 1; dyn 0 |];
+      halted = true }
+  in
+  let deps =
+    { Deps.prod1 = [| -1; 0; -1; 2; 1; 4 |];
+      prod2 = [| -1; -1; -1; -1; -1; 3 |];
+      prod_mem = [| -1; -1; -1; -1; -1; -1 |] }
+  in
+  let slice = Slicer.extract trace deps ~root_pc:0 in
+  check (Alcotest.list int) "Slicer.extract members" [ 0; 1; 2; 3 ] slice.Slicer.pc_list;
+  check (Alcotest.list Alcotest.string) "verifier verdict"
+    [ "pc 3: spurious member outside the backward closure";
+      "pc 4: backward closure member missing from the slice (not closed)" ]
+    (List.map (Format.asprintf "%a" Slice_check.pp_violation)
+       (Slice_check.verify_slice trace deps slice))
+
 (* Satellite property: Slicer.extract output always verifies, on random
    programs, with and without dependencies through memory. *)
 let random_trace seed =
@@ -632,6 +670,8 @@ let () =
         [ Alcotest.test_case "accepts clean slices" `Quick test_slice_verifier_accepts;
           Alcotest.test_case "rejects corruption" `Quick
             test_slice_verifier_rejects_corruption;
+          Alcotest.test_case "order-dependent closure (open finding)" `Quick
+            test_slice_order_dependent_finding;
           QCheck_alcotest.to_alcotest prop_extract_always_verifies ] );
       ( "tagging_verifier",
         [ Alcotest.test_case "accepts clean tagging" `Quick test_tagging_verifier_accepts;

@@ -66,7 +66,7 @@ let test_wheel_rejects_past () =
     (Invalid_argument "Event_wheel.add: cycle must be in the future") (fun () ->
       Event_wheel.add w ~now:5 ~cycle:5 1)
 
-(* The checkpoint-restore scenario: the consumer's cycle counter jumps
+(* The cycle-jump scenario: the consumer's cycle counter jumps
    (a window restarts its clock, then schedules far past the pow2
    horizon), so an overflow entry's due cycle can be strictly below the
    cycle of the pop that should deliver it.  The stale-stamp bug left
@@ -81,23 +81,6 @@ let test_wheel_overdue_after_jump () =
   check int "delivered once" (-1) (Event_wheel.pop w ~cycle:250);
   check int "bucket empty" 0 (Event_wheel.overflow_length w);
   check int "nothing pending" 0 (Event_wheel.pending w)
-
-let test_wheel_clear () =
-  let w = Event_wheel.create ~horizon:8 () in
-  Event_wheel.add w ~now:0 ~cycle:3 1;
-  Event_wheel.add w ~now:0 ~cycle:5 2;
-  Event_wheel.add w ~now:0 ~cycle:100 3;
-  check int "three pending" 3 (Event_wheel.pending w);
-  Event_wheel.clear w;
-  check int "cleared" 0 (Event_wheel.pending w);
-  check int "overflow cleared" 0 (Event_wheel.overflow_length w);
-  for c = 1 to 110 do
-    check int "nothing ever delivered" (-1) (Event_wheel.pop w ~cycle:c)
-  done;
-  (* The wheel is reusable at a fresh time origin after clear — exactly
-     what a restored checkpoint needs. *)
-  Event_wheel.add w ~now:0 ~cycle:4 7;
-  check int "usable after clear" 7 (Event_wheel.pop w ~cycle:4)
 
 (* Property: against a (cycle -> payload list) Hashtbl calendar, over a
    random latency stream that regularly exceeds the horizon.  The
@@ -357,8 +340,6 @@ let () =
           Alcotest.test_case "rejects past cycles" `Quick test_wheel_rejects_past;
           Alcotest.test_case "overdue delivery after cycle jump" `Quick
             test_wheel_overdue_after_jump;
-          Alcotest.test_case "clear for checkpoint restore" `Quick
-            test_wheel_clear;
           QCheck_alcotest.to_alcotest prop_wheel_matches_hashtbl_calendar ] );
       ( "wakeup",
         [ Alcotest.test_case "LIFO pop" `Quick test_wakeup_lifo;

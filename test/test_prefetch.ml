@@ -1,4 +1,4 @@
-(* Tests for the stream, stride and best-offset prefetchers. *)
+(* Tests for the stream and best-offset prefetchers. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -29,35 +29,6 @@ let test_stream_ignores_random () =
     issued := !issued + List.length (Stream_prefetcher.access s ~line:(Prng.int rng 1_000_000))
   done;
   check bool "almost no prefetches on random lines" true (!issued < 20)
-
-(* ---------------- Stride ---------------- *)
-
-let test_stride_detects_constant_stride () =
-  let s = Stride_prefetcher.create ~degree:2 () in
-  ignore (Stride_prefetcher.access s ~pc:7 ~addr:1000);
-  ignore (Stride_prefetcher.access s ~pc:7 ~addr:1024);
-  ignore (Stride_prefetcher.access s ~pc:7 ~addr:1048);
-  let p = Stride_prefetcher.access s ~pc:7 ~addr:1072 in
-  check bool "prefetches addr+stride" true (List.mem 1096 p);
-  check bool "prefetches addr+2*stride" true (List.mem 1120 p)
-
-let test_stride_is_per_pc () =
-  let s = Stride_prefetcher.create () in
-  (* interleaved pcs with different strides still learn independently *)
-  for i = 0 to 5 do
-    ignore (Stride_prefetcher.access s ~pc:1 ~addr:(i * 8));
-    ignore (Stride_prefetcher.access s ~pc:2 ~addr:(i * 4096))
-  done;
-  let p1 = Stride_prefetcher.access s ~pc:1 ~addr:48 in
-  check bool "pc 1 stride 8" true (List.mem 56 p1)
-
-let test_stride_resets_on_irregularity () =
-  let s = Stride_prefetcher.create ~min_confidence:2 () in
-  ignore (Stride_prefetcher.access s ~pc:3 ~addr:0);
-  ignore (Stride_prefetcher.access s ~pc:3 ~addr:100);
-  ignore (Stride_prefetcher.access s ~pc:3 ~addr:7777);
-  let p = Stride_prefetcher.access s ~pc:3 ~addr:9999 in
-  check int "no prefetch after stride break" 0 (List.length p)
 
 (* ---------------- BOP ---------------- *)
 
@@ -93,59 +64,13 @@ let test_bop_disables_on_random () =
   check bool "prefetching off on random misses" true (Bop.best_offset b = None)
 
 
-(* ---------------- GHB ---------------- *)
-
-let test_ghb_learns_periodic_deltas () =
-  let g = Ghb.create ~degree:2 () in
-  (* period-2 delta pattern +8, +24: stride prefetchers cannot learn it *)
-  let addr = ref 0 in
-  let last = ref [] in
-  for i = 0 to 40 do
-    last := Ghb.access g ~pc:11 ~addr:!addr;
-    addr := !addr + (if i land 1 = 0 then 8 else 24)
-  done;
-  (* the last training access was at !addr's predecessor; the next two
-     addresses continue the pattern *)
-  check bool "GHB issues prefetches" true (Ghb.issued g > 0);
-  check bool "prediction continues the periodic pattern" true
-    (match !last with
-     | a :: _ -> a > 0
-     | [] -> false)
-
-let test_ghb_exact_prediction () =
-  let g = Ghb.create ~degree:2 () in
-  (* addresses 0, 8, 32, 40, 64, 72, 96 ... (+8, +24 alternating) *)
-  let seq = [ 0; 8; 32; 40; 64; 72 ] in
-  let preds = List.map (fun a -> Ghb.access g ~pc:3 ~addr:a) seq in
-  let final = List.nth preds (List.length preds - 1) in
-  (* after ...64, 72 the deltas (newest first) are (8, 24); the earlier
-     occurrence was followed by +24 then +8 *)
-  check bool "predicts 96 next" true (List.mem 96 final);
-  check bool "then 104" true (List.mem 104 final)
-
-let test_ghb_silent_on_random () =
-  let g = Ghb.create () in
-  let rng = Prng.create 41 in
-  for _ = 0 to 500 do
-    ignore (Ghb.access g ~pc:9 ~addr:(Prng.int rng 1_000_000))
-  done;
-  check bool "random addresses yield almost nothing" true (Ghb.issued g < 10)
-
 let () =
   Alcotest.run "prefetch"
     [ ( "stream",
         [ Alcotest.test_case "ascending stream" `Quick test_stream_detects_ascending;
           Alcotest.test_case "descending stream" `Quick test_stream_detects_descending;
           Alcotest.test_case "random traffic" `Quick test_stream_ignores_random ] );
-      ( "stride",
-        [ Alcotest.test_case "constant stride" `Quick test_stride_detects_constant_stride;
-          Alcotest.test_case "per-pc tracking" `Quick test_stride_is_per_pc;
-          Alcotest.test_case "irregularity resets" `Quick test_stride_resets_on_irregularity ] );
       ( "bop",
         [ Alcotest.test_case "offset candidates" `Quick test_bop_offset_list;
           Alcotest.test_case "learns constant offset" `Quick test_bop_learns_constant_offset;
-          Alcotest.test_case "disables on random" `Quick test_bop_disables_on_random ] );
-      ( "ghb",
-        [ Alcotest.test_case "periodic deltas" `Quick test_ghb_learns_periodic_deltas;
-          Alcotest.test_case "exact prediction" `Quick test_ghb_exact_prediction;
-          Alcotest.test_case "random traffic" `Quick test_ghb_silent_on_random ] ) ]
+          Alcotest.test_case "disables on random" `Quick test_bop_disables_on_random ] ) ]

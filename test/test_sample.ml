@@ -1,10 +1,10 @@
 (* Tests for lib/sample — interval (SMARTS-style) sampling with
-   confidence bounds, and checkpointed time-parallel simulation.
+   confidence bounds — and for the sampled path through Runner.
 
    The acceptance bar: on every catalog workload the sampled CPI must
    fall within its own declared 95% confidence interval of the full
-   detailed run, and the chunk-parallel engine must stitch statistics
-   that are byte-identical across pool sizes. *)
+   detailed run, and a sampled cell must keep a memo identity apart
+   from the full-fidelity cell at the same coordinates. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -107,67 +107,53 @@ let test_target_ci_grows_units () =
     (tight.Sampler.config.Sample_config.units
     > loose.Sampler.config.Sample_config.units)
 
-(* ---------------- time-parallel chunking ---------------- *)
+(* ---------------- Runner: one memo, two identities ---------------- *)
 
-let test_chunked_deterministic_across_pools () =
-  let trace = trace_of ~instrs:60_000 "mcf" in
-  let layout = layout_of trace in
-  let run pool = Chunked.run ~layout ~pool ~chunks:4 ~warmup:2_000 cfg trace in
-  let seq = run Exec.Pool.sequential in
-  let with_pool workers =
-    let pool = Exec.Pool.create ~workers () in
-    Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> run pool)
+(* A full and a sampled Gain cell on the same coordinates share the one
+   Runner memo but never an entry: each misses separately, the sampled
+   outcome is exactly a direct [Sampler.run] on the same trace, and a
+   full rerun is served from the memo with the same value. *)
+let test_runner_memo_identity () =
+  Runner.clear_cache ();
+  let eval_instrs = 20_000 and train_instrs = 15_000 and name = "mcf" in
+  let sample = Sample_config.default in
+  let column = { Grid.label = "CRISP"; variant = "crisp"; threshold = None; window = None } in
+  let cell ?sample () =
+    Grid.cell_value ?sample ~eval_instrs ~train_instrs ~name ~metric:Grid.Gain column
   in
-  let p2 = with_pool 2 in
-  let p8 = with_pool 8 in
-  check bool "jobs 1 = jobs 2" true (seq = p2);
-  check bool "jobs 1 = jobs 8" true (seq = p8);
-  check int "chunks used" 4 seq.Chunked.chunks;
-  check int "retired partitions the trace" 60_000
-    seq.Chunked.stats.Cpu_stats.retired
-
-let test_chunked_matches_full () =
-  let trace = trace_of ~instrs:60_000 "mcf" in
-  let layout = layout_of trace in
-  let full = Cpu_core.run ~layout cfg trace in
-  let r = Chunked.run ~layout ~chunks:4 ~warmup:5_000 cfg trace in
-  check int "retired exactly the trace" full.Cpu_stats.retired
-    r.Chunked.stats.Cpu_stats.retired;
-  check int "per-chunk retired sums to the trace" full.Cpu_stats.retired
-    (Array.fold_left
-       (fun a (s : Cpu_stats.t) -> a + s.Cpu_stats.retired)
-       0 r.Chunked.per_chunk);
-  (* Cold-start warmup re-converges the pipeline, so the stitched cycle
-     count tracks the monolithic run closely; 1% headroom covers the
-     boundary effects warmup cannot erase. *)
-  let rel =
-    Float.abs
-      (float_of_int r.Chunked.stats.Cpu_stats.cycles
-      -. float_of_int full.Cpu_stats.cycles)
-    /. float_of_int full.Cpu_stats.cycles
+  let counters () =
+    let s = Runner.cache_stats () in
+    (s.Exec.Memo.hits, s.Exec.Memo.misses)
   in
-  if rel > 0.01 then
-    Alcotest.failf "stitched cycles %d vs full %d (%.2f%% off, budget 1%%)"
-      r.Chunked.stats.Cpu_stats.cycles full.Cpu_stats.cycles (100. *. rel)
-
-let test_chunked_journal_reuse () =
-  let trace = trace_of ~instrs:40_000 "gcc" in
-  let layout = layout_of trace in
-  let path = Filename.temp_file "crisp_chunk" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".bad"; path ^ ".tmp" ])
-    (fun () ->
-      let signature = "test chunked gcc 40k" in
-      let j1 = Resil.Journal.load ~path ~signature in
-      let a = Chunked.run ~layout ~journal:j1 ~chunks:4 ~warmup:2_000 cfg trace in
-      (* A fresh journal handle replays the recorded checkpoints. *)
-      let j2 = Resil.Journal.load ~path ~signature in
-      check bool "checkpoints recorded" true (Resil.Journal.size j2 > 0);
-      let b = Chunked.run ~layout ~journal:j2 ~chunks:4 ~warmup:2_000 cfg trace in
-      check bool "journalled rerun is identical" true (a = b))
+  let h0, m0 = counters () in
+  let full = cell () in
+  let h1, m1 = counters () in
+  check int "full cell misses for OOO and CRISP" 2 (m1 - m0);
+  check int "full cell hits nothing" 0 (h1 - h0);
+  let sampled = cell ~sample () in
+  let h2, m2 = counters () in
+  check int "sampled cell misses separately" 2 (m2 - m1);
+  check int "sampled cell reuses no full entry" 0 (h2 - h1);
+  let memo =
+    Runner.evaluate ~eval_instrs ~train_instrs ~sample ~name Runner.Ooo
+  in
+  let direct =
+    Sampler.run ~sample
+      (Cpu_config.with_policy Scheduler.Oldest_ready cfg)
+      (trace_of ~instrs:eval_instrs name)
+  in
+  check (Alcotest.float 0.) "sampled IPC = direct Sampler.run"
+    (Cpu_stats.ipc direct.Sampler.stats)
+    (Cpu_stats.ipc memo.Runner.stats);
+  let h3, m3 = counters () in
+  check int "sampled OOO lookup hits" 1 (h3 - h2);
+  check int "sampled OOO lookup runs nothing" 0 (m3 - m2);
+  check bool "sampled cell is finite" true (Float.is_finite sampled);
+  let again = cell () in
+  let h4, m4 = counters () in
+  check int "full rerun hits both entries" 2 (h4 - h3);
+  check int "full rerun runs nothing" 0 (m4 - m3);
+  check (Alcotest.float 0.) "full rerun returns the same value" full again
 
 (* ---------------- fast-forward vs detailed prefix ---------------- *)
 
@@ -235,56 +221,57 @@ let random_program seed =
   done;
   (prog, reg_init, mem_init)
 
-(* Functional fast-forward must be architecturally exact: a mid-trace
-   snapshot at boundary [b] equals (registers and memory image, both) the
-   final state of a run truncated at [b]; the register half additionally
-   matches the live on_step replay oracle; and the detailed core, fed
-   the dyn-trace prefix, retires exactly [b] micro-ops.  Together these
-   pin the sampler's fast-forward to the state a detailed simulation
-   stopped at the same boundary would have. *)
+(* Functional fast-forward must be architecturally exact.  The sampler
+   fast-forwards over the full trace and opens a detail window at index
+   [b], so the trace a run truncated at [b] records must be exactly the
+   first [b] micro-ops of the full trace; the register snapshot the
+   on_step replay oracle takes before each micro-op must reproduce every
+   effective address in that prefix; and the detailed core, fed the
+   prefix, retires exactly [b] micro-ops.  Together these pin the
+   sampler's fast-forward to the state a detailed simulation stopped at
+   the same boundary would have. *)
 let prop_fast_forward_matches_detailed_prefix =
   QCheck.Test.make
     ~name:"fast-forward snapshot = truncated run = replay oracle" ~count:20
     QCheck.small_int (fun seed ->
       let prog, reg_init, mem_init = random_program seed in
       let max_instrs = 3_000 in
-      let full = Executor.run ~reg_init ~mem_init ~max_instrs prog in
+      (* the Hashtbl is mutated by execution — fresh copy per run *)
+      let mem () = Hashtbl.copy mem_init in
+      let full = Executor.run ~reg_init ~mem_init:(mem ()) ~max_instrs prog in
       let n = Array.length full.Executor.dyns in
       if n < 20 then true
       else begin
         let b = 1 + ((seed * 7919) mod (n - 1)) in
-        (* the Hashtbl is mutated by execution — fresh copy per run *)
-        let mem () = Hashtbl.copy mem_init in
-        let _, snaps =
-          Executor.snapshots ~reg_init ~mem_init:(mem ()) ~boundaries:[ b ]
-            ~max_instrs prog
+        let prefix = Array.sub full.Executor.dyns 0 b in
+        let truncated =
+          Executor.run ~reg_init ~mem_init:(mem ()) ~max_instrs:b prog
         in
-        let _, truncated =
-          Executor.snapshots ~reg_init ~mem_init:(mem ()) ~boundaries:[ b ]
-            ~max_instrs:b prog
-        in
-        let oracle_regs = ref [||] in
-        let count = ref 0 in
+        let bad_addr = ref None in
+        let step = ref 0 in
         let on_step _pc regs =
-          if !count = b then oracle_regs := Array.copy regs;
-          incr count
+          (if !step < b && !bad_addr = None then
+             let d = prefix.(!step) in
+             let code = prog.Program.code.(d.Executor.pc) in
+             let expect =
+               match d.Executor.op with
+               | Isa.Load | Isa.Prefetch -> regs.(code.Program.src1) + code.Program.imm
+               | Isa.Store -> regs.(code.Program.src2) + code.Program.imm
+               | _ -> -1
+             in
+             if expect <> d.Executor.addr then bad_addr := Some !step);
+          incr step
         in
         ignore (Executor.run ~reg_init ~mem_init:(mem ()) ~on_step ~max_instrs prog);
-        match (snaps, truncated) with
-        | [ (b1, regs1, img1) ], [ (b2, regs2, img2) ] ->
-          if b1 <> b || b2 <> b then
-            QCheck.Test.fail_reportf "snapshot boundaries %d/%d, wanted %d" b1
-              b2 b
-          else if regs1 <> regs2 then
-            QCheck.Test.fail_report "registers: mid-trace snapshot <> truncated run"
-          else if img1 <> img2 then
-            QCheck.Test.fail_report "memory image: mid-trace snapshot <> truncated run"
-          else if !oracle_regs <> [||] && regs1 <> !oracle_regs then
-            QCheck.Test.fail_report "registers: snapshot <> on_step replay oracle"
-          else begin
-            let prefix =
-              { full with Executor.dyns = Array.sub full.Executor.dyns 0 b }
-            in
+        if truncated.Executor.dyns <> prefix then
+          QCheck.Test.fail_report "truncated run <> prefix of the full trace"
+        else
+          match !bad_addr with
+          | Some i ->
+            QCheck.Test.fail_reportf
+              "micro-op %d: effective address <> replay-oracle registers" i
+          | None ->
+            let prefix = { full with Executor.dyns = prefix } in
             let layout = layout_of prefix in
             let stats = Cpu_core.run ~layout cfg prefix in
             if stats.Cpu_stats.retired <> b then
@@ -292,10 +279,6 @@ let prop_fast_forward_matches_detailed_prefix =
                 "detailed prefix run retired %d, wanted exactly %d"
                 stats.Cpu_stats.retired b
             else true
-          end
-        | _ ->
-          QCheck.Test.fail_reportf "expected one snapshot per run, got %d/%d"
-            (List.length snaps) (List.length truncated)
       end)
 
 let () =
@@ -310,13 +293,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sampler_deterministic;
           Alcotest.test_case "target CI grows units" `Quick
             test_target_ci_grows_units ] );
-      ( "chunked",
-        [ Alcotest.test_case "deterministic across pools" `Quick
-            test_chunked_deterministic_across_pools;
-          Alcotest.test_case "matches the monolithic run" `Quick
-            test_chunked_matches_full;
-          Alcotest.test_case "journal reuse" `Quick test_chunked_journal_reuse
-        ] );
+      ( "runner",
+        [ Alcotest.test_case "sampled and full cells memoised apart" `Quick
+            test_runner_memo_identity ] );
       ( "fast_forward",
         [ QCheck_alcotest.to_alcotest prop_fast_forward_matches_detailed_prefix
         ] ) ]
