@@ -324,51 +324,22 @@ let jobs_arg =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Install a pool for the duration of [f]; tear it down afterwards so a
-   later invocation (or an exception) never leaks worker domains. *)
+(* Run [f] on the pool [--jobs] asks for; tear it down afterwards so an
+   exception never leaks worker domains. *)
 let with_jobs jobs f =
-  let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-  if jobs <= 1 then f ()
-  else begin
-    let pool = Exec.Pool.create ~workers:jobs () in
-    Experiments.set_pool pool;
-    Fun.protect f ~finally:(fun () ->
-        Experiments.set_pool Exec.Pool.sequential;
-        Exec.Pool.shutdown pool)
-  end
-
-let known_figures =
-  [ "table1"; "motivating"; "fig1"; "fig3"; "fig4"; "fig7"; "fig8"; "fig9";
-    "fig10"; "fig11"; "fig12"; "static_crit"; "ablations"; "division" ]
+  let pool = Exec.Pool.of_jobs jobs in
+  Fun.protect (fun () -> f pool) ~finally:(fun () -> Exec.Pool.shutdown pool)
 
 let validate_figures figures =
+  let known = List.map fst Experiments.figures in
   List.iter
     (fun fig ->
-      if not (List.mem fig known_figures) then begin
+      if not (List.mem fig known) then begin
         Printf.eprintf "crisp_sim: unknown figure %S (expected one of: %s)\n" fig
-          (String.concat ", " known_figures);
+          (String.concat ", " known);
         exit 2
       end)
     figures
-
-let run_figure ~sizes = function
-  | "table1" -> Experiments.table1 ()
-  | "motivating" -> ignore (Experiments.motivating ~sizes ())
-  | "fig1" -> ignore (Experiments.fig1 ~sizes ())
-  | "fig3" -> ignore (Experiments.fig3 ())
-  | "fig4" -> ignore (Experiments.fig4 ~sizes ())
-  | "fig7" -> ignore (Experiments.fig7 ~sizes ())
-  | "fig8" -> ignore (Experiments.fig8 ~sizes ())
-  | "fig9" -> ignore (Experiments.fig9 ~sizes ())
-  | "fig10" -> ignore (Experiments.fig10 ~sizes ())
-  | "fig11" -> ignore (Experiments.fig11 ~sizes ())
-  | "fig12" -> ignore (Experiments.fig12 ~sizes ())
-  | "static_crit" -> ignore (Experiments.static_crit ~sizes ())
-  | "ablations" -> ignore (Experiments.ablations ~sizes ())
-  | "division" -> ignore (Experiments.division ~sizes ())
-  | other ->
-    (* callers run [validate_figures] first *)
-    invalid_arg ("run_figure: " ^ other)
 
 let policy_of ~deadline ~retries ~seed =
   { Resil.Supervise.default_policy with
@@ -415,7 +386,6 @@ let experiments_signature ~instrs ~train_instrs ~sample =
 let finish_resilient_run () =
   let _, _, degraded, quarantined, _ = Resil.Log.counts () in
   if Resil.Log.events () <> [] then Format.eprintf "%a@?" Resil.Log.pp_summary ();
-  Experiments.set_resilience Resil.Supervise.default_policy;
   if degraded > 0 || quarantined > 0 then exit 1
 
 let experiments figures instrs train_instrs jobs journal_path resume deadline
@@ -426,8 +396,7 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
     exit 2
   end;
   let sample = parse_sample sample_spec in
-  with_jobs jobs @@ fun () ->
-  let sizes = { Experiments.eval_instrs = instrs; train_instrs } in
+  with_jobs jobs @@ fun pool ->
   Resil.Log.clear ();
   let journal =
     Option.map
@@ -439,24 +408,21 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
           ~signature:(experiments_signature ~instrs ~train_instrs ~sample))
       journal_path
   in
-  Experiments.set_resilience ?journal (policy_of ~deadline ~retries ~seed);
-  Experiments.set_sample sample;
+  let ctx =
+    { Experiments.sizes = { Experiments.eval_instrs = instrs; train_instrs };
+      pool;
+      policy = policy_of ~deadline ~retries ~seed;
+      journal;
+      sample }
+  in
   (match sample with
   | None -> ()
   | Some s ->
     Printf.eprintf "experiments: Gain cells sampled (%s)\n%!"
       (Sample_config.to_string s));
-  Fun.protect
-    ~finally:(fun () -> Experiments.set_sample None)
-    (fun () ->
-      match figures with
-      | [] -> Experiments.run_all ~sizes ()
-      | figures ->
-        List.iter
-          (fun fig ->
-            ignore
-              (Experiments.protected ~ident:fig (fun () -> run_figure ~sizes fig)))
-          figures);
+  (match figures with
+  | [] -> Experiments.run_all ctx
+  | figures -> List.iter (Experiments.run ctx) figures);
   finish_resilient_run ()
 
 (* ------------------------------------------------------------------ *)
@@ -469,24 +435,6 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
      exit 1  degradation happened and was fully reported (the contract)
      exit 2  SILENT DIVERGENCE: output changed with nothing reported —
              a resilience-property violation, or an internal error. *)
-
-let capture_stdout f =
-  let file = Filename.temp_file "crisp_chaos" ".out" in
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  Fun.protect f ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved);
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in_noerr ic;
-  Sys.remove file;
-  contents
 
 let trigger_to_string (tr : Resil.Fault_plan.trigger) =
   let selector =
@@ -522,9 +470,13 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
                exit 2)
            specs)
   in
-  with_jobs jobs @@ fun () ->
-  let sizes = { Experiments.eval_instrs = instrs; train_instrs } in
-  let policy = policy_of ~deadline ~retries ~seed in
+  with_jobs jobs @@ fun pool ->
+  let ctx =
+    { Experiments.default with
+      Experiments.sizes = { Experiments.eval_instrs = instrs; train_instrs };
+      pool;
+      policy = policy_of ~deadline ~retries ~seed }
+  in
   let jpath =
     match journal_path with
     | Some p -> p
@@ -543,13 +495,10 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
     let journal =
       if journaled then Some (Resil.Journal.load ~path:jpath ~signature) else None
     in
-    Experiments.set_resilience ?journal policy;
-    capture_stdout (fun () ->
-        ignore
-          (Experiments.protected ~ident:figure (fun () -> run_figure ~sizes figure)))
+    Resil.Capture.stdout (fun () -> Experiments.run { ctx with journal } figure)
   in
   Printf.printf "chaos: figure %s, seed %d, %d worker(s), plan:\n" figure seed
-    (Exec.Pool.parallelism (Experiments.current_pool ()));
+    (Exec.Pool.parallelism pool);
   List.iter
     (fun tr -> Printf.printf "  %s\n" (trigger_to_string tr))
     (Resil.Fault_plan.triggers plan);
@@ -565,7 +514,6 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
   in
   let summary_c = Format.asprintf "%a" Resil.Log.pp_summary () in
   Resil.Fault_plan.disarm ();
-  Experiments.set_resilience Resil.Supervise.default_policy;
   Runner.clear_cache ();
   if not keep_journal then
     List.iter

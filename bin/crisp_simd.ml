@@ -125,13 +125,9 @@ let limits_of io_timeout idle_timeout max_conns max_requests max_queued
     sndbuf = positive_int sndbuf;
     retry_after_ms }
 
-let make_pool jobs =
-  let workers = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-  if workers <= 1 then Exec.Pool.sequential else Exec.Pool.create ~workers ()
-
 let daemon socket jobs journal_dir deadline retries seed verbose io_timeout
     idle_timeout max_conns max_requests max_queued retry_after_ms sndbuf =
-  let pool = make_pool jobs in
+  let pool = Exec.Pool.of_jobs jobs in
   let policy =
     { Resil.Supervise.default_policy with Resil.Supervise.deadline; retries; seed }
   in
@@ -171,24 +167,6 @@ let daemon socket jobs journal_dir deadline retries seed verbose io_timeout
              explicitly reported (retries exhausted, degraded cells)
      exit 2  SILENT DIVERGENCE (output changed, nothing reported), a
              vacuous plan (nothing fired), or an internal error *)
-
-let capture_stdout f =
-  let file = Filename.temp_file "crisp_farm_chaos" ".out" in
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  Fun.protect f ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved);
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in_noerr ic;
-  Sys.remove file;
-  contents
 
 let chaos_tmpdir () =
   (* Short paths: two sockets live here and sun_path is ~107 bytes. *)
@@ -271,7 +249,7 @@ let chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
   let dir = chaos_tmpdir () in
   let daemon_socket = Filename.concat dir "d.sock" in
   let proxy_socket = Filename.concat dir "p.sock" in
-  let pool = make_pool jobs in
+  let pool = Exec.Pool.of_jobs jobs in
   let srv =
     Farm_server.create
       { Farm_server.socket = daemon_socket;
@@ -309,7 +287,7 @@ let chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
     connect_ready daemon_socket;
     (* Pass 1: clean reference, connected directly to the daemon. *)
     let clean =
-      capture_stdout (fun () ->
+      Resil.Capture.stdout (fun () ->
           List.iter
             (fun (spec : Grid.spec) ->
               let c = Farm_client.connect ~socket:daemon_socket () in
@@ -340,7 +318,7 @@ let chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
     let total_attempts = ref 0 in
     let outcome =
       match
-        capture_stdout (fun () ->
+        Resil.Capture.stdout (fun () ->
             List.iter
               (fun (spec : Grid.spec) ->
                 let r, used =

@@ -5,49 +5,22 @@ type sizes = {
 
 let default_sizes = { eval_instrs = 100_000; train_instrs = 80_000 }
 
-let apps = Catalog.spec_names @ Catalog.datacenter_names
-
-(* ------------------------------------------------------------------ *)
-(* Job-graph mode: every (app x column) cell of a figure grid becomes a
-   job on the installed pool; rendering happens on the calling domain
-   once all cells have resolved.  The default pool is sequential, which
-   runs each cell inline at submission — the exact serial path. *)
-
-let pool = ref Exec.Pool.sequential
-
-let set_pool p = pool := p
-
-let current_pool () = !pool
-
-(* ------------------------------------------------------------------ *)
-(* Resilience context: every grid cell runs as a supervised job under
-   the installed policy, and — when a journal is installed — completed
-   cells are checkpointed so a killed run can resume recomputing only
-   the missing ones. *)
-
-type resilience = {
+type ctx = {
+  sizes : sizes;
+  pool : Exec.Pool.t;
   policy : Resil.Supervise.policy;
   journal : Resil.Journal.t option;
+  sample : Sample_config.t option;
 }
 
-let resilience = ref { policy = Resil.Supervise.default_policy; journal = None }
+let default =
+  { sizes = default_sizes;
+    pool = Exec.Pool.sequential;
+    policy = Resil.Supervise.default_policy;
+    journal = None;
+    sample = None }
 
-let set_resilience ?journal policy = resilience := { policy; journal }
-
-let current_resilience () = !resilience
-
-(* ------------------------------------------------------------------ *)
-(* Sampling context: when installed, grid Gain cells run sampled timing
-   simulations instead of full-fidelity ones.  A global mirroring
-   [set_pool]: the figure entry points stay zero-argument, and the
-   journal signature already distinguishes sampled runs (the CLI folds
-   the sample string into it). *)
-
-let sample = ref None
-
-let set_sample s = sample := s
-
-let current_sample () = !sample
+let apps = Catalog.spec_names @ Catalog.datacenter_names
 
 let cell_ident ~tag name j = Printf.sprintf "%s/%s/%d" tag name j
 
@@ -55,8 +28,8 @@ let cell_ident ~tag name j = Printf.sprintf "%s/%s/%d" tag name j
    journal layer has already digest-checked the payload; a checkpoint
    that fails to unmarshal (version skew the signature failed to
    capture) is quarantined, not trusted. *)
-let restore_cell ident =
-  match (!resilience).journal with
+let restore_cell ctx ident =
+  match ctx.journal with
   | None -> None
   | Some j -> (
     match Resil.Journal.find j ident with
@@ -74,8 +47,8 @@ let restore_cell ident =
 
 (* A failed checkpoint write degrades the *checkpoint*, never the cell:
    the computed value is still used, it just will not survive a kill. *)
-let checkpoint_cell ident v =
-  match (!resilience).journal with
+let checkpoint_cell ctx ident v =
+  match ctx.journal with
   | None -> ()
   | Some j -> (
     try Resil.Journal.record j ~key:ident ~payload:(Marshal.to_string v [])
@@ -96,20 +69,18 @@ let checkpoint_cell ident v =
    resolves to [degraded] (rendered as an error marker by Report) and is
    recorded in the resilience log so the CLI can summarise and exit
    nonzero. *)
-let submit_cells ~tag ~degraded ~names ~cols ~cell =
-  let p = !pool in
-  let policy = (!resilience).policy in
+let submit_cells ctx ~tag ~degraded ~names ~cols ~cell =
   let indexed = List.mapi (fun i name -> (i, name)) names in
   let by_weight = List.map (List.nth indexed) (Grid.row_order names) in
   (* On the sequential pool the thunk runs inline at spawn, so join (and
      the checkpoint write) right away: a kill mid-grid then salvages
      every completed cell instead of losing them all to the deferred
      join loop.  On a real pool joining here would serialise the grid. *)
-  let eager = Exec.Pool.parallelism p <= 1 in
+  let eager = Exec.Pool.parallelism ctx.pool <= 1 in
   let settle ident handle =
     match Resil.Supervise.join handle with
     | Ok v ->
-      checkpoint_cell ident v;
+      checkpoint_cell ctx ident v;
       Ok v
     | Error e -> Error e
   in
@@ -120,11 +91,12 @@ let submit_cells ~tag ~degraded ~names ~cols ~cell =
         (fun j col ->
           let ident = cell_ident ~tag name j in
           let slot =
-            match restore_cell ident with
+            match restore_cell ctx ident with
             | Some v -> Either.Left (Ok v)
             | None ->
               let handle =
-                Resil.Supervise.spawn p policy ~ident (fun () -> cell name col)
+                Resil.Supervise.spawn ctx.pool ctx.policy ~ident (fun () ->
+                    cell name col)
               in
               if eager then Either.Left (settle ident handle)
               else Either.Right handle
@@ -153,19 +125,6 @@ let submit_cells ~tag ~degraded ~names ~cols ~cell =
           cols ))
     indexed
 
-let ipc_of (outcome : Runner.outcome) = Cpu_stats.ipc outcome.Runner.stats
-
-let gain ~sizes ~cfg ~name variant =
-  let base =
-    Runner.evaluate ~cfg ~eval_instrs:sizes.eval_instrs
-      ~train_instrs:sizes.train_instrs ~name Runner.Ooo
-  in
-  let v =
-    Runner.evaluate ~cfg ~eval_instrs:sizes.eval_instrs
-      ~train_instrs:sizes.train_instrs ~name variant
-  in
-  (ipc_of v /. ipc_of base) -. 1.
-
 let crisp_artifacts ~sizes ~name =
   let outcome =
     Runner.evaluate ~eval_instrs:sizes.eval_instrs ~train_instrs:sizes.train_instrs
@@ -186,7 +145,7 @@ let upc_series cfg ~criticality trace =
   let stats = Cpu_core.run ~criticality cfg trace in
   Cpu_stats.smoothed_upc stats ~window:25
 
-let fig1 ?(sizes = default_sizes) () =
+let fig1 { sizes; _ } =
   let train =
     Catalog.pointer_chase ~input:Workload.Train ~instrs:sizes.train_instrs ()
   in
@@ -214,7 +173,7 @@ let fig1 ?(sizes = default_sizes) () =
     (100. *. ((avg crisp /. avg ooo) -. 1.));
   (ooo, crisp)
 
-let motivating ?(sizes = default_sizes) () =
+let motivating { sizes; _ } =
   let run ~with_prefetch =
     let w =
       Catalog.pointer_chase ~input:Workload.Ref ~instrs:sizes.eval_instrs
@@ -260,12 +219,12 @@ let fig3 () =
 (* The grid figures (4, 7-11) are driven entirely by the shared
    {!Grid} specs, so the daemon-served and locally-run paths compute
    identical cells and render identical text. *)
-let run_grid ~sizes (spec : Grid.spec) =
+let run_grid ({ sizes; sample; _ } as ctx) (spec : Grid.spec) =
   let rows =
-    submit_cells ~tag:spec.Grid.tag ~degraded:Float.nan ~names:spec.Grid.names
+    submit_cells ctx ~tag:spec.Grid.tag ~degraded:Float.nan ~names:spec.Grid.names
       ~cols:spec.Grid.columns
       ~cell:(fun name column ->
-        Grid.cell_value ?sample:!sample ~eval_instrs:sizes.eval_instrs
+        Grid.cell_value ?sample ~eval_instrs:sizes.eval_instrs
           ~train_instrs:sizes.train_instrs ~name ~metric:spec.Grid.metric column)
   in
   Grid.render spec rows;
@@ -275,23 +234,21 @@ let single_column = function
   | name, [ v ] -> (name, v)
   | _ -> assert false
 
-let fig4 ?(sizes = default_sizes) () =
-  List.map single_column (run_grid ~sizes Grid.fig4)
+let fig4 ctx = List.map single_column (run_grid ctx Grid.fig4)
 
-let fig7 ?(sizes = default_sizes) () = run_grid ~sizes Grid.fig7
+let fig7 ctx = run_grid ctx Grid.fig7
 
-let fig8 ?(sizes = default_sizes) () = run_grid ~sizes Grid.fig8
+let fig8 ctx = run_grid ctx Grid.fig8
 
-let fig9 ?(sizes = default_sizes) () = run_grid ~sizes Grid.fig9
+let fig9 ctx = run_grid ctx Grid.fig9
 
-let fig10 ?(sizes = default_sizes) () = run_grid ~sizes Grid.fig10
+let fig10 ctx = run_grid ctx Grid.fig10
 
-let fig11 ?(sizes = default_sizes) () =
-  List.map single_column (run_grid ~sizes Grid.fig11)
+let fig11 ctx = List.map single_column (run_grid ctx Grid.fig11)
 
-let fig12 ?(sizes = default_sizes) () =
+let fig12 ({ sizes; _ } as ctx) =
   let rows =
-    submit_cells ~tag:"fig12" ~degraded:[ Float.nan; Float.nan; Float.nan ]
+    submit_cells ctx ~tag:"fig12" ~degraded:[ Float.nan; Float.nan; Float.nan ]
       ~names:apps ~cols:[ () ] ~cell:(fun name () ->
         let artifacts = crisp_artifacts ~sizes ~name in
         let critical = Tagger.is_critical artifacts.Fdo.tagging in
@@ -331,10 +288,10 @@ let fig12 ?(sizes = default_sizes) () =
    and the full profiled FDO flow on every workload, and score the
    overlap.  Counts travel as floats so the rows fit the shared grid
    plumbing (and the golden vector); they are exact small integers. *)
-let static_crit ?(sizes = default_sizes) () =
+let static_crit ({ sizes; _ } as ctx) =
   let degraded = List.init 8 (fun _ -> Float.nan) in
   let rows =
-    submit_cells ~tag:"static_crit" ~degraded ~names:Catalog.names ~cols:[ () ]
+    submit_cells ctx ~tag:"static_crit" ~degraded ~names:Catalog.names ~cols:[ () ]
       ~cell:(fun name () ->
         let wl = Catalog.make ~input:Workload.Ref ~instrs:sizes.eval_instrs name in
         let prediction = Static_crit.analyze wl in
@@ -357,13 +314,13 @@ let static_crit ?(sizes = default_sizes) () =
     rows;
   rows
 
-let ablations ?(sizes = default_sizes) () =
+let ablations ({ sizes; _ } as ctx) =
   let subset = [ "namd"; "moses"; "pointer_chase"; "deepsjeng"; "mcf" ] in
   let cfg = Cpu_config.skylake in
   let no_filter = { Tagger.default_options with Tagger.critical_path_filter = false } in
   let no_memory = { Tagger.default_options with Tagger.follow_memory = false } in
   let no_guardrail = { Tagger.default_options with Tagger.ratio_max = 1.0 } in
-  let crisp options = Runner.Crisp (Classifier.default, options) in
+  let crisp options = (cfg, Runner.Crisp (Classifier.default, options)) in
   let cols =
     [ crisp Tagger.default_options;
       crisp no_filter;
@@ -371,27 +328,19 @@ let ablations ?(sizes = default_sizes) () =
       crisp no_guardrail;
       (* The random-pick scheduler is compared against the oldest-ready
          baseline with no tags on either side. *)
-      Runner.Ooo ]
+      (Cpu_config.with_policy Scheduler.Random_ready cfg, Runner.Ooo) ]
   in
-  let random_col = List.length cols - 1 in
+  let ipc ~cfg ~name variant =
+    Cpu_stats.ipc
+      (Runner.evaluate ~cfg ~eval_instrs:sizes.eval_instrs
+         ~train_instrs:sizes.train_instrs ~name variant)
+        .Runner.stats
+  in
   let rows =
-    submit_cells ~tag:"ablations" ~degraded:Float.nan ~names:subset
-      ~cols:(List.mapi (fun j v -> (j, v)) cols)
-      ~cell:(fun name (j, v) ->
-        if j = random_col then begin
-          let base =
-            Runner.evaluate ~cfg ~eval_instrs:sizes.eval_instrs
-              ~train_instrs:sizes.train_instrs ~name Runner.Ooo
-          in
-          let rnd =
-            Runner.evaluate
-              ~cfg:(Cpu_config.with_policy Scheduler.Random_ready cfg)
-              ~eval_instrs:sizes.eval_instrs ~train_instrs:sizes.train_instrs ~name
-              Runner.Ooo
-          in
-          (ipc_of rnd /. ipc_of base) -. 1.
-        end
-        else gain ~sizes ~cfg ~name v)
+    submit_cells ctx ~tag:"ablations" ~degraded:Float.nan ~names:subset ~cols
+      ~cell:(fun name (column_cfg, variant) ->
+        let base = ipc ~cfg ~name Runner.Ooo in
+        (ipc ~cfg:column_cfg ~name variant /. base) -. 1.)
   in
   Report.print_percent_table
     ~title:"Ablations: CRISP design choices (gain over OOO)"
@@ -402,7 +351,7 @@ let ablations ?(sizes = default_sizes) () =
 (* Section 6.1: a kernel whose critical path is a serial division chain,
    each division waking a burst of dependent scoring work.  With
    [use_long_op_slices] the divisions are tagged and jump the burst. *)
-let division ?(sizes = default_sizes) () =
+let division { sizes; _ } =
   let build ~input ~instrs =
     let mb = Mem_builder.create () in
     let table = Mem_builder.int_array mb (Array.init 512 (fun i -> i + 1)) in
@@ -464,32 +413,33 @@ let division ?(sizes = default_sizes) () =
     (100. *. ((c /. o) -. 1.));
   (o, c)
 
+let figures =
+  [ ("table1", fun _ -> table1 ());
+    ("motivating", fun ctx -> ignore (motivating ctx));
+    ("fig1", fun ctx -> ignore (fig1 ctx));
+    ("fig3", fun _ -> ignore (fig3 ()));
+    ("fig4", fun ctx -> ignore (fig4 ctx));
+    ("fig7", fun ctx -> ignore (fig7 ctx));
+    ("fig8", fun ctx -> ignore (fig8 ctx));
+    ("fig9", fun ctx -> ignore (fig9 ctx));
+    ("fig10", fun ctx -> ignore (fig10 ctx));
+    ("fig11", fun ctx -> ignore (fig11 ctx));
+    ("fig12", fun ctx -> ignore (fig12 ctx));
+    ("static_crit", fun ctx -> ignore (static_crit ctx));
+    ("ablations", fun ctx -> ignore (ablations ctx));
+    ("division", fun ctx -> ignore (division ctx)) ]
+
 (* Run one figure, degrading instead of propagating: a crash inside a
    non-grid figure (or a grid figure's rendering) is logged and replaced
    by an explicit marker line, so the rest of the suite still runs and
    the CLI can exit with a failure summary. *)
-let protected ~ident f =
-  match f () with
-  | v -> Some v
+let run ctx ident =
+  let figure = List.assoc ident figures in
+  match figure ctx with
+  | () -> ()
   | exception exn ->
     Resil.Log.record
       (Resil.Log.Degraded { ident; error = Printexc.to_string exn });
-    Printf.printf "\n== %s: DEGRADED (%s) ==\n" ident (Printexc.to_string exn);
-    None
+    Printf.printf "\n== %s: DEGRADED (%s) ==\n" ident (Printexc.to_string exn)
 
-let run_all ?(sizes = default_sizes) () =
-  let step ident f = ignore (protected ~ident f) in
-  step "table1" (fun () -> table1 ());
-  step "motivating" (fun () -> ignore (motivating ~sizes ()));
-  step "fig1" (fun () -> ignore (fig1 ~sizes ()));
-  step "fig3" (fun () -> ignore (fig3 ()));
-  step "fig4" (fun () -> ignore (fig4 ~sizes ()));
-  step "fig7" (fun () -> ignore (fig7 ~sizes ()));
-  step "fig8" (fun () -> ignore (fig8 ~sizes ()));
-  step "fig9" (fun () -> ignore (fig9 ~sizes ()));
-  step "fig10" (fun () -> ignore (fig10 ~sizes ()));
-  step "fig11" (fun () -> ignore (fig11 ~sizes ()));
-  step "fig12" (fun () -> ignore (fig12 ~sizes ()));
-  step "static_crit" (fun () -> ignore (static_crit ~sizes ()));
-  step "ablations" (fun () -> ignore (ablations ~sizes ()));
-  step "division" (fun () -> ignore (division ~sizes ()))
+let run_all ctx = List.iter (fun (ident, _) -> run ctx ident) figures

@@ -84,8 +84,7 @@ let run_variant ?tracer ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
     | Some sample -> (Sampler.run ?criticality ~sample cfg eval_trace).Sampler.stats
   in
   match variant with
-  | Ooo ->
-    { stats = time (Cpu_config.with_policy Scheduler.Oldest_ready cfg); artifacts = None }
+  | Ooo -> { stats = time cfg; artifacts = None }
   | Crisp (thresholds, options) ->
     let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
     let artifacts =

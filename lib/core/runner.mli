@@ -17,7 +17,10 @@
     the whole tuple, and {!evaluate} raises a descriptive
     [Invalid_argument] if a payload cannot be marshalled. *)
 type variant =
-  | Ooo  (** untagged baseline *)
+  | Ooo
+      (** untagged baseline on [cfg]'s own scheduler policy: oldest-ready
+          for {!Cpu_config.skylake}, random-pick for a [Random_ready]
+          config *)
   | Crisp of Classifier.thresholds * Tagger.options
       (** full software flow; scheduler uses the CRISP policy *)
   | Ibda of Ibda.config

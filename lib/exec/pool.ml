@@ -108,6 +108,10 @@ let create ?(workers = Domain.recommended_domain_count ()) () =
     Pooled p
   end
 
+let of_jobs jobs =
+  let workers = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
+  if workers <= 1 then Sequential else create ~workers ()
+
 let parallelism = function
   | Sequential -> 1
   | Pooled p -> Array.length p.deques

@@ -28,6 +28,11 @@ val create : ?workers:int -> unit -> t
     [Domain.recommended_domain_count ()]).  [workers <= 0] returns
     {!sequential}. *)
 
+val of_jobs : int -> t
+(** The [--jobs N] mapping: [N <= 0] asks for
+    [Domain.recommended_domain_count ()] workers; a count of 1 gives
+    {!sequential}, any other count [create ~workers ()]. *)
+
 val parallelism : t -> int
 (** Number of worker domains; 1 for {!sequential}. *)
 

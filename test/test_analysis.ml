@@ -328,7 +328,7 @@ let test_long_op_classification () =
 
 let test_division_experiment_gains () =
   let sizes = { Experiments.eval_instrs = 40_000; train_instrs = 30_000 } in
-  let ooo, crisp = Experiments.division ~sizes () in
+  let ooo, crisp = Experiments.division { Experiments.default with sizes } in
   check bool "long-op prioritisation helps the division chain" true (crisp > ooo *. 1.05)
 
 let () =

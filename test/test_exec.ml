@@ -424,11 +424,13 @@ let test_memo_failure_not_poisoning () =
    nor Workload.trace hides shared mutable state that parallel execution
    could perturb. *)
 let test_grid_determinism_across_worker_counts () =
-  let sizes = { Experiments.eval_instrs = 8_000; train_instrs = 6_000 } in
+  let ctx =
+    { Experiments.default with
+      Experiments.sizes = { Experiments.eval_instrs = 8_000; train_instrs = 6_000 } }
+  in
   let names = [ "mcf"; "namd"; "fotonik" ] in
   let variants = [ Runner.Ooo; Runner.crisp_default; Runner.Ibda Ibda.ist_8k ] in
-  let grid () =
-    Experiments.current_pool () |> fun pool ->
+  let grid { Experiments.sizes; pool; _ } =
     List.map
       (fun name ->
         Pool.map_list pool
@@ -439,15 +441,13 @@ let test_grid_determinism_across_worker_counts () =
       names
   in
   Runner.clear_cache ();
-  let reference = grid () in
+  let reference = grid ctx in
   let stats_of rows = List.map (List.map (fun o -> o.Runner.stats)) rows in
   List.iter
     (fun workers ->
       let pool = Pool.create ~workers () in
-      Experiments.set_pool pool;
       Runner.clear_cache ();
-      let parallel = grid () in
-      Experiments.set_pool Pool.sequential;
+      let parallel = grid { ctx with Experiments.pool } in
       Pool.shutdown pool;
       check bool
         (Printf.sprintf "stats identical with %d workers" workers)

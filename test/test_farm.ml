@@ -939,6 +939,10 @@ let test_proxy_spec_parsing () =
     [ "warp"; "stall=x"; "down:drop#0"; "up:"; "delay=-1"; "truncate#" ]
 
 let with_proxy ~plan ~upstream f =
+  (* The in-process daemon binds on its own thread, and the proxy dials
+     upstream once per client without retrying: wait until the daemon
+     answers, or the first proxied client sees a bare EOF. *)
+  Farm_client.close (connect upstream);
   let dir = tmpdir () in
   let listen = Filename.concat dir "p" in
   let px = Chaos_proxy.start ~listen ~upstream ~plan in

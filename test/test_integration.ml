@@ -7,6 +7,8 @@ let int = Alcotest.int
 
 let sizes = { Experiments.eval_instrs = 60_000; train_instrs = 50_000 }
 
+let ctx = { Experiments.default with Experiments.sizes }
+
 let speedup name variant =
   Runner.speedup_over_ooo ~eval_instrs:sizes.Experiments.eval_instrs
     ~train_instrs:sizes.Experiments.train_instrs ~name variant
@@ -61,7 +63,7 @@ let test_branch_slices_help_branch_bound_code () =
   check bool "combined at least comparable" true (combined >= branch_only -. 0.05)
 
 let test_prefix_grows_footprint () =
-  let rows = Experiments.fig12 ~sizes () in
+  let rows = Experiments.fig12 ctx in
   List.iter
     (fun (name, values) ->
       match values with
@@ -77,13 +79,32 @@ let test_fig3_slice () =
   let pcs = Experiments.fig3 () in
   check bool "microbenchmark slice is compact" true (List.length pcs <= 4)
 
+(* Runner's Ooo variant runs the caller's scheduler policy, so the
+   ablations' random column measures the random-pick scheduler instead of
+   re-running the oldest-ready baseline. *)
+let test_ooo_runs_config_policy () =
+  let name = "namd" and eval_instrs = 20_000 and train_instrs = 15_000 in
+  let random = Cpu_config.with_policy Scheduler.Random_ready Cpu_config.skylake in
+  let ooo_ipc cfg =
+    Cpu_stats.ipc
+      (Runner.evaluate ~cfg ~eval_instrs ~train_instrs ~name Runner.Ooo).Runner.stats
+  in
+  let direct =
+    Cpu_core.run random
+      (Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:eval_instrs name))
+  in
+  check bool "random-ready differs from oldest-ready" true
+    (ooo_ipc random <> ooo_ipc Cpu_config.skylake);
+  check (Alcotest.float 0.) "random-ready = direct Cpu_core.run"
+    (Cpu_stats.ipc direct) (ooo_ipc random)
+
 let test_experiment_shapes () =
-  let fig4 = Experiments.fig4 ~sizes () in
+  let fig4 = Experiments.fig4 ctx in
   check int "fig4 covers all apps" (List.length Experiments.apps) (List.length fig4);
   let moses_slice = List.assoc "moses" fig4 in
   let fotonik_slice = List.assoc "fotonik" fig4 in
   check bool "moses slices dwarf fotonik's" true (moses_slice > fotonik_slice);
-  let fig11 = Experiments.fig11 ~sizes () in
+  let fig11 = Experiments.fig11 ctx in
   let moses_tags = List.assoc "moses" fig11 in
   let imgdnn_tags = List.assoc "imgdnn" fig11 in
   check bool "moses tags many more instructions than imgdnn" true
@@ -104,4 +125,6 @@ let () =
             test_branch_slices_help_branch_bound_code;
           Alcotest.test_case "prefix footprint bounds" `Slow test_prefix_grows_footprint;
           Alcotest.test_case "figure 3 slice" `Quick test_fig3_slice;
-          Alcotest.test_case "figure shapes" `Slow test_experiment_shapes ] ) ]
+          Alcotest.test_case "figure shapes" `Slow test_experiment_shapes;
+          Alcotest.test_case "OOO runs the config's scheduler policy" `Quick
+            test_ooo_runs_config_policy ] ) ]

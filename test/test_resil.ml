@@ -10,14 +10,12 @@ let bool = Alcotest.bool
 
 let floats = Alcotest.float 1e-12
 
-(* Every test leaves the global fault-injection and resilience state
-   clean, whatever happens. *)
+(* Every test leaves the global fault-injection state, the resilience
+   log and the Runner memo clean, whatever happens. *)
 let isolated f () =
   Fun.protect f ~finally:(fun () ->
       Resil.Fault_plan.disarm ();
       Resil.Log.clear ();
-      Experiments.set_resilience Resil.Supervise.default_policy;
-      Experiments.set_pool Exec.Pool.sequential;
       Runner.clear_cache ())
 
 (* ---------------- Clock / Backoff ---------------- *)
@@ -543,35 +541,14 @@ let test_synthetic_grid_determinism () =
 
 (* ---------------- Figure-level determinism under faults ---------------- *)
 
-let capture_stdout f =
-  let file = Filename.temp_file "crisp_test" ".out" in
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  Fun.protect f ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved);
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in_noerr ic;
-  Sys.remove file;
-  contents
+let tiny = { Experiments.eval_instrs = 4_000; train_instrs = 3_000 }
 
 let fig4_under_faults ~jobs =
-  let pool =
-    if jobs <= 1 then Exec.Pool.sequential else Exec.Pool.create ~workers:jobs ()
-  in
-  Experiments.set_pool pool;
+  let pool = Exec.Pool.of_jobs jobs in
   Fun.protect
     ~finally:(fun () ->
       Resil.Fault_plan.disarm ();
-      Experiments.set_resilience Resil.Supervise.default_policy;
-      Experiments.set_pool Exec.Pool.sequential;
-      if jobs > 1 then Exec.Pool.shutdown pool;
+      Exec.Pool.shutdown pool;
       Runner.clear_cache ())
     (fun () ->
       Runner.clear_cache ();
@@ -579,10 +556,14 @@ let fig4_under_faults ~jobs =
       Resil.Fault_plan.arm
         (Resil.Fault_plan.make
            [ parse_ok "runner.run:crash+1@mcf"; parse_ok "pool.job:crash#1@namd" ]);
-      Experiments.set_resilience
-        { Resil.Supervise.default_policy with Resil.Supervise.retries = 1; seed = 3 };
-      let sizes = { Experiments.eval_instrs = 4_000; train_instrs = 3_000 } in
-      let out = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+      let ctx =
+        { Experiments.default with
+          Experiments.sizes = tiny;
+          pool;
+          policy =
+            { Resil.Supervise.default_policy with Resil.Supervise.retries = 1; seed = 3 } }
+      in
+      let out = Resil.Capture.stdout (fun () -> ignore (Experiments.fig4 ctx)) in
       let degraded =
         List.filter_map
           (function
@@ -616,29 +597,31 @@ let test_fig4_identical_across_jobs_under_faults () =
 
 let test_grid_resume_from_journal () =
   with_temp_journal @@ fun path ->
-  let sizes = { Experiments.eval_instrs = 4_000; train_instrs = 3_000 } in
+  let ctx = { Experiments.default with Experiments.sizes = tiny } in
+  let journaled () =
+    { ctx with
+      Experiments.journal = Some (Resil.Journal.load ~path ~signature:"fig4-test") }
+  in
   Runner.clear_cache ();
   Resil.Log.clear ();
-  let clean = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+  let clean = Resil.Capture.stdout (fun () -> ignore (Experiments.fig4 ctx)) in
   (* First journaled run: mcf crashes (no retries), everything else is
      checkpointed. *)
   Runner.clear_cache ();
   Resil.Log.clear ();
   Resil.Fault_plan.arm
     (Resil.Fault_plan.make [ parse_ok "runner.run:crash#1@mcf" ]);
-  Experiments.set_resilience
-    ~journal:(Resil.Journal.load ~path ~signature:"fig4-test")
-    Resil.Supervise.default_policy;
-  let faulted = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+  let faulted =
+    Resil.Capture.stdout (fun () -> ignore (Experiments.fig4 (journaled ())))
+  in
   check bool "faulted output differs (mcf degraded)" true (faulted <> clean);
   (* Resume: the Nth=1 crash is consumed, so the one missing cell
      recomputes cleanly; everything else restores from the journal. *)
   Runner.clear_cache ();
   Resil.Log.clear ();
-  Experiments.set_resilience
-    ~journal:(Resil.Journal.load ~path ~signature:"fig4-test")
-    Resil.Supervise.default_policy;
-  let resumed = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+  let resumed =
+    Resil.Capture.stdout (fun () -> ignore (Experiments.fig4 (journaled ())))
+  in
   Resil.Fault_plan.disarm ();
   check Alcotest.string "resumed run matches the clean figure byte-for-byte"
     clean resumed;

@@ -155,6 +155,54 @@ let test_runner_memo_identity () =
   check int "full rerun runs nothing" 0 (m4 - m3);
   check (Alcotest.float 0.) "full rerun returns the same value" full again
 
+(* ---------------- Experiments: a sampled figure ---------------- *)
+
+(* A figure run with a sample config routes every grid cell through the
+   sampled path — fig9's rows equal [Grid.cell_value ~sample] cell for
+   cell — and the pool that runs the cells changes nothing. *)
+let test_sampled_figure () =
+  let sizes = { Experiments.eval_instrs = 4_000; train_instrs = 3_000 } in
+  let sample =
+    { Sample_config.default with
+      Sample_config.units = 4; unit_len = 400; warmup_len = 400 }
+  in
+  let ctx = { Experiments.default with Experiments.sizes; sample = Some sample } in
+  let fig9 ctx =
+    Runner.clear_cache ();
+    let rows = ref [] in
+    let text = Resil.Capture.stdout (fun () -> rows := Experiments.fig9 ctx) in
+    (!rows, text)
+  in
+  let rows, text = fig9 ctx in
+  let pool = Exec.Pool.create ~workers:2 () in
+  let pooled_rows, pooled_text =
+    Fun.protect
+      ~finally:(fun () -> Exec.Pool.shutdown pool)
+      (fun () -> fig9 { ctx with Experiments.pool })
+  in
+  let cells = Alcotest.(list (pair string (list (float 0.)))) in
+  check cells "same rows on 1 and 2 workers" rows pooled_rows;
+  check Alcotest.string "same figure text on 1 and 2 workers" text pooled_text;
+  let cell ?sample name column =
+    Grid.cell_value ?sample ~eval_instrs:sizes.Experiments.eval_instrs
+      ~train_instrs:sizes.Experiments.train_instrs ~name ~metric:Grid.Gain column
+  in
+  check (Alcotest.list Alcotest.string) "one row per fig9 workload"
+    Grid.fig9.Grid.names (List.map fst rows);
+  List.iter
+    (fun (name, values) ->
+      List.iter2
+        (fun (column : Grid.column) v ->
+          check (Alcotest.float 0.)
+            (Printf.sprintf "%s/%s = sampled Grid.cell_value" name column.Grid.label)
+            (cell ~sample name column) v)
+        Grid.fig9.Grid.columns values)
+    rows;
+  let mcf_crisp = List.hd Grid.fig9.Grid.columns in
+  check bool "the sampled cell is not the full-fidelity one" true
+    (cell ~sample "mcf" mcf_crisp <> cell "mcf" mcf_crisp);
+  Runner.clear_cache ()
+
 (* ---------------- fast-forward vs detailed prefix ---------------- *)
 
 (* Compact loop-bearing generator modeled on test_dataflow's: counted
@@ -296,6 +344,9 @@ let () =
       ( "runner",
         [ Alcotest.test_case "sampled and full cells memoised apart" `Quick
             test_runner_memo_identity ] );
+      ( "experiments",
+        [ Alcotest.test_case "sampled fig9 = sampled cells, any pool" `Slow
+            test_sampled_figure ] );
       ( "fast_forward",
         [ QCheck_alcotest.to_alcotest prop_fast_forward_matches_detailed_prefix
         ] ) ]
