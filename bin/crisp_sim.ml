@@ -372,15 +372,6 @@ let parse_sample = function
       Printf.eprintf "crisp_sim: bad --sample config: %s\n" msg;
       exit 2)
 
-(* The journal signature ties checkpoints to the run shape: resuming
-   with different instruction budgets — or flipping between sampled and
-   full fidelity — must recompute, not reuse. *)
-let experiments_signature ~instrs ~train_instrs ~sample =
-  Printf.sprintf "crisp experiments eval=%d train=%d%s" instrs train_instrs
-    (match sample with
-    | None -> ""
-    | Some s -> " sample=" ^ Sample_config.to_string s)
-
 (* Print the resilience summary (stderr, so figure text on stdout stays
    diffable) and turn degradation into exit 1. *)
 let finish_resilient_run () =
@@ -398,23 +389,23 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
   let sample = parse_sample sample_spec in
   with_jobs jobs @@ fun pool ->
   Resil.Log.clear ();
+  let ctx =
+    { Experiments.sizes = { Experiments.eval_instrs = instrs; train_instrs };
+      pool;
+      policy = policy_of ~deadline ~retries ~seed;
+      journal = None;
+      sample }
+  in
   let journal =
     Option.map
       (fun path ->
         (* Without --resume an existing journal is a fresh start, not a
            source of stale cells. *)
         if (not resume) && Sys.file_exists path then Sys.remove path;
-        Resil.Journal.load ~path
-          ~signature:(experiments_signature ~instrs ~train_instrs ~sample))
+        Resil.Journal.load ~path ~signature:(Experiments.journal_signature ctx))
       journal_path
   in
-  let ctx =
-    { Experiments.sizes = { Experiments.eval_instrs = instrs; train_instrs };
-      pool;
-      policy = policy_of ~deadline ~retries ~seed;
-      journal;
-      sample }
-  in
+  let ctx = { ctx with journal } in
   (match sample with
   | None -> ()
   | Some s ->
@@ -434,7 +425,8 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
      exit 0  output identical to the reference and nothing degraded
      exit 1  degradation happened and was fully reported (the contract)
      exit 2  SILENT DIVERGENCE: output changed with nothing reported —
-             a resilience-property violation, or an internal error. *)
+             a resilience-property violation, or an internal error;
+             also when the fault-free reference itself degraded. *)
 
 let trigger_to_string (tr : Resil.Fault_plan.trigger) =
   let selector =
@@ -483,7 +475,8 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
     | None -> Filename.temp_file "crisp_chaos" ".journal"
   in
   let signature =
-    Printf.sprintf "crisp chaos %s eval=%d train=%d" figure instrs train_instrs
+    Printf.sprintf "crisp chaos %s eval=%d train=%d %s" figure instrs train_instrs
+      Cell_store.payload_format
   in
   let pass ~journaled () =
     (* Each pass simulates a fresh process: cold memo, empty log.  Fault
@@ -495,7 +488,15 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
     let journal =
       if journaled then Some (Resil.Journal.load ~path:jpath ~signature) else None
     in
-    Resil.Capture.stdout (fun () -> Experiments.run { ctx with journal } figure)
+    (* The unjournaled pass is the clean reference: it runs without the
+       deadline, so a slow fault-free cell on a loaded machine cannot
+       put a marker into the text the other passes are judged against. *)
+    let policy =
+      if journaled then ctx.policy
+      else { ctx.policy with Resil.Supervise.deadline = None }
+    in
+    Resil.Capture.stdout (fun () ->
+        Experiments.run { ctx with journal; policy } figure)
   in
   Printf.printf "chaos: figure %s, seed %d, %d worker(s), plan:\n" figure seed
     (Exec.Pool.parallelism pool);
@@ -504,6 +505,15 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
     (Resil.Fault_plan.triggers plan);
   let reference = pass ~journaled:false () in
   if Sys.file_exists jpath then Sys.remove jpath;
+  (let _, _, degraded, quarantined, _ = Resil.Log.counts () in
+   if degraded + quarantined > 0 then begin
+     Printf.eprintf
+       "chaos: the clean reference pass itself degraded (%d degraded, %d \
+        quarantined) before any fault was armed; there is no reference to \
+        judge the faulted passes against\n"
+       degraded quarantined;
+     exit 2
+   end);
   Resil.Fault_plan.arm plan;
   let faulted = pass ~journaled:true () in
   let faults_b, retries_b, degraded_b, quarantined_b, _ = Resil.Log.counts () in

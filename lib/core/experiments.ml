@@ -24,106 +24,34 @@ let apps = Catalog.spec_names @ Catalog.datacenter_names
 
 let cell_ident ~tag name j = Printf.sprintf "%s/%s/%d" tag name j
 
-(* Serve a cell from the journal if a valid checkpoint exists.  The
-   journal layer has already digest-checked the payload; a checkpoint
-   that fails to unmarshal (version skew the signature failed to
-   capture) is quarantined, not trusted. *)
-let restore_cell ctx ident =
-  match ctx.journal with
-  | None -> None
-  | Some j -> (
-    match Resil.Journal.find j ident with
-    | None -> None
-    | Some payload -> (
-      match Marshal.from_string payload 0 with
-      | v ->
-        Resil.Log.record (Resil.Log.Restored { ident });
-        Some v
-      | exception _ ->
-        Resil.Log.record
-          (Resil.Log.Quarantined
-             { ident; reason = "journal payload would not unmarshal; recomputing" });
-        None))
+(* The journal signature ties checkpoints to the run shape: resuming
+   with different instruction budgets, flipping between sampled and full
+   fidelity, or reading another payload format must recompute, not
+   reuse. *)
+let journal_signature { sizes; sample; _ } =
+  Printf.sprintf "crisp experiments eval=%d train=%d %s%s" sizes.eval_instrs
+    sizes.train_instrs Cell_store.payload_format
+    (match sample with
+    | None -> ""
+    | Some s -> " sample=" ^ Sample_config.to_string s)
 
-(* A failed checkpoint write degrades the *checkpoint*, never the cell:
-   the computed value is still used, it just will not survive a kill. *)
-let checkpoint_cell ctx ident v =
-  match ctx.journal with
-  | None -> ()
-  | Some j -> (
-    try Resil.Journal.record j ~key:ident ~payload:(Marshal.to_string v [])
-    with Resil.Fault_plan.Injected site ->
-      Resil.Log.record
-        (Resil.Log.Quarantined
-           { ident;
-             reason =
-               Printf.sprintf "checkpoint write failed (injected fault at %s); \
-                               cell kept in memory only" site }))
-
-(* [submit_cells ~tag ~degraded ~names ~cols ~cell] fans the full grid
-   out to the pool as supervised jobs in {!Grid.row_order}, and
+(* [submit_cells ctx ~tag ~arity ~names ~cols ~cell] runs the full grid
+   through one {!Cell_store} under the idents ["TAG/APP/COL"] and
    reassembles rows in catalog order.  Cells are pure (memoised through
-   Runner), so execution order cannot change the values.  A cell with a
-   valid checkpoint is restored instead of recomputed; a cell whose job
-   times out, crashes through its retry budget or is quarantined
-   resolves to [degraded] (rendered as an error marker by Report) and is
-   recorded in the resilience log so the CLI can summarise and exit
-   nonzero. *)
-let submit_cells ctx ~tag ~degraded ~names ~cols ~cell =
-  let indexed = List.mapi (fun i name -> (i, name)) names in
-  let by_weight = List.map (List.nth indexed) (Grid.row_order names) in
-  (* On the sequential pool the thunk runs inline at spawn, so join (and
-     the checkpoint write) right away: a kill mid-grid then salvages
-     every completed cell instead of losing them all to the deferred
-     join loop.  On a real pool joining here would serialise the grid. *)
-  let eager = Exec.Pool.parallelism ctx.pool <= 1 in
-  let settle ident handle =
-    match Resil.Supervise.join handle with
-    | Ok v ->
-      checkpoint_cell ctx ident v;
-      Ok v
-    | Error e -> Error e
-  in
-  let slots = Hashtbl.create (List.length names * List.length cols) in
-  List.iter
-    (fun (i, name) ->
-      List.iteri
-        (fun j col ->
-          let ident = cell_ident ~tag name j in
-          let slot =
-            match restore_cell ctx ident with
-            | Some v -> Either.Left (Ok v)
-            | None ->
-              let handle =
-                Resil.Supervise.spawn ctx.pool ctx.policy ~ident (fun () ->
-                    cell name col)
-              in
-              if eager then Either.Left (settle ident handle)
-              else Either.Right handle
-          in
-          Hashtbl.replace slots (i, j) slot)
-        cols)
-    by_weight;
-  List.map
-    (fun (i, name) ->
-      ( name,
-        List.mapi
-          (fun j _ ->
-            let ident = cell_ident ~tag name j in
-            let outcome =
-              match Hashtbl.find slots (i, j) with
-              | Either.Left r -> r
-              | Either.Right handle -> settle ident handle
-            in
-            match outcome with
-            | Ok v -> v
-            | Error e ->
-              Resil.Log.record
-                (Resil.Log.Degraded
-                   { ident; error = Resil.Supervise.error_to_string e });
-              degraded)
-          cols ))
-    indexed
+   Runner), so execution order cannot change the values.  A degraded
+   cell (already logged by the store) reads as [arity] NaNs, rendered as
+   an error marker by Report. *)
+let submit_cells ctx ~tag ~arity ~names ~cols ~cell =
+  let store = Cell_store.create ?journal:ctx.journal ctx.pool ctx.policy in
+  let degraded = List.init arity (fun _ -> Float.nan) in
+  let rows = Array.make_matrix (List.length names) (List.length cols) degraded in
+  Cell_store.grid store ~names ~cols ~arity ~ident:(cell_ident ~tag) ~cell
+    (fun r j _ _ outcome -> Result.iter (fun vs -> rows.(r).(j) <- vs) outcome);
+  List.mapi (fun r name -> (name, Array.to_list rows.(r))) names
+
+let submit_scalar_cells ctx ~tag ~names ~cols ~cell =
+  submit_cells ctx ~tag ~arity:1 ~names ~cols ~cell:(fun name col -> [ cell name col ])
+  |> List.map (fun (name, cells) -> (name, List.map List.hd cells))
 
 let crisp_artifacts ~sizes ~name =
   let outcome =
@@ -221,7 +149,7 @@ let fig3 () =
    identical cells and render identical text. *)
 let run_grid ({ sizes; sample; _ } as ctx) (spec : Grid.spec) =
   let rows =
-    submit_cells ctx ~tag:spec.Grid.tag ~degraded:Float.nan ~names:spec.Grid.names
+    submit_scalar_cells ctx ~tag:spec.Grid.tag ~names:spec.Grid.names
       ~cols:spec.Grid.columns
       ~cell:(fun name column ->
         Grid.cell_value ?sample ~eval_instrs:sizes.eval_instrs
@@ -248,8 +176,8 @@ let fig11 ctx = List.map single_column (run_grid ctx Grid.fig11)
 
 let fig12 ({ sizes; _ } as ctx) =
   let rows =
-    submit_cells ctx ~tag:"fig12" ~degraded:[ Float.nan; Float.nan; Float.nan ]
-      ~names:apps ~cols:[ () ] ~cell:(fun name () ->
+    submit_cells ctx ~tag:"fig12" ~arity:3 ~names:apps ~cols:[ () ]
+      ~cell:(fun name () ->
         let artifacts = crisp_artifacts ~sizes ~name in
         let critical = Tagger.is_critical artifacts.Fdo.tagging in
         let eval_workload =
@@ -289,9 +217,8 @@ let fig12 ({ sizes; _ } as ctx) =
    overlap.  Counts travel as floats so the rows fit the shared grid
    plumbing (and the golden vector); they are exact small integers. *)
 let static_crit ({ sizes; _ } as ctx) =
-  let degraded = List.init 8 (fun _ -> Float.nan) in
   let rows =
-    submit_cells ctx ~tag:"static_crit" ~degraded ~names:Catalog.names ~cols:[ () ]
+    submit_cells ctx ~tag:"static_crit" ~arity:8 ~names:Catalog.names ~cols:[ () ]
       ~cell:(fun name () ->
         let wl = Catalog.make ~input:Workload.Ref ~instrs:sizes.eval_instrs name in
         let prediction = Static_crit.analyze wl in
@@ -337,7 +264,7 @@ let ablations ({ sizes; _ } as ctx) =
         .Runner.stats
   in
   let rows =
-    submit_cells ctx ~tag:"ablations" ~degraded:Float.nan ~names:subset ~cols
+    submit_scalar_cells ctx ~tag:"ablations" ~names:subset ~cols
       ~cell:(fun name (column_cfg, variant) ->
         let base = ipc ~cfg ~name Runner.Ooo in
         (ipc ~cfg:column_cfg ~name variant /. base) -. 1.)

@@ -38,11 +38,15 @@ type ctx = {
           {!Resil.Log}; callers decide the exit code from
           {!Resil.Log.counts}. *)
   journal : Resil.Journal.t option;
-      (** Checkpoint journal: each completed cell is recorded (atomically)
-          under its stable ident ["TAG/APP/COL"], cells with a valid
-          checkpoint are restored instead of recomputed (logged as
+      (** Checkpoint journal, opened under {!journal_signature}.  Every
+          grid figure runs its cells through one {!Cell_store} over this
+          journal: each completed cell is recorded under its stable
+          ident ["TAG/APP/COL"] as a ["%h"] float list, cells with a
+          valid checkpoint are restored instead of recomputed (logged as
           [Restored]), and a killed run resumed against the same journal
-          recomputes only the missing cells. *)
+          recomputes only the missing cells.  A failed checkpoint write
+          is logged as [Quarantined] and degrades the checkpoint, never
+          the cell. *)
   sample : Sample_config.t option;
       (** With a config, grid cells evaluate through {!Runner.evaluate}
           with [~sample] — sampled timing simulation with interval CPI —
@@ -55,6 +59,12 @@ type ctx = {
 val default : ctx
 (** {!default_sizes}, {!Exec.Pool.sequential},
     {!Resil.Supervise.default_policy}, no journal, no sampling. *)
+
+val journal_signature : ctx -> string
+(** The signature to open a {!ctx.journal} under: it pins the
+    instruction budgets, the sampling config and the payload format
+    ({!Cell_store.payload_format}), so a journal from another run shape
+    or format is quarantined whole at load and never reused. *)
 
 val apps : string list
 (** The 16 applications of Figures 4 and 7-12 (SPEC proxies, Xhpcg,

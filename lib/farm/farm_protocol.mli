@@ -43,7 +43,7 @@ type request =
 
 (** How the daemon obtained a cell value — the exactly-once accounting
     clients assert on. *)
-type source =
+type source = Cell_store.source =
   | Computed  (** simulated by this request *)
   | Memo_hit  (** deduplicated against a live or completed in-process cell *)
   | Journal_hit  (** restored from the on-disk cell journal *)

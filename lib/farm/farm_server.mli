@@ -1,9 +1,10 @@
 (** The simulation-farm daemon core: accepts clients on a Unix-domain
-    socket, decomposes their grid requests into canonical cells, dedups
-    identical cells across {e all} connected clients through one
-    {!Exec.Memo}, shards the work over an {!Exec.Pool}, runs every cell
-    under {!Resil.Supervise}, and checkpoints completed cells in a
-    {!Resil.Journal} so a SIGKILL'd daemon resumes warm.
+    socket, decomposes their grid requests into canonical cells and
+    runs them through one {!Cell_store} for the daemon's lifetime: it
+    dedups identical cells across {e all} connected clients, shards the
+    work over an {!Exec.Pool}, runs every cell under {!Resil.Supervise},
+    and checkpoints completed cells in a {!Resil.Journal} so a
+    SIGKILL'd daemon resumes warm.
 
     Cell identity is the canonical key built from (workload, metric,
     variant, threshold, window, instruction budgets) — deliberately {e

@@ -629,6 +629,155 @@ let test_grid_resume_from_journal () =
   check int "no degradation on resume" 0 degraded;
   check int "all but the crashed cell restored" 15 restored
 
+(* ---------------- Cell store ---------------- *)
+
+let journal_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go n =
+        match input_line ic with _ -> go (n + 1) | exception End_of_file -> n
+      in
+      go 0)
+
+let count_events p = List.length (List.filter p (Resil.Log.events ()))
+let is_degraded = function Resil.Log.Degraded _ -> true | _ -> false
+let is_quarantined = function Resil.Log.Quarantined _ -> true | _ -> false
+
+let with_workers n f =
+  let pool = Exec.Pool.create ~workers:n () in
+  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> f pool)
+
+let outcome = Alcotest.(result (list (float 0.)) string)
+
+let test_store_settles_once () =
+  with_temp_journal @@ fun path ->
+  with_workers 2 @@ fun pool ->
+  let journal = Resil.Journal.load ~path ~signature:"store" in
+  let store = Cell_store.create ~journal pool Resil.Supervise.default_policy in
+  let runs = Atomic.make 0 in
+  let thunk () =
+    Atomic.incr runs;
+    Thread.delay 0.05;
+    [ 1.5; -0.; Float.infinity ]
+  in
+  let results = Array.make 8 (Error "never awaited") in
+  let threads =
+    List.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            let _, cell = Cell_store.acquire store ~ident:"one" ~arity:3 thunk in
+            results.(i) <- Cell_store.await cell)
+          ())
+  in
+  List.iter Thread.join threads;
+  check int "the thunk ran once" 1 (Atomic.get runs);
+  Array.iter
+    (check outcome "every thread sees the value" (Ok [ 1.5; -0.; Float.infinity ]))
+    results;
+  check int "one checkpoint line after the header" 2 (journal_lines path);
+  check (Alcotest.option Alcotest.string) "hex-float payload"
+    (Some "0x1.8p+0 -0x0p+0 infinity")
+    (Resil.Journal.find journal "one");
+  let m = Cell_store.memo_stats store in
+  check int "one acquire computed" 1 m.Exec.Memo.misses;
+  check int "seven acquires joined it" 7 (m.Exec.Memo.hits + m.Exec.Memo.dedups)
+
+let test_store_failure_evicts () =
+  with_temp_journal @@ fun path ->
+  with_workers 2 @@ fun pool ->
+  let journal = Resil.Journal.load ~path ~signature:"store" in
+  let store = Cell_store.create ~journal pool Resil.Supervise.default_policy in
+  let runs = Atomic.make 0 in
+  let thunk () = if Atomic.fetch_and_add runs 1 = 0 then failwith "boom" else [ 2. ] in
+  let source, cell = Cell_store.acquire store ~ident:"flaky" ~arity:1 thunk in
+  check bool "first acquire computes" true (source = Cell_store.Computed);
+  let awaiters =
+    List.init 4 (fun _ -> Thread.create (fun () -> ignore (Cell_store.await cell)) ())
+  in
+  List.iter Thread.join awaiters;
+  check bool "the cell failed" true (Result.is_error (Cell_store.await cell));
+  check int "Degraded logged once" 1 (count_events is_degraded);
+  check (Alcotest.option Alcotest.string) "a failure is never journalled" None
+    (Resil.Journal.find journal "flaky");
+  let source, cell = Cell_store.acquire store ~ident:"flaky" ~arity:1 thunk in
+  check bool "evicted: the next acquire recomputes" true (source = Cell_store.Computed);
+  check outcome "recomputed value" (Ok [ 2. ]) (Cell_store.await cell);
+  check int "the thunk ran twice" 2 (Atomic.get runs)
+
+let test_store_sequential_settles_at_acquire () =
+  with_temp_journal @@ fun path ->
+  let journal = Resil.Journal.load ~path ~signature:"store" in
+  Resil.Journal.record journal ~key:"foreign" ~payload:"\x84\x95\xa6\xbe";
+  let store =
+    Cell_store.create ~journal Exec.Pool.sequential Resil.Supervise.default_policy
+  in
+  let _ = Cell_store.acquire store ~ident:"eager" ~arity:1 (fun () -> [ 3. ]) in
+  check (Alcotest.option Alcotest.string) "checkpointed before any await"
+    (Some "0x1.8p+1")
+    (Resil.Journal.find journal "eager");
+  let source, cell =
+    Cell_store.acquire store ~ident:"foreign" ~arity:1 (fun () -> [ 4. ])
+  in
+  check bool "an undecodable payload is recomputed" true (source = Cell_store.Computed);
+  check outcome "recomputed value" (Ok [ 4. ]) (Cell_store.await cell);
+  check int "and quarantined" 1 (count_events is_quarantined)
+
+(* A checkpoint write that fails for a real reason (here: the journal's
+   directory is gone) degrades the checkpoint, never the cell. *)
+let test_checkpoint_write_failure_keeps_cells () =
+  let ctx = { Experiments.default with Experiments.sizes = tiny } in
+  let clean = Resil.Capture.stdout (fun () -> Experiments.run ctx "fig4") in
+  let dir = Filename.temp_file "crisp_test" ".dir" in
+  Sys.remove dir;
+  let journal =
+    Resil.Journal.in_dir ~dir ~name:"cells" ~signature:(Experiments.journal_signature ctx)
+  in
+  Sys.remove (Resil.Journal.path journal);
+  Sys.rmdir dir;
+  Resil.Log.clear ();
+  let out =
+    Resil.Capture.stdout (fun () ->
+        Experiments.run { ctx with Experiments.journal = Some journal } "fig4")
+  in
+  check Alcotest.string "figure identical to a no-journal run" clean out;
+  check int "nothing degraded" 0 (count_events is_degraded);
+  check int "one quarantined checkpoint per cell"
+    (List.length Grid.fig4.Grid.names)
+    (count_events is_quarantined)
+
+(* A journal from before the payload format was pinned (Marshal
+   payloads under the old signature) is quarantined whole at load and
+   never misparsed: every cell is recomputed. *)
+let test_old_format_journal_quarantined () =
+  with_temp_journal @@ fun path ->
+  let ctx = { Experiments.default with Experiments.sizes = tiny } in
+  let clean = Resil.Capture.stdout (fun () -> ignore (Experiments.fig4 ctx)) in
+  let old =
+    Resil.Journal.load ~path ~signature:"crisp experiments eval=4000 train=3000"
+  in
+  List.iter
+    (fun name ->
+      Resil.Journal.record old ~key:(Printf.sprintf "fig4/%s/0" name)
+        ~payload:(Marshal.to_string 42.0 []))
+    Grid.fig4.Grid.names;
+  Resil.Log.clear ();
+  let journal = Resil.Journal.load ~path ~signature:(Experiments.journal_signature ctx) in
+  check int "quarantined whole at load" 1 (Resil.Journal.quarantined journal);
+  check int "no entry survives" 0 (Resil.Journal.size journal);
+  let out =
+    Resil.Capture.stdout (fun () ->
+        ignore (Experiments.fig4 { ctx with Experiments.journal = Some journal }))
+  in
+  check Alcotest.string "figure byte-identical" clean out;
+  let _, _, degraded, _, restored = Resil.Log.counts () in
+  check int "nothing degraded" 0 degraded;
+  check int "nothing restored: every cell recomputed" 0 restored;
+  check int "every cell checkpointed afresh"
+    (List.length Grid.fig4.Grid.names)
+    (Resil.Journal.size journal)
+
 let () =
   Alcotest.run "resil"
     [ ( "clock+backoff",
@@ -672,4 +821,15 @@ let () =
             (isolated test_fig4_identical_across_jobs_under_faults) ] );
       ( "resume",
         [ Alcotest.test_case "grid-resume-from-journal" `Slow
-            (isolated test_grid_resume_from_journal) ] ) ]
+            (isolated test_grid_resume_from_journal);
+          Alcotest.test_case "checkpoint-write-failure-keeps-cells" `Slow
+            (isolated test_checkpoint_write_failure_keeps_cells);
+          Alcotest.test_case "old-format-journal-quarantined" `Slow
+            (isolated test_old_format_journal_quarantined) ] );
+      ( "cell_store",
+        [ Alcotest.test_case "eight-awaiters-settle-once" `Quick
+            (isolated test_store_settles_once);
+          Alcotest.test_case "failure-degrades-once-and-evicts" `Quick
+            (isolated test_store_failure_evicts);
+          Alcotest.test_case "sequential-settles-at-acquire" `Quick
+            (isolated test_store_sequential_settles_at_acquire) ] ) ]
