@@ -319,8 +319,8 @@ let jobs_arg =
     "Worker domains for the experiment grids (0 = one per recommended core). \
      With $(docv) = 1 the pool is bypassed and every cell runs sequentially \
      on the calling domain; any other value fans the (workload x variant) \
-     cells out to a work-stealing domain pool.  Figures are byte-identical \
-     for every value."
+     cells out to a pool of worker domains that take them in FIFO order.  \
+     Figures are byte-identical for every value."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -341,11 +341,7 @@ let validate_figures figures =
       end)
     figures
 
-let policy_of ~deadline ~retries ~seed =
-  { Resil.Supervise.default_policy with
-    Resil.Supervise.deadline;
-    retries;
-    seed }
+let policy_of ~deadline ~retries ~seed = { Resil.Supervise.deadline; retries; seed }
 
 let sample_arg =
   let doc =

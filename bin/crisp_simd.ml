@@ -3,7 +3,7 @@
    The default command listens on a Unix-domain socket for crisp_sim
    clients, decomposes their grid requests into canonical cells, dedups
    identical cells across all connected clients, shards them over a
-   work-stealing domain pool under supervision, and (with --journal-dir)
+   domain pool under supervision, and (with --journal-dir)
    checkpoints every completed cell so a killed daemon restarts warm.
    Connections live under a hostile-traffic lifecycle: per-frame I/O
    deadlines, idle reaping, connection/request/queue budgets with
@@ -128,9 +128,7 @@ let limits_of io_timeout idle_timeout max_conns max_requests max_queued
 let daemon socket jobs journal_dir deadline retries seed verbose io_timeout
     idle_timeout max_conns max_requests max_queued retry_after_ms sndbuf =
   let pool = Exec.Pool.of_jobs jobs in
-  let policy =
-    { Resil.Supervise.default_policy with Resil.Supervise.deadline; retries; seed }
-  in
+  let policy = { Resil.Supervise.deadline; retries; seed } in
   let limits =
     limits_of io_timeout idle_timeout max_conns max_requests max_queued
       retry_after_ms sndbuf

@@ -132,7 +132,7 @@ let evaluate ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
   let key = cache_key ?sample ~cfg ~eval_instrs ~train_instrs ~name variant in
   (* The injection ident is per cache entry (name for substring
      selectors, key prefix for uniqueness), so Nth-hit triggers count
-     each entry independently — deterministic under work stealing.
+     each entry independently — deterministic whatever the pool's order.
      Sampled entries carry a "/sampled" infix chaos selectors match on. *)
   let ident =
     Printf.sprintf "%s/%s%s" name

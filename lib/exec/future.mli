@@ -4,10 +4,7 @@
     with an exception and its backtrace ({!fail}).  {!await} blocks the
     calling domain on a condition variable until resolution and re-raises a
     failure with its original backtrace, so exceptions thrown inside a
-    worker domain surface at the await site rather than being swallowed.
-
-    Inside a pool worker prefer {!Pool.await}, which runs queued jobs while
-    waiting instead of blocking the domain. *)
+    worker domain surface at the await site rather than being swallowed. *)
 
 type 'a t
 
@@ -29,20 +26,3 @@ val await : 'a t -> 'a
 
 val poll : 'a t -> ('a, exn) result option
 (** [None] while pending; never blocks. *)
-
-val is_resolved : 'a t -> bool
-
-val on_resolve : 'a t -> (('a, exn * Printexc.raw_backtrace) result -> unit) -> unit
-(** Run a callback once resolved (immediately if already resolved).  The
-    callback runs on the resolving domain and must not block. *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** Derived future; [f] runs on the resolving domain when the source
-    resolves.  An exception raised by [f] fails the derived future. *)
-
-val join_all : 'a t list -> 'a list t
-(** Future of all values, in the order of the input list.  Fails as soon as
-    any component fails (with the first failure to arrive). *)
-
-val await_all : 'a t list -> 'a list
-(** [await] every future in order and collect the values. *)

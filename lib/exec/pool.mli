@@ -1,16 +1,14 @@
-(** Fixed pool of OCaml 5 domains with per-worker work-stealing deques and
-    a shared injection queue.
+(** Fixed pool of OCaml 5 domains serving one FIFO job queue.
 
-    Jobs submitted from outside the pool enter the injection queue; jobs
-    submitted by a worker (nested submission) go to that worker's own
-    deque and overflow to the injection queue when full.  Idle workers
-    first drain their own deque, then steal batches from siblings, then
-    take from the injection queue, and finally park on a condition
-    variable.
+    Every job goes into a single queue under a mutex; idle workers wait
+    on the pool's condition variable and take jobs in submission order.
+    Grid cells are coarse (tens to hundreds of ms each), so one shared
+    queue costs nothing measurable, and its FIFO start order is what
+    long-pole-first row scheduling relies on.
 
-    {!await} is help-first: a worker awaiting a future executes queued
-    jobs while it waits, so nested fork/join job graphs cannot deadlock
-    the pool even with a single worker. *)
+    Jobs must not wait on jobs of their own pool: {!await} called from a
+    job running on the same pool raises [Invalid_argument] instead of
+    deadlocking a saturated pool. *)
 
 type t
 
@@ -19,7 +17,7 @@ exception Shut_down
     with [~drain:false] before the job ever started running. *)
 
 val sequential : t
-(** The [--jobs 1] escape hatch: no domains, no queues — {!submit} runs
+(** The [--jobs 1] escape hatch: no domains, no queue — {!submit} runs
     the thunk inline on the calling domain and returns a resolved future,
     giving exactly the sequential execution order. *)
 
@@ -38,24 +36,28 @@ val parallelism : t -> int
 
 type stats = {
   workers : int;  (** worker domains ({!parallelism}) *)
-  queued : int;  (** jobs enqueued (deques + injection) but not yet started *)
+  queued : int;  (** jobs submitted but not yet started *)
   running : int;  (** jobs currently executing a thunk *)
-  stolen : int;  (** cumulative jobs migrated between worker deques *)
+  stolen : int;
+      (** always 0: the pool has no per-worker deques to steal between.
+          Kept because the farm's [Stats_reply] wire format and the
+          benchmark's [exec.stolen] metric read it. *)
 }
 
 val stats : t -> stats
-(** A racy (unfenced) snapshot of farm load: [queued]/[running] are
-    instantaneous gauges, [stolen] a lifetime counter.  {!sequential}
-    reports all-zero gauges. *)
+(** A snapshot of pool load, taken under the queue lock: [queued] and
+    [running] are exact at that instant (the farm's [max_queued]
+    admission reads [queued]).  {!sequential} reports all-zero gauges. *)
 
 val submit : t -> (unit -> 'a) -> 'a Future.t
-(** Schedule a job.  An exception raised by the thunk resolves the future
-    with the failure and re-raises at {!await}.
+(** Append a job to the queue.  An exception raised by the thunk resolves
+    the future with the failure and re-raises at {!await}.
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : t -> 'a Future.t -> 'a
-(** Like {!Future.await}, but when called from a worker domain it runs
-    queued jobs while waiting instead of blocking the domain. *)
+(** {!Future.await}, guarded against self-deadlock.
+    @raise Invalid_argument when called from a job running on this same
+    pool, whether or not the future is already resolved. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one job per element and await them all; results keep the input
@@ -68,5 +70,5 @@ val shutdown : ?drain:bool -> t -> unit
     {!Shut_down}, so an {!await} on a never-started job raises cleanly
     instead of deadlocking.  Idempotent, and safe to call from several
     domains at once: exactly one caller performs the join, the others
-    block until it completes.  Submitting after shutdown raises
-    [Invalid_argument]. *)
+    wait on the pool's condition variable until it completes.
+    Submitting after shutdown raises [Invalid_argument]. *)

@@ -15,17 +15,13 @@ let error_to_string = function
 type policy = {
   deadline : float option;
   retries : int;
-  backoff : Backoff.params;
   seed : int;
-  poll_interval : float;
 }
 
-let default_policy =
-  { deadline = None;
-    retries = 0;
-    backoff = Backoff.default;
-    seed = 0;
-    poll_interval = 0.002 }
+let default_policy = { deadline = None; retries = 0; seed = 0 }
+
+(* Watchdog polling period, seconds. *)
+let poll_interval = 0.002
 
 type 'a attempt = {
   fut : 'a Exec.Future.t;
@@ -84,10 +80,10 @@ let watch policy attempt =
         match deadline_hit t0 policy.deadline with
         | Some e -> Error e  (* abandon: the worker keeps the thunk, we move on *)
         | None ->
-          Unix.sleepf policy.poll_interval;
+          Unix.sleepf poll_interval;
           poll ())
       | None ->
-        Unix.sleepf policy.poll_interval;
+        Unix.sleepf poll_interval;
         poll ())
   in
   poll ()
@@ -108,7 +104,7 @@ let join h =
           if policy.retries = 0 then Error (Crashed exn) else Error (Gave_up exn)
         else begin
           let delay =
-            Backoff.delay policy.backoff ~seed:policy.seed ~ident:h.ident
+            Backoff.delay Backoff.default ~seed:policy.seed ~ident:h.ident
               ~attempt:h.attempt_no
           in
           Log.record

@@ -41,13 +41,12 @@ val error_to_string : error -> string
 type policy = {
   deadline : float option;  (** seconds of running time per attempt *)
   retries : int;  (** additional attempts after the first crash *)
-  backoff : Backoff.params;
   seed : int;  (** backoff jitter seed *)
-  poll_interval : float;  (** watchdog polling period, seconds *)
 }
 
 val default_policy : policy
-(** No deadline, no retries, {!Backoff.default}, seed 0, 2ms polls. *)
+(** No deadline, no retries, seed 0.  Retries always sleep the
+    {!Backoff.default} schedule, and the watchdog polls every 2ms. *)
 
 type 'a handle
 

@@ -1,7 +1,6 @@
-(* Tests for the parallel execution subsystem: the work-stealing queue,
-   the domain pool, futures, the memo table's in-flight deduplication, and
-   the determinism of the parallel experiment grids against the sequential
-   path. *)
+(* Tests for the parallel execution subsystem: the domain pool, futures,
+   the memo table's in-flight deduplication, and the determinism of the
+   parallel experiment grids against the sequential path. *)
 
 open Exec
 
@@ -9,162 +8,19 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-(* ---------------- Ws_queue ---------------- *)
-
-let test_ws_queue_fifo () =
-  let q = Ws_queue.create ~capacity_exponent:4 () in
-  for i = 1 to 10 do
-    check bool "push accepted" true (Ws_queue.push q i)
-  done;
-  check int "size" 10 (Ws_queue.size q);
-  for i = 1 to 10 do
-    check (Alcotest.option int) "pop FIFO" (Some i) (Ws_queue.pop q)
-  done;
-  check (Alcotest.option int) "empty pop" None (Ws_queue.pop q)
-
-let test_ws_queue_full () =
-  let q = Ws_queue.create ~capacity_exponent:3 () in
-  for _ = 1 to 8 do
-    check bool "fills to capacity" true (Ws_queue.push q 0)
-  done;
-  check bool "rejects when full" false (Ws_queue.push q 0);
-  ignore (Ws_queue.pop q);
-  check bool "accepts after pop" true (Ws_queue.push q 0)
-
-let test_ws_queue_steal_half () =
-  let victim = Ws_queue.create () and thief = Ws_queue.create () in
-  for i = 1 to 8 do
-    ignore (Ws_queue.push victim i)
-  done;
-  let moved = Ws_queue.steal ~from:victim ~into:thief in
-  check int "steals about half" 4 moved;
-  check (Alcotest.option int) "oldest moved first" (Some 1) (Ws_queue.pop thief);
-  check (Alcotest.option int) "victim keeps the rest" (Some 5) (Ws_queue.pop victim);
-  let empty = Ws_queue.create () in
-  check int "stealing from empty" 0 (Ws_queue.steal ~from:empty ~into:thief)
-
-(* Concurrent exactly-once delivery: one owner pushes and pops, several
-   thieves steal into their own queues and drain them; every element must
-   be consumed by exactly one domain. *)
-let test_ws_queue_concurrent_exactly_once () =
-  let total = 20_000 and thieves = 3 in
-  let victim = Ws_queue.create () in
-  let seen = Array.make total (Atomic.make 0) in
-  for i = 0 to total - 1 do
-    seen.(i) <- Atomic.make 0
-  done;
-  let stop = Atomic.make false in
-  let consume i = Atomic.incr seen.(i) in
-  let thief_domains =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let mine = Ws_queue.create () in
-            let rec loop () =
-              let stolen = Ws_queue.steal ~from:victim ~into:mine in
-              let rec drain () =
-                match Ws_queue.pop mine with
-                | Some i ->
-                  consume i;
-                  drain ()
-                | None -> ()
-              in
-              drain ();
-              if stolen > 0 || not (Atomic.get stop) then loop ()
-            in
-            loop ()))
-  in
-  (* Owner: interleave pushes with occasional pops. *)
-  let pushed = ref 0 in
-  while !pushed < total do
-    if Ws_queue.push victim !pushed then incr pushed
-    else
-      match Ws_queue.pop victim with Some i -> consume i | None -> ()
-  done;
-  let rec drain_owner () =
-    match Ws_queue.pop victim with
-    | Some i ->
-      consume i;
-      drain_owner ()
-    | None -> ()
-  in
-  drain_owner ();
-  Atomic.set stop true;
-  List.iter Domain.join thief_domains;
-  let consumed_once = ref true in
-  Array.iter (fun a -> if Atomic.get a <> 1 then consumed_once := false) seen;
-  check bool "every element consumed exactly once" true !consumed_once
-
-(* Steal-vs-pop on a prefilled queue: the owner drains from the head while
-   thieves concurrently steal batches from the same end.  Whatever the
-   interleaving, consumption must partition the elements — exactly once
-   each, nothing lost, nothing duplicated. *)
-let test_ws_queue_steal_vs_pop () =
-  let total = 8192 and thieves = 4 in
-  let victim = Ws_queue.create () in
-  let seen = Array.init total (fun _ -> Atomic.make 0) in
-  for i = 0 to total - 1 do
-    assert (Ws_queue.push victim i)
-  done;
-  let go = Atomic.make false in
-  let thief_domains =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get go) do
-              Domain.cpu_relax ()
-            done;
-            let mine = Ws_queue.create () in
-            let consumed = ref 0 in
-            let rec loop idle =
-              let stolen = Ws_queue.steal ~from:victim ~into:mine in
-              let rec drain () =
-                match Ws_queue.pop mine with
-                | Some i ->
-                  Atomic.incr seen.(i);
-                  incr consumed;
-                  drain ()
-                | None -> ()
-              in
-              drain ();
-              (* A few empty rounds may be races with other thieves; only
-                 give up after the victim has stayed empty a while. *)
-              if stolen > 0 then loop 0 else if idle < 64 then loop (idle + 1)
-            in
-            loop 0;
-            !consumed))
-  in
-  Atomic.set go true;
-  let owner_consumed = ref 0 in
-  let rec pop_all idle =
-    match Ws_queue.pop victim with
-    | Some i ->
-      Atomic.incr seen.(i);
-      incr owner_consumed;
-      pop_all 0
-    | None -> if idle < 64 then pop_all (idle + 1)
-  in
-  pop_all 0;
-  let stolen_counts = List.map Domain.join thief_domains in
-  let consumed_once = ref true in
-  Array.iter (fun a -> if Atomic.get a <> 1 then consumed_once := false) seen;
-  check bool "every element consumed exactly once" true !consumed_once;
-  check int "consumption partitions the queue" total
-    (List.fold_left ( + ) !owner_consumed stolen_counts)
-
 (* ---------------- Future ---------------- *)
 
 let test_future_basics () =
   let fut = Future.create () in
-  check bool "pending" false (Future.is_resolved fut);
+  check bool "pending" true (Future.poll fut = None);
   Future.fulfill fut 41;
   check int "await" 41 (Future.await fut);
   check bool "double resolve rejected" true
     (match Future.fulfill fut 0 with
     | () -> false
     | exception Invalid_argument _ -> true);
-  let doubled = Future.map (fun x -> x * 2) (Future.of_value 21) in
-  check int "map" 42 (Future.await doubled);
-  let joined = Future.join_all [ Future.of_value 1; Future.of_value 2 ] in
-  check bool "join_all" true (Future.await joined = [ 1; 2 ])
+  check bool "poll after resolve" true (Future.poll fut = Some (Ok 41));
+  check int "of_value" 42 (Future.await (Future.of_value 42))
 
 let test_future_failure () =
   let fut = Future.create () in
@@ -173,11 +29,8 @@ let test_future_failure () =
     (match Future.await fut with
     | _ -> false
     | exception Failure m -> m = "inner");
-  let mapped = Future.map (fun x -> x + 1) fut in
-  check bool "map propagates failure" true
-    (match Future.await mapped with
-    | _ -> false
-    | exception Failure m -> m = "inner")
+  check bool "poll reports the failure" true
+    (match Future.poll fut with Some (Error (Failure m)) -> m = "inner" | _ -> false)
 
 (* Set-vs-await race: many domains race to fulfill one future while many
    others are already blocked in [await].  Exactly one fulfill wins (the
@@ -210,7 +63,7 @@ let test_future_set_vs_await_race () =
         (fun v -> check int "awaiter sees the winning value" winner v)
         observed
     | ws -> Alcotest.failf "expected exactly one winning fulfill, got %d" (List.length ws));
-    check bool "future resolved" true (Future.is_resolved fut)
+    check bool "future resolved" true (Future.poll fut <> None)
   done
 
 (* ---------------- Pool ---------------- *)
@@ -249,17 +102,62 @@ let test_pool_exception_surfaces_at_await () =
   check int "other jobs unaffected" 7 (Pool.await pool good);
   Pool.shutdown pool
 
-(* A worker that awaits sub-jobs it spawned itself must help execute them
-   rather than block the (single) worker domain. *)
-let test_pool_nested_await_single_worker () =
+(* A job that awaits a sub-job of its own pool would deadlock a saturated
+   pool (here: the only worker is the one waiting), so [Pool.await] from
+   inside a job of the same pool raises instead of blocking. *)
+let test_pool_await_from_job_raises () =
   let pool = Pool.create ~workers:1 () in
   let outer =
     Pool.submit pool (fun () ->
-        let subs = List.init 32 (fun i -> Pool.submit pool (fun () -> i)) in
-        List.fold_left (fun acc f -> acc + Pool.await pool f) 0 subs)
+        let sub = Pool.submit pool (fun () -> 1) in
+        match Pool.await pool sub with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
   in
-  check int "nested fork/join on one worker" 496 (Pool.await pool outer);
+  check bool "await from a job of the same pool raises" true (Pool.await pool outer);
   Pool.shutdown pool
+
+(* One worker takes jobs in submission order: the FIFO start order that
+   long-pole-first row scheduling relies on. *)
+let test_pool_fifo_start_order () =
+  let pool = Pool.create ~workers:1 () in
+  let total = 50 in
+  let order = Array.make total (-1) and next = Atomic.make 0 in
+  let futs =
+    List.init total (fun i ->
+        Pool.submit pool (fun () -> order.(Atomic.fetch_and_add next 1) <- i))
+  in
+  List.iter (Pool.await pool) futs;
+  Pool.shutdown pool;
+  check bool "jobs started in submission order" true (order = Array.init total Fun.id)
+
+(* With every worker held on a gate, the gauges are exact: all workers
+   running, every other job queued.  The farm's max_queued admission
+   reads [queued]. *)
+let test_pool_stats_exact_gauges () =
+  let workers = 2 and queued = 7 in
+  let pool = Pool.create ~workers () in
+  let gate = Atomic.make false and started = Atomic.make 0 in
+  let blockers =
+    List.init workers (fun _ ->
+        Pool.submit pool (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get gate) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get started < workers do
+    Domain.cpu_relax ()
+  done;
+  let rest = List.init queued (fun _ -> Pool.submit pool ignore) in
+  let s = Pool.stats pool in
+  Atomic.set gate true;
+  List.iter (Pool.await pool) (blockers @ rest);
+  Pool.shutdown pool;
+  check int "workers" workers s.Pool.workers;
+  check int "queued" queued s.Pool.queued;
+  check int "running" workers s.Pool.running;
+  check int "stolen is always 0" 0 s.Pool.stolen
 
 let test_pool_sequential_escape_hatch () =
   let pool = Pool.sequential in
@@ -305,8 +203,7 @@ let test_pool_abort_shutdown_fails_queued_jobs () =
   done;
   let queued = List.init 64 (fun i -> Pool.submit pool (fun () -> i)) in
   let stopper = Domain.spawn (fun () -> Pool.shutdown ~drain:false pool) in
-  (* An abort-shutdown sets the abort flag before closing the injection
-     queue, so once submission is refused the flag is visibly set; only
+  (* An abort-shutdown sets the abort flag before closing the queue, so once submission is refused the flag is visibly set; only
      then release the workers to drain (and discard) the queue. *)
   let rec await_close () =
     match Pool.submit pool (fun () -> -1) with
@@ -458,14 +355,7 @@ let test_grid_determinism_across_worker_counts () =
 
 let () =
   Alcotest.run "exec"
-    [ ( "ws_queue",
-        [ Alcotest.test_case "fifo" `Quick test_ws_queue_fifo;
-          Alcotest.test_case "full" `Quick test_ws_queue_full;
-          Alcotest.test_case "steal-half" `Quick test_ws_queue_steal_half;
-          Alcotest.test_case "concurrent-exactly-once" `Slow
-            test_ws_queue_concurrent_exactly_once;
-          Alcotest.test_case "steal-vs-pop" `Slow test_ws_queue_steal_vs_pop ] );
-      ( "future",
+    [ ( "future",
         [ Alcotest.test_case "basics" `Quick test_future_basics;
           Alcotest.test_case "failure" `Quick test_future_failure;
           Alcotest.test_case "set-vs-await-race" `Slow
@@ -475,8 +365,10 @@ let () =
             test_pool_exactly_once_many_submitters;
           Alcotest.test_case "exception-at-await" `Quick
             test_pool_exception_surfaces_at_await;
-          Alcotest.test_case "nested-await-one-worker" `Quick
-            test_pool_nested_await_single_worker;
+          Alcotest.test_case "await-from-job-raises" `Quick
+            test_pool_await_from_job_raises;
+          Alcotest.test_case "fifo-start-order" `Quick test_pool_fifo_start_order;
+          Alcotest.test_case "stats-exact-gauges" `Quick test_pool_stats_exact_gauges;
           Alcotest.test_case "sequential-escape-hatch" `Quick
             test_pool_sequential_escape_hatch;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects_submit;

@@ -490,12 +490,15 @@ let grid_b : Grid.spec =
     columns = [ col "CRISP" "crisp" ];
     names = [ "pointer_chase"; "xz"; "nab" ] }
 
-let with_server ?journal_dir ?(limits = Farm_server.default_limits) ~workers f =
+(* With [?pool] the caller owns (and shuts down) the server's pool. *)
+let with_server ?journal_dir ?(limits = Farm_server.default_limits) ?pool ~workers f =
+  let owned = pool = None && workers > 1 in
   let dir = tmpdir () in
   let socket = Filename.concat dir "s" in
   let pool =
-    if workers <= 1 then Exec.Pool.sequential
-    else Exec.Pool.create ~workers ()
+    match pool with
+    | Some p -> p
+    | None -> if owned then Exec.Pool.create ~workers () else Exec.Pool.sequential
   in
   let srv =
     Farm_server.create
@@ -508,7 +511,7 @@ let with_server ?journal_dir ?(limits = Farm_server.default_limits) ~workers f =
     ~finally:(fun () ->
       Farm_server.stop srv;
       Thread.join th;
-      if workers > 1 then Exec.Pool.shutdown pool)
+      if owned then Exec.Pool.shutdown pool)
 
 let connect ?io_timeout socket =
   let rec go n =
@@ -737,6 +740,40 @@ let test_server_sheds_over_cap () =
   | () -> Alcotest.fail "over-cap connection was served"
   | exception Farm_client.Overloaded ms ->
     check int "shed carries the configured retry hint" 250 ms
+
+(* Pool-pressure admission: with every worker held on a gate and one job
+   queued behind them, a [max_queued = Some 0] daemon sheds a grid with
+   [Overloaded] instead of queueing its cells.  A watchdog opens the gate
+   after 10s, so a wrongly admitted grid (stuck behind the gate) fails
+   the test instead of hanging it. *)
+let test_server_sheds_on_saturated_pool () =
+  let pool = Exec.Pool.create ~workers:1 () in
+  let gate = Atomic.make false and started = Atomic.make false in
+  let release () = Atomic.set gate true in
+  Fun.protect ~finally:(fun () -> release (); Exec.Pool.shutdown pool) @@ fun () ->
+  ignore (Thread.create (fun () -> Thread.delay 10.; release ()) ());
+  ignore
+    (Exec.Pool.submit pool (fun () ->
+         Atomic.set started true;
+         while not (Atomic.get gate) do
+           Thread.yield ()
+         done));
+  ignore (Exec.Pool.submit pool ignore);
+  while not (Atomic.get started) do
+    Thread.yield ()
+  done;
+  check int "one job queued behind the gate" 1 (Exec.Pool.stats pool).Exec.Pool.queued;
+  with_server
+    ~limits:{ Farm_server.default_limits with max_queued = Some 0 }
+    ~pool ~workers:1
+  @@ fun ~socket ~srv ->
+  (match run_one socket grid_a with
+  | _ -> Alcotest.fail "grid admitted onto a saturated pool"
+  | exception Farm_client.Overloaded ms ->
+    check int "shed carries the configured retry hint" 250 ms);
+  let st = Farm_server.stats srv in
+  check int "no grid was served" 0 st.Farm_protocol.requests_served;
+  check int "the shed grid queued no cell" 1 st.Farm_protocol.pool.Exec.Pool.queued
 
 let test_server_recycles_request_budget () =
   with_server
@@ -1032,6 +1069,8 @@ let () =
       ( "lifecycle",
         [ Alcotest.test_case "over-cap connections shed" `Quick
             test_server_sheds_over_cap;
+          Alcotest.test_case "saturated pool sheds grids" `Quick
+            test_server_sheds_on_saturated_pool;
           Alcotest.test_case "request budget recycles connections" `Quick
             test_server_recycles_request_budget;
           Alcotest.test_case "slowloris evicted, healthy client served" `Quick

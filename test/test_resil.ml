@@ -210,7 +210,7 @@ let test_supervise_retry_schedule () =
       (Resil.Log.events ())
   in
   let expected k =
-    Resil.Backoff.delay policy.Resil.Supervise.backoff ~seed:11 ~ident:"flaky"
+    Resil.Backoff.delay Resil.Backoff.default ~seed:11 ~ident:"flaky"
       ~attempt:k
   in
   (match retries with
