@@ -646,12 +646,13 @@ let chaos_figure_arg =
 
 let fault_arg =
   let doc =
-    "Inject a fault (repeatable): SITE:ACTION[@SUBSTR][#N|+N] with ACTION \
-     one of crash, corrupt, stall=SECS; @SUBSTR restricts to matching cell \
-     idents; #N fires on exactly the Nth hit, +N from the Nth on (default \
-     +1).  Sites: pool.job, runner.run, memo.lookup, memo.store, \
-     journal.read, journal.write.  Without $(b,--fault) a seeded random \
-     plan is generated."
+    Printf.sprintf
+      "Inject a fault (repeatable): SITE:ACTION[@SUBSTR][#N|+N] with ACTION \
+       one of crash, corrupt, stall=SECS; @SUBSTR restricts to matching cell \
+       idents; #N fires on exactly the Nth hit, +N from the Nth on (default \
+       +1).  Sites: %s.  Without $(b,--fault) a seeded random plan is \
+       generated."
+      (String.concat ", " Resil.Fault_plan.standard_sites)
   in
   Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
 

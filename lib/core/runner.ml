@@ -10,39 +10,11 @@ type outcome = {
   artifacts : Fdo.artifacts option;
 }
 
-(* Cached outcomes carry an integrity seal: when a fault plan is armed,
-   [repr] holds the marshalled outcome as it passed the "memo.store"
-   data site and [fingerprint] the digest of the bytes *before* that
-   point, so an injected corruption is detected at lookup instead of
-   leaking a silently-wrong figure.  When no plan is armed both fields
-   are empty and the seal costs nothing. *)
-type 'a sealed = {
-  outcome : 'a;
-  repr : string;
-  fingerprint : string;
-}
-
-let cache : (string, outcome sealed) Exec.Memo.t = Exec.Memo.create ~size_hint:64 ()
+let cache : (string, outcome) Exec.Memo.t = Exec.Memo.create ~size_hint:64 ()
 
 let clear_cache () = Exec.Memo.clear cache
 
 let cache_stats () = Exec.Memo.stats cache
-
-let seal ~ident outcome =
-  if not (Resil.Fault_plan.armed ()) then { outcome; repr = ""; fingerprint = "" }
-  else
-    let repr = Marshal.to_string outcome [ Marshal.Closures ] in
-    let fingerprint = Digest.to_hex (Digest.string repr) in
-    let repr = Resil.Fault_plan.mangle ~ident "memo.store" repr in
-    { outcome; repr; fingerprint }
-
-let unseal ~ident sealed =
-  if sealed.fingerprint = "" then Some sealed.outcome
-  else
-    let repr = Resil.Fault_plan.mangle ~ident "memo.lookup" sealed.repr in
-    if Digest.to_hex (Digest.string repr) = sealed.fingerprint then
-      Some sealed.outcome
-    else None
 
 let cache_key ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
   (* Every component must be plain data (no closures, no custom blocks) so
@@ -104,29 +76,6 @@ let run_variant ?tracer ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
     in
     { stats; artifacts = None }
 
-let memoised ~key ~ident compute =
-  let rec attempt budget =
-    let sealed = Exec.Memo.find_or_run cache key compute in
-    match unseal ~ident sealed with
-    | Some outcome -> outcome
-    | None ->
-      Exec.Memo.remove cache key;
-      Resil.Log.record
-        (Resil.Log.Quarantined
-           { ident;
-             reason =
-               "memoised outcome failed its integrity check; evicted and \
-                recomputed" });
-      if budget <= 0 then
-        raise
-          (Resil.Supervise.Quarantined_failure
-             (Printf.sprintf
-                "memo entry %s kept failing its integrity check after recomputation"
-                ident))
-      else attempt (budget - 1)
-  in
-  attempt 2
-
 let evaluate ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
     ?(train_instrs = 150_000) ?sample ~name variant =
   let key = cache_key ?sample ~cfg ~eval_instrs ~train_instrs ~name variant in
@@ -141,9 +90,9 @@ let evaluate ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
   in
   let compute () =
     Resil.Fault_plan.hit ~ident "runner.run";
-    seal ~ident (run_variant ?sample ~cfg ~eval_instrs ~train_instrs ~name variant)
+    run_variant ?sample ~cfg ~eval_instrs ~train_instrs ~name variant
   in
-  memoised ~key ~ident compute
+  Exec.Memo.find_or_run cache key compute
 
 let traced ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
     ?(train_instrs = 150_000) ?tracer ~name variant =
@@ -156,9 +105,3 @@ let traced ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
   in
   let outcome = run_variant ~tracer ~cfg ~eval_instrs ~train_instrs ~name variant in
   (outcome, tracer)
-
-let speedup_over_ooo ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
-    ?(train_instrs = 150_000) ~name variant =
-  let base = evaluate ~cfg ~eval_instrs ~train_instrs ~name Ooo in
-  let v = evaluate ~cfg ~eval_instrs ~train_instrs ~name variant in
-  Cpu_stats.ipc v.stats /. Cpu_stats.ipc base.stats

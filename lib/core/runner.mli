@@ -6,7 +6,9 @@
     several domains at once (the parallel experiment suite does), and
     concurrent requests for the same (name, sizes, config, variant) cell
     deduplicate in flight — the simulation runs exactly once and every
-    caller receives the same outcome. *)
+    caller receives the same outcome.  Entries are stored as computed:
+    an in-process value cannot rot, and the persistence boundary that
+    can (the cell journal) is digest-checked by {!Resil.Journal}. *)
 
 (** What runs on the core.
 
@@ -53,15 +55,10 @@ val evaluate :
     string, so a sampled cell can never be served from (or pollute) a
     full-fidelity cell with the same coordinates.
 
-    Fault-injection sites (inert unless a {!Resil.Fault_plan} is armed):
-    ["runner.run"] at cache-miss computation, ["memo.store"] /
-    ["memo.lookup"] around the integrity-sealed memo entry.  A cached
-    entry whose integrity check fails is evicted, logged as quarantined
-    and recomputed (bounded); if recomputation keeps failing the call
-    raises {!Resil.Supervise.Quarantined_failure} — a corrupt result is
-    never returned.  Fault idents are [name/<8hex>] for full runs and
-    [name/sampled/<8hex>] for sampled ones, the hex being the key
-    prefix. *)
+    Fault-injection site (inert unless a {!Resil.Fault_plan} is armed):
+    ["runner.run"] at cache-miss computation, with ident [name/<8hex>]
+    for full runs and [name/sampled/<8hex>] for sampled ones, the hex
+    being the key prefix. *)
 
 val traced :
   ?cfg:Cpu_config.t ->
@@ -76,11 +73,6 @@ val traced :
     fresh one unless [tracer] is supplied).  Never memoised — tracers are
     not plain data — and statistics are identical to the untraced run on
     the same inputs. *)
-
-val speedup_over_ooo :
-  ?cfg:Cpu_config.t -> ?eval_instrs:int -> ?train_instrs:int -> name:string ->
-  variant -> float
-(** IPC of the variant over the OOO baseline IPC, as a ratio (1.0 = equal). *)
 
 val clear_cache : unit -> unit
 (** Drop completed memo entries (in-flight simulations still publish). *)

@@ -55,9 +55,6 @@ let allocate_slot t ~critical =
     slot
   end
 
-let allocate t ~critical =
-  match allocate_slot t ~critical with -1 -> None | slot -> Some slot
-
 let mark_ready t slot = Bitset.set t.ready slot
 
 let begin_cycle t = Bitset.clear_all t.selected

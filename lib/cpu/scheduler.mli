@@ -29,13 +29,10 @@ val policy : t -> policy
 
 val free_slots : t -> int
 
-val allocate : t -> critical:bool -> int option
-(** Claim a random free slot for a newly dispatched instruction; [None]
-    when the RS is full.  The instruction starts not-ready. *)
-
 val allocate_slot : t -> critical:bool -> int
-(** Same as {!allocate} but returns [-1] instead of [None] when the RS is
-    full — the allocation-free variant the cycle loop uses. *)
+(** Claim a random free slot for a newly dispatched instruction; [-1]
+    when the RS is full (no option box: the cycle loop calls this).  The
+    instruction starts not-ready. *)
 
 val mark_ready : t -> int -> unit
 (** Source operands became available: raise the slot's BID (and, when the

@@ -21,8 +21,8 @@ val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Completed entries only; never blocks on an in-flight computation. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
-(** Evict a completed entry (e.g. one whose integrity check failed) so
-    the next request recomputes it.  An in-flight entry is left alone:
+(** Evict a completed entry (e.g. a grid cell whose supervised run
+    degraded) so the next request recomputes it.  An in-flight entry is left alone:
     its computation will still publish to current waiters. *)
 
 val clear : ('k, 'v) t -> unit

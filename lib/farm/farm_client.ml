@@ -14,7 +14,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Farm_error s)) fmt
 let lost fmt = Printf.ksprintf (fun s -> raise (Disconnected s)) fmt
 
 let connect ?(connect_timeout = 10.) ?io_timeout ~socket () =
-  Resil.Fault_plan.hit ~ident:socket "farm.connect";
   let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   let give_up fmt =
     Printf.ksprintf
@@ -226,7 +225,6 @@ let default_retry =
 let cause_of = function
   | Disconnected msg -> msg
   | Overloaded ms -> Printf.sprintf "daemon overloaded (retry after %dms)" ms
-  | Resil.Fault_plan.Injected site -> "injected fault at " ^ site
   | e -> Printexc.to_string e
 
 let run_grid_retrying ~socket ?(retry = default_retry) ?id ?sample
@@ -247,7 +245,6 @@ let run_grid_retrying ~socket ?(retry = default_retry) ?id ?sample
           ?io_timeout:retry.io_timeout ~socket ()
       with
       | exception (Disconnected _ as e) -> Error (e, None)
-      | exception (Resil.Fault_plan.Injected _ as e) -> Error (e, None)
       | t ->
         Fun.protect
           ~finally:(fun () -> close t)

@@ -25,28 +25,6 @@ let decode buf ~pos =
     if avail < 4 + n then None else Some (String.sub buf (pos + 4) n, pos + 4 + n)
   end
 
-let write oc payload =
-  (* [encode] validates the length, so an oversize frame is rejected
-     loudly before a single byte reaches the wire. *)
-  output_string oc (encode payload);
-  flush oc
-
-let read ic =
-  (* A clean EOF is only clean on the first header byte; running dry
-     anywhere later means the peer died mid-frame. *)
-  match input_char ic with
-  | exception End_of_file -> None
-  | c0 ->
-    let header = Bytes.create 4 in
-    Bytes.set header 0 c0;
-    (try really_input ic header 1 3
-     with End_of_file -> fail "stream truncated inside frame header");
-    let n = Int32.to_int (Bytes.get_int32_be header 0) in
-    check_len n;
-    (try Some (really_input_string ic n)
-     with End_of_file ->
-       fail "stream truncated inside %d-byte payload" n)
-
 (* ----- deadline-guarded file-descriptor I/O ----- *)
 
 (* Select slices are capped so [poll] (the server's drain flag) is

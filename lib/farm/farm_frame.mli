@@ -7,13 +7,11 @@
     of resynchronising: a framing error means the peer is confused and
     the connection must die.
 
-    Two I/O surfaces share the same frame layout:
-    - buffered channels ({!read}/{!write}) for trusted in-process use;
-    - raw file descriptors ({!read_fd}/{!write_fd}) with {e per-frame
-      deadlines} — the hostile-traffic surface the daemon serves.  A
-      slowloris peer trickling one byte per second, or a dead reader
-      that never drains its socket, trips the deadline instead of
-      pinning a handler thread forever. *)
+    Frames move over raw file descriptors ({!read_fd}/{!write_fd}) with
+    {e per-frame deadlines} — the hostile-traffic surface the daemon
+    serves.  A slowloris peer trickling one byte per second, or a dead
+    reader that never drains its socket, trips the deadline instead of
+    pinning a handler thread forever. *)
 
 exception Frame_error of string
 
@@ -39,15 +37,6 @@ val decode : string -> pos:int -> (string * int) option
     next_pos)], or [None] if the buffer holds only an incomplete prefix
     (read more and retry).
     @raise Frame_error on an oversized or negative declared length. *)
-
-val write : out_channel -> string -> unit
-(** {!encode} + [output_string] + [flush].  @raise Frame_error on an
-    oversize payload, before any bytes are written. *)
-
-val read : in_channel -> string option
-(** Read exactly one frame; [None] on a clean EOF {e at a frame
-    boundary}.
-    @raise Frame_error on EOF mid-frame (truncated) or a bad length. *)
 
 (** {2 Deadline-guarded descriptor I/O}
 

@@ -307,7 +307,6 @@ let handle_client t fd =
     try Unix.setsockopt_int fd Unix.SO_SNDBUF n with Unix.Unix_error _ -> ()));
   Unix.set_nonblock fd;
   let send resp =
-    Resil.Fault_plan.hit "farm.send";
     Farm_frame.write_fd ?io_timeout:limits.io_timeout fd (P.encode_response resp)
   in
   let draining () = Atomic.get t.stop_flag in
@@ -374,7 +373,6 @@ let handle_client t fd =
      with Farm_frame.Io_timeout _ | Farm_frame.Frame_error _ | Unix.Unix_error _
      -> ())
   | Farm_frame.Io_timeout msg -> log t "evicting dead reader: %s" msg
-  | Resil.Fault_plan.Injected site -> log t "injected fault at %s" site
   | Sys_error _ | Unix.Unix_error _ -> (* peer vanished mid-write *) ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 

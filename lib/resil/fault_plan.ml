@@ -22,15 +22,9 @@ let none = { triggers = [] }
 let make triggers = { triggers }
 let triggers t = t.triggers
 
-(* The compute-path sites drive {!random} (grid chaos plans must keep
-   their seeded meaning across releases); the farm wire sites are armed
-   explicitly or by the farm chaos harness's own plans. *)
-let compute_sites =
-  [ "pool.job"; "runner.run"; "memo.lookup"; "memo.store"; "journal.read";
-    "journal.write" ]
-
-let farm_sites = [ "farm.send"; "farm.connect" ]
-let standard_sites = compute_sites @ farm_sites
+(* One site per real failure boundary: a worker job, a simulation, and
+   the journal's two persistence directions. *)
+let standard_sites = [ "pool.job"; "runner.run"; "journal.read"; "journal.write" ]
 
 let action_to_string = function
   | Throw -> "crash"
@@ -43,7 +37,7 @@ let random ~seed ?(stall = 0.5) () =
   let n = 1 + Random.State.int st 3 in
   let triggers =
     List.init n (fun _ ->
-        let site = pick compute_sites in
+        let site = pick standard_sites in
         let action =
           match Random.State.int st 4 with
           | 0 -> Stall stall
@@ -122,8 +116,11 @@ let parse_spec spec =
                 stall=SECS)"
                other spec))
     in
-    if site = "" then Error (Printf.sprintf "empty site in fault spec %S" spec)
-    else Ok { site; selector; count; action }
+    if List.mem site standard_sites then Ok { site; selector; count; action }
+    else
+      Error
+        (Printf.sprintf "unknown site %S in fault spec %S (expected one of %s)"
+           site spec (String.concat ", " standard_sites))
 
 (* ---- armed state ---- *)
 
@@ -131,20 +128,16 @@ let armed_plan : t option Atomic.t = Atomic.make None
 
 let mutex = Mutex.create ()
 let counters : (string * string, int) Hashtbl.t = Hashtbl.create 64
-let fired_rev : (string * string * action) list ref = ref []
 
 let locked f =
   Mutex.lock mutex;
   Fun.protect f ~finally:(fun () -> Mutex.unlock mutex)
 
 let arm plan =
-  locked (fun () ->
-      Hashtbl.reset counters;
-      fired_rev := []);
+  locked (fun () -> Hashtbl.reset counters);
   Atomic.set armed_plan (Some plan)
 
 let disarm () = Atomic.set armed_plan None
-let armed () = Atomic.get armed_plan <> None
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -181,13 +174,10 @@ let triggered plan site ident n =
     plan.triggers
 
 let note site ident action =
-  locked (fun () -> fired_rev := (site, ident, action) :: !fired_rev);
   Log.record (Log.Fault_fired { site; ident; action = action_to_string action })
 
-let fired () = locked (fun () -> List.rev !fired_rev)
-
 (* Deterministic byte flipping: every 5th byte XORed, so short payloads
-   (digests) and long ones (marshalled cells) are both visibly damaged
+   (digests) and long ones (journal entries) are both visibly damaged
    and the damage is a pure function of the input. *)
 let corrupt_bytes s =
   String.mapi

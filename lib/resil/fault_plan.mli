@@ -10,18 +10,17 @@
     runs the cell or in what global order, so the same seed and plan
     produce the same faults at [--jobs 1], [2] or [8].
 
-    Registered sites (see DESIGN.md "Resilience"):
+    Registered sites ({!standard_sites}; see DESIGN.md "Resilience"),
+    one per real failure boundary:
     - ["pool.job"]       supervised-job thunk entry (hit)
     - ["runner.run"]     Runner.evaluate cache-miss computation (hit)
-    - ["memo.lookup"]    Runner memo probe (hit)
-    - ["memo.store"]     Runner memo fingerprint store (mangle)
     - ["journal.read"]   journal entry payload on load (mangle)
     - ["journal.write"]  journal entry payload on record (mangle)
-    - ["farm.send"]      farm server response send (hit)
-    - ["farm.connect"]   farm client connection attempt (hit)
 
-    When no plan is armed every site is a single atomic load — the layer
-    costs nothing in production runs. *)
+    Every firing is recorded as a {!Log.Fault_fired} event.  When no
+    plan is armed every site is a single atomic load — the layer costs
+    nothing in production runs.  Wire faults on the farm socket are
+    the farm's [Chaos_proxy]'s job, not this module's. *)
 
 type action =
   | Throw  (** raise {!Injected} at the site *)
@@ -58,30 +57,29 @@ val make : trigger list -> t
 val triggers : t -> trigger list
 
 val standard_sites : string list
+(** The registered sites, in the order {!random} draws from. *)
 
 val random : seed:int -> ?stall:float -> unit -> t
-(** A deterministic pseudo-random plan over the compute-path sites
-    (the farm wire sites are excluded so seeded grid-chaos plans keep
-    their historical meaning): one to three triggers with bucket
-    selectors, derived entirely from [seed].  [stall] (default 0.5s)
-    is the duration used for [Stall] actions. *)
+(** A deterministic pseudo-random plan over {!standard_sites}: one to
+    three triggers with bucket selectors, derived entirely from [seed].
+    [stall] (default 0.5s) is the duration used for [Stall] actions. *)
 
 val parse_spec : string -> (trigger, string) result
 (** Parse a CLI trigger spec:
     [SITE:ACTION[@SUBSTRING][#N|+N]] where ACTION is [crash], [corrupt]
     or [stall=SECS]; [@S] selects idents containing [S]; [#N] fires on
     exactly the Nth hit and [+N] from the Nth hit onward (default [+1]).
+    [SITE] must be one of {!standard_sites}: a trigger on any other name
+    could never fire, so it is an [Error].
     Examples: ["runner.run:crash+1@mcf"], ["journal.write:corrupt#1"],
     ["runner.run:stall=3@mcf#1"]. *)
 
 val arm : t -> unit
-(** Install the plan and reset all hit counters and the fired log. *)
+(** Install the plan and reset all hit counters. *)
 
 val disarm : unit -> unit
-(** Remove the plan.  Counters and the fired log are kept for
-    inspection until the next {!arm}. *)
-
-val armed : unit -> bool
+(** Remove the plan.  Counters are kept for inspection until the next
+    {!arm}. *)
 
 val hit : ?ident:string -> string -> unit
 (** Count a pass through a control site; raise or stall if a trigger
@@ -95,9 +93,5 @@ val mangle : ?ident:string -> string -> string -> string
 
 val hits : ?ident:string -> string -> int
 (** Hit counter for [(site, ident)] since the last {!arm}. *)
-
-val fired : unit -> (string * string * action) list
-(** [(site, ident, action)] for every trigger firing since the last
-    {!arm}, in firing order. *)
 
 val action_to_string : action -> string

@@ -18,8 +18,8 @@ type event =
       (** a grid cell or figure gave up and was replaced by an error
           marker *)
   | Quarantined of { ident : string; reason : string }
-      (** a journal entry or memo entry failed validation and was
-          discarded (and recomputed) rather than trusted *)
+      (** a journal entry failed validation (or a checkpoint write
+          failed) and was discarded rather than trusted *)
   | Restored of { ident : string }
       (** a grid cell was served from the on-disk journal *)
 

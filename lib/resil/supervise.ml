@@ -1,15 +1,11 @@
 type error =
   | Timeout of float
   | Crashed of exn
-  | Quarantined of string
   | Gave_up of exn
-
-exception Quarantined_failure of string
 
 let error_to_string = function
   | Timeout d -> Printf.sprintf "timeout: exceeded the %.3gs deadline" d
   | Crashed exn -> "crashed: " ^ Printexc.to_string exn
-  | Quarantined reason -> "quarantined: " ^ reason
   | Gave_up exn -> "gave up after retries; last error: " ^ Printexc.to_string exn
 
 type policy = {
@@ -72,7 +68,6 @@ let watch policy attempt =
       with
       | Some d, Some t0, Some t1 when t1 -. t0 > d -> Error (Timeout d)
       | _ -> Ok v)
-    | Some (Error (Quarantined_failure reason)) -> Error (Quarantined reason)
     | Some (Error exn) -> Error (Crashed exn)
     | None -> (
       match Atomic.get attempt.started with
@@ -96,9 +91,7 @@ let join h =
     | Ok attempt -> (
       match watch policy attempt with
       | Ok v -> Ok v
-      | Error (Timeout _ as e) -> Error e
-      | Error (Quarantined _ as e) -> Error e
-      | Error (Gave_up _ as e) -> Error e
+      | Error ((Timeout _ | Gave_up _) as e) -> Error e
       | Error (Crashed exn) ->
         if h.attempt_no >= policy.retries then
           if policy.retries = 0 then Error (Crashed exn) else Error (Gave_up exn)

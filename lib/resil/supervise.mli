@@ -21,20 +21,13 @@
     Crashes are retried up to [retries] times, sleeping the
     {!Backoff} schedule (seeded, per-ident — reproducible) between
     attempts.  Timeouts are not retried: a deadline is a budget, not a
-    transient.  {!Quarantined_failure} is reported as [Quarantined]
-    without retry — the raiser already retried internally. *)
+    transient. *)
 
 type error =
   | Timeout of float  (** exceeded the deadline (seconds) *)
   | Crashed of exn  (** raised, and no retry budget was configured *)
-  | Quarantined of string  (** corrupt state was detected and could not be
-                               repaired by recomputation *)
   | Gave_up of exn  (** still raising after exhausting the retry budget;
                         the payload is the last exception *)
-
-exception Quarantined_failure of string
-(** Raise this from inside a supervised job to report [Quarantined]
-    rather than [Crashed]/[Gave_up]. *)
 
 val error_to_string : error -> string
 

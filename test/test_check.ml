@@ -583,8 +583,8 @@ let test_scoreboard_catches_prio_bypass () =
      PRIO discipline is violated and the scoreboard must object. *)
   let cfg = Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake in
   let sched = Scheduler.create ~slots:8 Scheduler.Crisp in
-  let older = Option.get (Scheduler.allocate sched ~critical:true) in
-  let younger = Option.get (Scheduler.allocate sched ~critical:false) in
+  let older = Scheduler.allocate_slot sched ~critical:true in
+  let younger = Scheduler.allocate_slot sched ~critical:false in
   Scheduler.mark_ready sched older;
   Scheduler.mark_ready sched younger;
   Scheduler.begin_cycle sched;
@@ -614,7 +614,7 @@ let test_scheduler_self_check_clean () =
   let sched = Scheduler.create ~slots:16 Scheduler.Oldest_ready in
   let slots =
     List.init 10 (fun i ->
-        let s = Option.get (Scheduler.allocate sched ~critical:(i mod 2 = 0)) in
+        let s = Scheduler.allocate_slot sched ~critical:(i mod 2 = 0) in
         Scheduler.mark_ready sched s;
         s)
   in

@@ -64,49 +64,6 @@ let test_frame_oversized_rejected () =
   | exception Farm_frame.Frame_error _ -> ()
   | _ -> Alcotest.fail "negative declared length accepted"
 
-(* Channel-level read: write raw bytes to a file, read them back as
-   frames — exactly what a confused or dying peer looks like. *)
-let read_frames_of_bytes bytes =
-  let path = Filename.temp_file "cfarm_frame" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc bytes;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match Farm_frame.read ic with
-            | Some p -> go (p :: acc)
-            | None -> Ok (List.rev acc)
-            | exception Farm_frame.Frame_error msg -> Error msg
-          in
-          go []))
-
-let test_frame_read_streams () =
-  (match read_frames_of_bytes (Farm_frame.encode "a" ^ Farm_frame.encode "bb") with
-  | Ok [ "a"; "bb" ] -> ()
-  | Ok other -> Alcotest.failf "wrong frames: %d" (List.length other)
-  | Error msg -> Alcotest.failf "clean stream rejected: %s" msg);
-  (match read_frames_of_bytes "" with
-  | Ok [] -> ()
-  | _ -> Alcotest.fail "empty stream is a clean EOF");
-  (* Truncated mid-header and mid-payload both fail loudly. *)
-  let wire = Farm_frame.encode "payload" in
-  (match read_frames_of_bytes (String.sub wire 0 2) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated header accepted");
-  (match read_frames_of_bytes (String.sub wire 0 (String.length wire - 3)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated payload accepted");
-  (* Garbage header bytes decode as an absurd length. *)
-  match read_frames_of_bytes "GARBAGE-NOT-A-FRAME" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted as a frame"
-
 (* ---------------- Farm_frame fd layer: deadlines, torn streams ---------------- *)
 
 let with_socketpair f =
@@ -123,6 +80,17 @@ let write_all fd s =
     if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
   go 0
+
+(* Garbage header bytes decode as an absurd length and fail loudly,
+   exactly what a confused peer looks like.  Clean streams and
+   truncation at every byte are covered by the test below. *)
+let test_frame_read_streams () =
+  with_socketpair @@ fun a b ->
+  write_all a "GARBAGE-NOT-A-FRAME";
+  Unix.close a;
+  match Farm_frame.read_fd ~idle_timeout:5. ~io_timeout:5. b with
+  | exception Farm_frame.Frame_error _ -> ()
+  | _ -> Alcotest.fail "garbage accepted as a frame"
 
 (* Sever a two-frame stream at every byte boundary: the reader must
    deliver exactly the complete frames, then diagnose a clean EOF at a
@@ -614,25 +582,22 @@ let test_daemon_rejects_garbage_loudly () =
   Farm_client.close (connect socket);
   let talk bytes =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX socket);
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc bytes;
-    flush oc;
-    Unix.shutdown fd Unix.SHUTDOWN_SEND;
-    let rec drain acc =
-      match Farm_frame.read ic with
-      | Some p -> drain (p :: acc)
-      | None -> List.rev acc
-      | exception Farm_frame.Frame_error _ -> List.rev acc
-      (* The daemon may close with our unread garbage still queued,
-         which surfaces as a reset rather than a clean EOF. *)
-      | exception Sys_error _ -> List.rev acc
-    in
-    let frames = drain [] in
-    close_in_noerr ic;
-    close_out_noerr oc;
-    frames
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        write_all fd bytes;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let rec drain acc =
+          match Farm_frame.read_fd ~idle_timeout:10. ~io_timeout:10. fd with
+          | `Frame p -> drain (p :: acc)
+          | `Eof | `Idle_timeout | `Timeout | `Abort -> List.rev acc
+          | exception Farm_frame.Frame_error _ -> List.rev acc
+          (* The daemon may close with our unread garbage still queued,
+             which surfaces as a reset rather than a clean EOF. *)
+          | exception Unix.Unix_error _ -> List.rev acc
+        in
+        drain [])
   in
   (* Valid frame, garbage payload: one Error_reply, then EOF. *)
   (match talk (Farm_frame.encode "certainly not json") with

@@ -9,9 +9,15 @@ let sizes = { Experiments.eval_instrs = 60_000; train_instrs = 50_000 }
 
 let ctx = { Experiments.default with Experiments.sizes }
 
+(* IPC of [variant] over the OOO baseline on the same workload. *)
 let speedup name variant =
-  Runner.speedup_over_ooo ~eval_instrs:sizes.Experiments.eval_instrs
-    ~train_instrs:sizes.Experiments.train_instrs ~name variant
+  let ipc variant =
+    Cpu_stats.ipc
+      (Runner.evaluate ~eval_instrs:sizes.Experiments.eval_instrs
+         ~train_instrs:sizes.Experiments.train_instrs ~name variant)
+        .Runner.stats
+  in
+  ipc variant /. ipc Runner.Ooo
 
 let test_fdo_flow () =
   let w = Catalog.pointer_chase ~input:Workload.Train ~instrs:40_000 () in

@@ -125,7 +125,7 @@ let test_hook_fires_once_per_select () =
     (Some (fun ~slot ~prio_override -> fired := (slot, prio_override) :: !fired));
   let slots =
     List.init 3 (fun _ ->
-        let s = Option.get (Scheduler.allocate sched ~critical:false) in
+        let s = Scheduler.allocate_slot sched ~critical:false in
         Scheduler.mark_ready sched s;
         s)
   in
@@ -143,8 +143,8 @@ let test_hook_fires_once_per_select () =
 
 let test_hook_reports_prio_override () =
   let sched = Scheduler.create ~slots:8 Scheduler.Crisp in
-  let older = Option.get (Scheduler.allocate sched ~critical:false) in
-  let younger = Option.get (Scheduler.allocate sched ~critical:true) in
+  let older = Scheduler.allocate_slot sched ~critical:false in
+  let younger = Scheduler.allocate_slot sched ~critical:true in
   Scheduler.mark_ready sched older;
   Scheduler.mark_ready sched younger;
   let fired = ref [] in

@@ -114,11 +114,11 @@ let fill_scheduler sched specs =
   (* specs: (critical, ready) list in dispatch order; returns slots *)
   List.map
     (fun (critical, ready) ->
-      match Scheduler.allocate sched ~critical with
-      | Some slot ->
+      match Scheduler.allocate_slot sched ~critical with
+      | -1 -> Alcotest.fail "scheduler full"
+      | slot ->
         if ready then Scheduler.mark_ready sched slot;
-        slot
-      | None -> Alcotest.fail "scheduler full")
+        slot)
     specs
 
 let test_scheduler_oldest_first () =
@@ -159,7 +159,7 @@ let test_scheduler_issue_frees_slot () =
   let s = Scheduler.create ~slots:2 Scheduler.Oldest_ready in
   let slots = fill_scheduler s [ (false, true); (false, true) ] in
   check int "full" 0 (Scheduler.free_slots s);
-  check bool "allocate fails when full" true (Scheduler.allocate s ~critical:false = None);
+  check int "allocate fails when full" (-1) (Scheduler.allocate_slot s ~critical:false);
   Scheduler.issue s (List.hd slots);
   check int "issue frees" 1 (Scheduler.free_slots s);
   check int "occupancy tracks" 1 (Scheduler.occupancy s)
@@ -181,13 +181,13 @@ let prop_random_ready_selects_ready =
       let rng = Prng.create (seed + 2) in
       let ready_slots = Hashtbl.create 16 in
       for _ = 1 to 20 do
-        match Scheduler.allocate s ~critical:false with
-        | Some slot ->
+        match Scheduler.allocate_slot s ~critical:false with
+        | -1 -> ()
+        | slot ->
           if Prng.bool rng then begin
             Scheduler.mark_ready s slot;
             Hashtbl.replace ready_slots slot ()
           end
-        | None -> ()
       done;
       Scheduler.begin_cycle s;
       let ok = ref true in
