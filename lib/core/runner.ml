@@ -99,7 +99,6 @@ let traced ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
   (* Tracers hold closures and grow-on-write buffers, so a traced run is
      never memoised: the cache key must stay plain data, and a cached
      outcome could not replay its event stream anyway. *)
-  let cfg = Cpu_config.with_obs true cfg in
   let tracer =
     match tracer with Some t -> t | None -> Obs_tracer.create ()
   in

@@ -15,14 +15,11 @@ type t = {
   btb_entries : int;
   ras_depth : int;
   ftq_entries : int;
-  fdip : bool;
   policy : Scheduler.policy;
   mem : Memory_system.params;
   seed : int;
   record_upc : bool;
-  max_cycles : int option;
   scoreboard : bool;
-  obs : bool;
 }
 
 let skylake =
@@ -42,22 +39,17 @@ let skylake =
     btb_entries = 8192;
     ras_depth = 32;
     ftq_entries = 128;
-    fdip = true;
     policy = Scheduler.Oldest_ready;
     mem = Memory_system.skylake;
     seed = 0x51ab;
     record_upc = false;
-    max_cycles = None;
-    scoreboard = false;
-    obs = false }
+    scoreboard = false }
 
 let with_policy policy t = { t with policy }
 
 let with_issue_width issue_width t = { t with issue_width }
 
 let with_scoreboard scoreboard t = { t with scoreboard }
-
-let with_obs obs t = { t with obs }
 
 let with_window ~rs ~rob t =
   { t with
@@ -89,8 +81,7 @@ let pp fmt t =
     | true, false -> "BOP"
     | false, true -> "Stream"
     | false, false -> "none");
-  row "Instruction prefetcher"
-    (if t.fdip then Printf.sprintf "FDIP, %d FTQ entries" t.ftq_entries else "none");
+  row "Instruction prefetcher" (Printf.sprintf "FDIP, %d FTQ entries" t.ftq_entries);
   row "Load buffer" (Printf.sprintf "%d entries" t.lq_size);
   row "Store buffer" (Printf.sprintf "%d entries" t.sq_size);
   let c (p : Cache.params) =

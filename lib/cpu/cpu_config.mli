@@ -20,21 +20,16 @@ type t = {
   btb_entries : int;  (** 8192 *)
   ras_depth : int;
   ftq_entries : int;  (** FDIP run-ahead depth in fetch blocks (128) *)
-  fdip : bool;  (** FDIP instruction prefetcher enabled *)
   policy : Scheduler.policy;
   mem : Memory_system.params;
   seed : int;  (** RAND scheduler slot-allocation seed *)
   record_upc : bool;  (** record the per-cycle retirement timeline *)
-  max_cycles : int option;  (** safety valve; [None] = 400 * trace length *)
   scoreboard : bool;
       (** run the debug-mode pipeline scoreboard ({!Scoreboard}): per-cycle
           invariant checks on ROB/RS/age-matrix state.  Off by default; the
-          oracle is read-only, so statistics are identical either way. *)
-  obs : bool;
-      (** enable the observability layer: {!Cpu_core.run} emits pipeline
-          events and per-stage counters into an [Obs_tracer.t].  Off by
-          default; the tracer is write-only from the pipeline's point of
-          view, so statistics are bit-identical either way. *)
+          oracle is read-only, so statistics are identical either way.
+          (Observability has no flag: passing [?tracer] to
+          {!Cpu_core.run} is the switch.) *)
 }
 
 val skylake : t
@@ -45,8 +40,6 @@ val with_policy : Scheduler.policy -> t -> t
 val with_issue_width : int -> t -> t
 
 val with_scoreboard : bool -> t -> t
-
-val with_obs : bool -> t -> t
 
 val with_window : rs:int -> rob:int -> t -> t
 (** Scale the out-of-order window for the Section 5.4 study.  The load and

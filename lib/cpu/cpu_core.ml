@@ -466,17 +466,15 @@ let rec fdip_loop s limit budget scanned =
   end
 
 let fdip s =
-  if s.cfg.Cpu_config.fdip then begin
-    let n = Array.length s.dyns in
-    let limit_dyn =
-      if s.waiting_dyn >= 0 then s.waiting_dyn + 1
-      else
-        let ftq_end = s.fetch_idx + s.cfg.Cpu_config.ftq_entries in
-        if ftq_end < n then ftq_end else n
-    in
-    if s.fdip_idx < s.fetch_idx then s.fdip_idx <- s.fetch_idx;
-    fdip_loop s limit_dyn 2 0
-  end
+  let n = Array.length s.dyns in
+  let limit_dyn =
+    if s.waiting_dyn >= 0 then s.waiting_dyn + 1
+    else
+      let ftq_end = s.fetch_idx + s.cfg.Cpu_config.ftq_entries in
+      if ftq_end < n then ftq_end else n
+  in
+  if s.fdip_idx < s.fetch_idx then s.fdip_idx <- s.fetch_idx;
+  fdip_loop s limit_dyn 2 0
 
 (* ------------------------------------------------------------------ *)
 (* Top level.                                                          *)
@@ -493,29 +491,70 @@ let rec count_rs_resident s i acc =
 
 (* Microarchitectural warming state carried through functional
    fast-forward: the memory hierarchy plus the frontend predictors, and
-   the trace position they have been warmed up to.  [run_window] can
-   adopt these components directly, so a detail window opened after
-   fast-forward starts from warmed state instead of cold tables. *)
+   the trace position they have been warmed up to.  Every detail run
+   adopts one (a fresh carrier is a cold start), so a window opened
+   after fast-forward starts from warmed state instead of cold tables. *)
 type warm = {
   wmem : Memory_system.t;
-  wbranch : Branch_warm.t;
+  wtage : Tage.t;
+  wbtb : Btb.t;
+  wras : Ras.t;
   mutable wpos : int;  (* next dyn index to warm *)
   mutable wline : int;  (* current icache line, -1 = none *)
 }
 
-let make_state ?(criticality = No_tags) ?layout ?tracer ?warm ~start cfg
+let warm_create cfg =
+  { wmem = Memory_system.create cfg.Cpu_config.mem;
+    wtage = Tage.create ();
+    wbtb = Btb.create ~entries:cfg.Cpu_config.btb_entries ();
+    wras = Ras.create ~depth:cfg.Cpu_config.ras_depth ();
+    wpos = 0;
+    wline = -1 }
+
+let warm_pos w = w.wpos
+
+let warm_touch w layout (d : Executor.dyn) =
+  (* Mirror the detail fetch stage's icache behaviour: one fetch per
+     distinct consecutive line, not one per micro-op. *)
+  let addr = Layout.addr_of layout d.Executor.pc in
+  let line = addr / line_bytes in
+  if line <> w.wline then begin
+    ignore (Memory_system.fetch_functional w.wmem ~addr);
+    w.wline <- line
+  end;
+  (* The predictor updates [fetch_control] performs, without their
+     timing consequences.  The BTB learns a target only on a correctly
+     predicted taken branch (a mispredict redirects before the BTB is
+     consulted), so its contents converge to what a detail run reaching
+     the same point would hold. *)
+  (match d.Executor.op with
+  | Isa.Branch _ ->
+    let predicted = Tage.predict_and_update w.wtage ~pc:d.Executor.pc ~taken:d.Executor.taken in
+    if predicted && d.Executor.taken then
+      Btb.update w.wbtb ~pc:d.Executor.pc ~target:d.Executor.next_pc
+  | Isa.Call -> Ras.push w.wras (d.Executor.pc + 1)
+  | Isa.Ret -> ignore (Ras.pop_value w.wras)
+  | Isa.Load | Isa.Prefetch ->
+    ignore (Memory_system.load_functional w.wmem ~addr:d.Executor.addr)
+  | Isa.Store -> Memory_system.warm_store w.wmem ~addr:d.Executor.addr
+  | _ -> ());
+  w.wpos <- w.wpos + 1
+
+let layout_for ?(criticality = No_tags) ?layout (trace : Executor.t) =
+  match layout with
+  | Some l -> l
+  | None ->
+    let critical =
+      match criticality with
+      | Static_tags f -> f
+      | No_tags | Dynamic_tags _ -> fun _ -> false
+    in
+    Layout.compute ~critical trace.Executor.prog
+
+let make_state ?(criticality = No_tags) ?layout ?tracer ~warm ~start cfg
     (trace : Executor.t) =
   let dyns = trace.Executor.dyns in
-  let static_critical =
-    match criticality with
-    | Static_tags f -> f
-    | No_tags | Dynamic_tags _ -> fun _ -> false
-  in
-  let layout =
-    match layout with
-    | Some l -> l
-    | None -> Layout.compute ~critical:static_critical trace.Executor.prog
-  in
+  let layout = layout_for ~criticality ?layout trace in
   let critical_of =
     match criticality with
     | No_tags -> fun _ -> false
@@ -524,26 +563,16 @@ let make_state ?(criticality = No_tags) ?layout ?tracer ?warm ~start cfg
   in
   let rob_size = cfg.Cpu_config.rob_size in
   let fq_cap = max 32 (cfg.Cpu_config.fetch_width * (cfg.Cpu_config.frontend_depth + 3)) in
-  let mem, tage, btb, ras =
-    match warm with
-    | Some w -> (w.wmem, w.wbranch.Branch_warm.tage, w.wbranch.Branch_warm.btb,
-                 w.wbranch.Branch_warm.ras)
-    | None ->
-      ( Memory_system.create cfg.Cpu_config.mem,
-        Tage.create (),
-        Btb.create ~entries:cfg.Cpu_config.btb_entries (),
-        Ras.create ~depth:cfg.Cpu_config.ras_depth () )
-  in
-  let mem_params = Memory_system.params mem in
+  let mem_params = Memory_system.params warm.wmem in
   let s =
     { cfg;
       dyns;
       layout;
       critical_of;
-      mem;
-      tage;
-      btb;
-      ras;
+      mem = warm.wmem;
+      tage = warm.wtage;
+      btb = warm.wbtb;
+      ras = warm.wras;
       sched =
         Scheduler.create ~seed:cfg.Cpu_config.seed ~slots:cfg.Cpu_config.rs_size
           cfg.Cpu_config.policy;
@@ -595,10 +624,7 @@ let make_state ?(criticality = No_tags) ?layout ?tracer ?warm ~start cfg
       upc_timeline =
         (if cfg.Cpu_config.record_upc then Some (Vec.create ~dummy:0 ()) else None);
       sb = (if cfg.Cpu_config.scoreboard then Some (Scoreboard.create cfg) else None);
-      obs =
-        (if cfg.Cpu_config.obs then
-           Some (match tracer with Some t -> t | None -> Obs_tracer.create ())
-         else None) }
+      obs = tracer }
   in
   (* Both observers share the scheduler's single instrumentation hook
      (selection is the only pipeline event born inside [Scheduler]). *)
@@ -627,9 +653,9 @@ let make_state ?(criticality = No_tags) ?layout ?tracer ?warm ~start cfg
 
 (* Advance the pipeline until [target] instructions (counted from state
    creation) have retired. *)
-let run_cycles s ~target ~max_cycles =
+let run_cycles s ~target ~cycle_budget =
   while s.retired < target do
-    if s.cycle > max_cycles then
+    if s.cycle > cycle_budget then
       failwith
         (Printf.sprintf
            "Cpu_core.run: no forward progress (cycle %d, retired %d/%d) — model bug"
@@ -668,17 +694,11 @@ let rec count_ops dyns lo hi loads stores =
     | Isa.Store -> count_ops dyns (lo + 1) hi loads (stores + 1)
     | _ -> count_ops dyns (lo + 1) hi loads stores
 
-let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
-  let s = make_state ?criticality ?layout ?tracer ~start:0 cfg trace in
-  let max_cycles =
-    match cfg.Cpu_config.max_cycles with
-    | Some m -> m
-    | None -> (400 * n) + 100_000
-  in
-  run_cycles s ~target:n ~max_cycles;
-  let loads, stores = count_ops dyns 0 n 0 0 in
+(* The one place core state becomes a [Cpu_stats.t]: cumulative
+   counters since state creation, with [loads]/[stores] over the retired
+   dynamic range. *)
+let snapshot s ~start =
+  let loads, stores = count_ops s.dyns start (start + s.retired) 0 0 in
   { Cpu_stats.cycles = s.cycle;
     retired = s.retired;
     loads;
@@ -701,74 +721,9 @@ let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
     mem = Memory_system.stats s.mem;
     upc_timeline = Option.map Vec.to_array s.upc_timeline }
 
-(* ------------------------------------------------------------------ *)
-(* Warming (functional fast-forward) and windowed detail simulation.   *)
-(* ------------------------------------------------------------------ *)
-
-let warm_create cfg =
-  { wmem = Memory_system.create cfg.Cpu_config.mem;
-    wbranch =
-      Branch_warm.create ~btb_entries:cfg.Cpu_config.btb_entries
-        ~ras_depth:cfg.Cpu_config.ras_depth;
-    wpos = 0;
-    wline = -1 }
-
-let warm_pos w = w.wpos
-
-let warm_touch w layout (d : Executor.dyn) =
-  (* Mirror the detail fetch stage's icache behaviour: one fetch per
-     distinct consecutive line, not one per micro-op. *)
-  let addr = Layout.addr_of layout d.Executor.pc in
-  let line = addr / line_bytes in
-  if line <> w.wline then begin
-    Memory_system.warm_fetch w.wmem ~addr;
-    w.wline <- line
-  end;
-  Branch_warm.touch w.wbranch d;
-  (match d.Executor.op with
-  | Isa.Load | Isa.Prefetch -> Memory_system.warm_load w.wmem ~addr:d.Executor.addr
-  | Isa.Store -> Memory_system.warm_store w.wmem ~addr:d.Executor.addr
-  | _ -> ());
-  w.wpos <- w.wpos + 1
-
-(* Cumulative counter snapshot, for expressing a window as a delta. *)
-type counters = {
-  c_cycle : int;
-  c_branches : int;
-  c_branch_mispredicts : int;
-  c_btb_misses : int;
-  c_ras_mispredicts : int;
-  c_stall_dram : int;
-  c_stall_llc : int;
-  c_stall_other_load : int;
-  c_stall_long_op : int;
-  c_stall_other : int;
-  c_mlp_sum_units : int;
-  c_mlp_cycles : int;
-  c_critical_retired : int;
-  c_mem : Memory_system.stats;
-}
-
-let snap_counters s =
-  { c_cycle = s.cycle;
-    c_branches = s.branches;
-    c_branch_mispredicts = s.branch_mispredicts;
-    c_btb_misses = s.btb_misses;
-    c_ras_mispredicts = s.ras_mispredicts;
-    c_stall_dram = s.stall_dram;
-    c_stall_llc = s.stall_llc;
-    c_stall_other_load = s.stall_other_load;
-    c_stall_long_op = s.stall_long_op;
-    c_stall_other = s.stall_other;
-    c_mlp_sum_units = s.mlp_sum_units;
-    c_mlp_cycles = s.mlp_cycles;
-    c_critical_retired = s.critical_retired;
-    c_mem = Memory_system.stats s.mem }
-
-let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
+let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
     (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
+  let n = Array.length trace.Executor.dyns in
   if start < 0 || start > n then invalid_arg "Cpu_core.run_window: start out of range";
   if warmup < 0 || measure <= 0 then
     invalid_arg "Cpu_core.run_window: warmup must be >= 0 and measure > 0";
@@ -778,48 +733,26 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
     let t = warmup + measure in
     if t < avail && t >= 0 (* t < 0 on overflow *) then t else avail
   in
-  let s = make_state ?criticality ?layout ?warm ~start cfg trace in
+  let warm = match warm with Some w -> w | None -> warm_create cfg in
+  let s = make_state ?criticality ?layout ?tracer ~warm ~start cfg trace in
   (* The window's cycle counter starts at zero; state adopted from a warm
      carrier may hold stamps from a previous window's time base, which
-     must not read as in-flight work here. *)
-  (match warm with Some _ -> Memory_system.quiesce s.mem | None -> ());
-  let max_cycles =
-    match cfg.Cpu_config.max_cycles with
-    | Some m -> m
-    | None -> (400 * target) + 100_000
-  in
+     must not read as in-flight work here (a no-op on a fresh carrier). *)
+  Memory_system.quiesce s.mem;
+  let cycle_budget = (400 * target) + 100_000 in
   (* Retirement is width-granular; the retire ceiling makes both window
      boundaries exact, so a window measures precisely the instructions
      it was asked for. *)
   s.retire_stop <- warmup;
-  run_cycles s ~target:warmup ~max_cycles;
-  let warmed = s.retired in
-  let before = snap_counters s in
+  run_cycles s ~target:warmup ~cycle_budget;
+  let before = snapshot s ~start in
   s.retire_stop <- target;
-  run_cycles s ~target ~max_cycles;
-  (match warm with
-  | Some w ->
-    w.wpos <- start + s.retired;
-    w.wline <- -1
-  | None -> ());
-  let measured = s.retired - warmed in
-  let loads, stores = count_ops dyns (start + warmed) (start + s.retired) 0 0 in
-  { Cpu_stats.cycles = s.cycle - before.c_cycle;
-    retired = measured;
-    loads;
-    stores;
-    branches = s.branches - before.c_branches;
-    branch_mispredicts = s.branch_mispredicts - before.c_branch_mispredicts;
-    btb_misses = s.btb_misses - before.c_btb_misses;
-    ras_mispredicts = s.ras_mispredicts - before.c_ras_mispredicts;
-    head_stalls =
-      { Cpu_stats.dram_load = s.stall_dram - before.c_stall_dram;
-        llc_load = s.stall_llc - before.c_stall_llc;
-        other_load = s.stall_other_load - before.c_stall_other_load;
-        long_op = s.stall_long_op - before.c_stall_long_op;
-        other = s.stall_other - before.c_stall_other };
-    mlp_sum = float_of_int (s.mlp_sum_units - before.c_mlp_sum_units);
-    mlp_cycles = s.mlp_cycles - before.c_mlp_cycles;
-    critical_retired = s.critical_retired - before.c_critical_retired;
-    mem = Memory_system.diff_stats ~after:(Memory_system.stats s.mem) ~before:before.c_mem;
-    upc_timeline = Option.map Vec.to_array s.upc_timeline }
+  run_cycles s ~target ~cycle_budget;
+  warm.wpos <- start + s.retired;
+  warm.wline <- -1;
+  let after = snapshot s ~start in
+  { (Cpu_stats.sub after before) with upc_timeline = after.Cpu_stats.upc_timeline }
+
+let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
+  let n = Array.length trace.Executor.dyns in
+  run_window ?criticality ?layout ?tracer ~start:0 ~warmup:0 ~measure:(max 1 n) cfg trace

@@ -27,20 +27,26 @@ type criticality =
 val run :
   ?criticality:criticality -> ?layout:Layout.t -> ?tracer:Obs_tracer.t ->
   Cpu_config.t -> Executor.t -> Cpu_stats.t
-(** Simulate the whole trace and return aggregate statistics.  [layout]
-    defaults to the byte layout induced by the criticality tags (critical
-    instructions carry a one-byte prefix, which grows the fetch footprint —
-    Section 5.7).
+(** Simulate the whole trace and return aggregate statistics: exactly
+    {!run_window} from a cold start over the entire trace.  [layout]
+    defaults to {!layout_for} (critical instructions carry a one-byte
+    prefix, which grows the fetch footprint — Section 5.7).
 
-    When [Cpu_config.obs] is set the run emits pipeline events into
-    [tracer] (a fresh tracer is created when none is supplied); with it
-    unset [tracer] is ignored and no observability work happens.  The
+    Passing [tracer] is the observability switch: the run emits pipeline
+    events into it.  Without one no observability work happens.  The
     tracer is a write-only sink, so the returned statistics are identical
     either way.
 
-    @raise Failure if the pipeline fails to make progress within the
-    configured cycle budget (indicates a model bug, not a workload
-    property). *)
+    @raise Failure if the pipeline fails to make progress within
+    [400 * n + 100_000] cycles for an [n]-instruction trace (indicates a
+    model bug, not a workload property). *)
+
+val layout_for :
+  ?criticality:criticality -> ?layout:Layout.t -> Executor.t -> Layout.t
+(** The byte layout a run with these arguments uses: [layout] when given,
+    otherwise the layout induced by [Static_tags] (no prefixes for
+    [No_tags] or [Dynamic_tags]).  Fast-forward warming must fetch
+    through the same layout as the detail windows. *)
 
 (** {1 Sampled simulation}
 
@@ -69,6 +75,7 @@ val warm_touch : warm -> Layout.t -> Executor.dyn -> unit
 val run_window :
   ?criticality:criticality ->
   ?layout:Layout.t ->
+  ?tracer:Obs_tracer.t ->
   ?warm:warm ->
   start:int ->
   warmup:int ->
@@ -84,12 +91,16 @@ val run_window :
     window: [retired] is the measured count, [cycles] the
     measured-window cycles.
 
-    With [warm] supplied the window adopts its memory hierarchy and
-    predictors in place (quiescing stale absolute-cycle stamps first,
-    since the window's cycle counter restarts at zero) and advances
-    [warm_pos] past the instructions it retired; without it the window
-    starts cold.  [loads]/[stores] count the measured dynamic range, and
-    [mem] is the delta of hierarchy counters over the measured window.
+    The window adopts the memory hierarchy and predictors of [warm] in
+    place (quiescing stale absolute-cycle stamps first, since the
+    window's cycle counter restarts at zero) and advances [warm_pos] past
+    the instructions it retired; without [warm] it adopts a fresh
+    {!warm_create} carrier, which is a cold start.  The result is the
+    difference of two snapshots of the core's cumulative counters, taken
+    at the window's two boundaries: [loads]/[stores] count the measured
+    dynamic range and [mem] is the hierarchy activity over it.
+    [upc_timeline], when recorded, covers the whole window including
+    warmup.  [tracer] observes the whole window, as in {!run}.
 
     @raise Invalid_argument if [start] is out of range, [warmup < 0] or
     [measure <= 0]. *)

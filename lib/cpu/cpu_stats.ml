@@ -23,26 +23,32 @@ type t = {
   upc_timeline : int array option;
 }
 
-let add a b =
-  { cycles = a.cycles + b.cycles;
-    retired = a.retired + b.retired;
-    loads = a.loads + b.loads;
-    stores = a.stores + b.stores;
-    branches = a.branches + b.branches;
-    branch_mispredicts = a.branch_mispredicts + b.branch_mispredicts;
-    btb_misses = a.btb_misses + b.btb_misses;
-    ras_mispredicts = a.ras_mispredicts + b.ras_mispredicts;
+(* The one field walk behind [add] and [sub]; [upc_timeline] does not
+   combine (windows have disjoint time bases) and is dropped. *)
+let combine op fop a b =
+  { cycles = op a.cycles b.cycles;
+    retired = op a.retired b.retired;
+    loads = op a.loads b.loads;
+    stores = op a.stores b.stores;
+    branches = op a.branches b.branches;
+    branch_mispredicts = op a.branch_mispredicts b.branch_mispredicts;
+    btb_misses = op a.btb_misses b.btb_misses;
+    ras_mispredicts = op a.ras_mispredicts b.ras_mispredicts;
     head_stalls =
-      { dram_load = a.head_stalls.dram_load + b.head_stalls.dram_load;
-        llc_load = a.head_stalls.llc_load + b.head_stalls.llc_load;
-        other_load = a.head_stalls.other_load + b.head_stalls.other_load;
-        long_op = a.head_stalls.long_op + b.head_stalls.long_op;
-        other = a.head_stalls.other + b.head_stalls.other };
-    mlp_sum = a.mlp_sum +. b.mlp_sum;
-    mlp_cycles = a.mlp_cycles + b.mlp_cycles;
-    critical_retired = a.critical_retired + b.critical_retired;
-    mem = Memory_system.add_stats a.mem b.mem;
+      { dram_load = op a.head_stalls.dram_load b.head_stalls.dram_load;
+        llc_load = op a.head_stalls.llc_load b.head_stalls.llc_load;
+        other_load = op a.head_stalls.other_load b.head_stalls.other_load;
+        long_op = op a.head_stalls.long_op b.head_stalls.long_op;
+        other = op a.head_stalls.other b.head_stalls.other };
+    mlp_sum = fop a.mlp_sum b.mlp_sum;
+    mlp_cycles = op a.mlp_cycles b.mlp_cycles;
+    critical_retired = op a.critical_retired b.critical_retired;
+    mem = Memory_system.map2_stats op a.mem b.mem;
     upc_timeline = None }
+
+let add = combine ( + ) ( +. )
+
+let sub = combine ( - ) ( -. )
 
 let zero =
   { cycles = 0;

@@ -33,6 +33,11 @@ val add : t -> t -> t
     sampled simulation.  [upc_timeline] does not stitch (windows have
     disjoint time bases) and is dropped. *)
 
+val sub : t -> t -> t
+(** Field-wise [a - b]: the activity of a window bracketed by two
+    snapshots of cumulative counters.  [upc_timeline] is dropped, as in
+    {!add}. *)
+
 val zero : t
 (** Identity for {!add}. *)
 

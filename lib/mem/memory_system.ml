@@ -287,20 +287,16 @@ let fetch_functional t ~addr =
 
 (* ------------------------------------------------------------------ *)
 (* Warming touch mode: the fast-forward path of sampled simulation.
-   Each touch updates cache contents, replacement state and prefetcher
-   training exactly like the functional interface — and nothing else: no
-   MSHR occupancy, no DRAM timing, no tracer events.  Prefetch fills
-   issued during warming charge [Dram.request] at cycle 0, which only
-   perturbs stamps that [quiesce] clears before the next detail window. *)
-
-let warm_load t ~addr = ignore (load_functional t ~addr)
+   Loads and fetches warm through the functional interface above; a
+   store write-allocates here.  No MSHR occupancy, no DRAM timing, no
+   tracer events.  Prefetch fills issued during warming charge
+   [Dram.request] at cycle 0, which only perturbs stamps that [quiesce]
+   clears before the next detail window. *)
 
 let warm_store t ~addr =
   (* Write-allocate, as at retirement; no tracer, no timing. *)
   if not (Cache.probe t.l1d ~addr) then ignore (Cache.access_info t.llc ~addr);
   ignore (Cache.access_info t.l1d ~addr)
-
-let warm_fetch t ~addr = ignore (fetch_functional t ~addr)
 
 (* Absolute-cycle state: MSHR ready stamps (a slot is live iff its ready
    cycle is in the future) and the DRAM bank/bus stamps.  Everything else
@@ -326,31 +322,18 @@ type stats = {
   prefetch_hits_llc : int;
 }
 
-let diff_stats ~(after : stats) ~(before : stats) =
-  { l1d_hits = after.l1d_hits - before.l1d_hits;
-    l1d_misses = after.l1d_misses - before.l1d_misses;
-    llc_hits = after.llc_hits - before.llc_hits;
-    llc_misses = after.llc_misses - before.llc_misses;
-    l1i_hits = after.l1i_hits - before.l1i_hits;
-    l1i_misses = after.l1i_misses - before.l1i_misses;
-    dram_requests = after.dram_requests - before.dram_requests;
-    dram_row_hits = after.dram_row_hits - before.dram_row_hits;
-    prefetches_issued = after.prefetches_issued - before.prefetches_issued;
-    prefetch_hits_l1d = after.prefetch_hits_l1d - before.prefetch_hits_l1d;
-    prefetch_hits_llc = after.prefetch_hits_llc - before.prefetch_hits_llc }
-
-let add_stats a b =
-  { l1d_hits = a.l1d_hits + b.l1d_hits;
-    l1d_misses = a.l1d_misses + b.l1d_misses;
-    llc_hits = a.llc_hits + b.llc_hits;
-    llc_misses = a.llc_misses + b.llc_misses;
-    l1i_hits = a.l1i_hits + b.l1i_hits;
-    l1i_misses = a.l1i_misses + b.l1i_misses;
-    dram_requests = a.dram_requests + b.dram_requests;
-    dram_row_hits = a.dram_row_hits + b.dram_row_hits;
-    prefetches_issued = a.prefetches_issued + b.prefetches_issued;
-    prefetch_hits_l1d = a.prefetch_hits_l1d + b.prefetch_hits_l1d;
-    prefetch_hits_llc = a.prefetch_hits_llc + b.prefetch_hits_llc }
+let map2_stats f a b =
+  { l1d_hits = f a.l1d_hits b.l1d_hits;
+    l1d_misses = f a.l1d_misses b.l1d_misses;
+    llc_hits = f a.llc_hits b.llc_hits;
+    llc_misses = f a.llc_misses b.llc_misses;
+    l1i_hits = f a.l1i_hits b.l1i_hits;
+    l1i_misses = f a.l1i_misses b.l1i_misses;
+    dram_requests = f a.dram_requests b.dram_requests;
+    dram_row_hits = f a.dram_row_hits b.dram_row_hits;
+    prefetches_issued = f a.prefetches_issued b.prefetches_issued;
+    prefetch_hits_l1d = f a.prefetch_hits_l1d b.prefetch_hits_l1d;
+    prefetch_hits_llc = f a.prefetch_hits_llc b.prefetch_hits_llc }
 
 let stats t =
   { l1d_hits = Cache.hits t.l1d;

@@ -98,15 +98,14 @@ val fetch_functional : t -> addr:int -> level
 
 (** {1 Warming interface}
 
-    The fast-forward touch mode of sampled simulation: each touch updates
-    cache contents, replacement state and prefetcher training exactly as
-    the functional interface would — and nothing else.  No MSHR
-    occupancy, no DRAM contention, no tracer events, no return value: the
-    caller is skipping time, not modelling it. *)
+    The fast-forward touch mode of sampled simulation.  Loads and fetches
+    warm through the functional interface above (their level is
+    ignored): cache contents, replacement state and prefetcher training
+    change exactly as they would, and nothing else — no MSHR occupancy,
+    no DRAM contention, no tracer events.  Stores write-allocate through
+    {!warm_store}. *)
 
-val warm_load : t -> addr:int -> unit
 val warm_store : t -> addr:int -> unit
-val warm_fetch : t -> addr:int -> unit
 
 val quiesce : t -> unit
 (** Clear every absolute-cycle stamp: demand and instruction MSHR files
@@ -134,9 +133,7 @@ type stats = {
 
 val stats : t -> stats
 
-val diff_stats : after:stats -> before:stats -> stats
-(** Field-wise [after - before]: the activity of a window bracketed by
-    two {!stats} snapshots (the counters are cumulative). *)
-
-val add_stats : stats -> stats -> stats
-(** Field-wise sum: stitching per-window statistics back together. *)
+val map2_stats : (int -> int -> int) -> stats -> stats -> stats
+(** Field-wise combination: [( + )] stitches per-window statistics back
+    together, [( - )] brackets a window between two snapshots of the
+    cumulative counters. *)

@@ -13,18 +13,6 @@ type result = {
   total_instrs : int;
 }
 
-let static_critical_of = function
-  | Some (Cpu_core.Static_tags f) -> f
-  | _ -> fun _ -> false
-
-(* The layout a plain [Cpu_core.run] with the same arguments would use,
-   so fast-forward warming fetches the same instruction addresses as the
-   detail windows. *)
-let resolve_layout ?criticality ?layout (trace : Executor.t) =
-  match layout with
-  | Some l -> l
-  | None -> Layout.compute ~critical:(static_critical_of criticality) trace.Executor.prog
-
 (* One systematic pass with a fixed unit count.  Unit [k] measures the
    [unit_len] instructions at the start of stride [k], with detailed
    warmup drawn from the tail of the previous stride; unit 0 therefore
@@ -75,7 +63,9 @@ let run ?criticality ?layout ~(sample : Sample_config.t) cfg (trace : Executor.t
   (match Sample_config.validate sample with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sampler.run: " ^ msg));
-  let layout = resolve_layout ?criticality ?layout trace in
+  (* Fast-forward warming fetches through the same layout as the
+     detail windows. *)
+  let layout = Cpu_core.layout_for ?criticality ?layout trace in
   let total_instrs = Array.length trace.Executor.dyns in
   let rec go units attempts =
     let used, unit_cpis, stats =

@@ -171,15 +171,16 @@ let test_obs_off_stats_identical () =
     (fun (label, policy, criticality) ->
       let cfg = Cpu_config.with_policy policy Cpu_config.skylake in
       let base = Cpu_core.run ~criticality cfg trace in
-      let traced_cfg = Cpu_config.with_obs true cfg in
+      (* Passing a tracer is the only switch: the plain configuration
+         must feed it every event. *)
       let tracer = Obs_tracer.create () in
-      let traced = Cpu_core.run ~criticality ~tracer traced_cfg trace in
+      let traced = Cpu_core.run ~criticality ~tracer cfg trace in
       check bool (label ^ ": obs on leaves stats bit-identical") true (base = traced);
       check int (label ^ ": tracer saw every retirement")
         base.Cpu_stats.retired (Obs_tracer.counter tracer "retire");
       (* Scoreboard and tracer share the single scheduler hook: both
          observers on at once must also leave statistics untouched. *)
-      let both_cfg = Cpu_config.with_scoreboard true traced_cfg in
+      let both_cfg = Cpu_config.with_scoreboard true cfg in
       let both_tracer = Obs_tracer.create () in
       let both = Cpu_core.run ~criticality ~tracer:both_tracer both_cfg trace in
       check bool (label ^ ": scoreboard + tracer on one hook, stats identical")
@@ -325,10 +326,7 @@ let prop_trace_self_consistent =
       let trace = random_trace seed in
       List.for_all
         (fun (label, policy, criticality) ->
-          let cfg =
-            Cpu_config.with_obs true
-              (Cpu_config.with_policy policy Cpu_config.skylake)
-          in
+          let cfg = Cpu_config.with_policy policy Cpu_config.skylake in
           let tracer = Obs_tracer.create () in
           let stats = Cpu_core.run ~criticality ~tracer cfg trace in
           check_trace_consistency (Printf.sprintf "seed %d %s" seed label) stats
@@ -343,10 +341,7 @@ let traced_pointer_chase =
   lazy
     (let w = Catalog.make ~instrs:6_000 "pointer_chase" in
      let trace = Workload.trace w in
-     let cfg =
-       Cpu_config.with_obs true
-         (Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake)
-     in
+     let cfg = Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake in
      let tracer = Obs_tracer.create () in
      let stats =
        Cpu_core.run ~criticality:(Cpu_core.Static_tags (fun pc -> pc mod 3 = 0))

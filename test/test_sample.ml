@@ -77,6 +77,27 @@ let test_sampled_within_ci () =
       (List.length failures)
       (String.concat "\n  " failures)
 
+(* One unit spanning the whole trace, with no warmup, is the full run:
+   the sampler's warm carrier (adopted, then quiesced, before any
+   fast-forward) must be exactly a cold start.  Sampling stitches with
+   [Cpu_stats.add], which drops the timeline. *)
+let test_one_unit_is_full_run () =
+  let instrs = 20_000 in
+  let sample =
+    { Sample_config.unit_len = instrs; warmup_len = 0; units = 1; target_ci = None }
+  in
+  let mismatched =
+    List.filter
+      (fun name ->
+        let trace = trace_of ~instrs name in
+        let full = Cpu_core.run cfg trace in
+        let sampled = (Sampler.run ~sample cfg trace).Sampler.stats in
+        sampled <> { full with Cpu_stats.upc_timeline = None })
+      Catalog.names
+  in
+  check (Alcotest.list Alcotest.string) "workloads whose one-unit sample differs"
+    [] mismatched
+
 let test_sampler_deterministic () =
   let trace = trace_of ~instrs:60_000 "mcf" in
   let layout = layout_of trace in
@@ -338,6 +359,8 @@ let () =
       ( "sampler",
         [ Alcotest.test_case "catalog within declared CI" `Slow
             test_sampled_within_ci;
+          Alcotest.test_case "one whole-trace unit is the full run" `Slow
+            test_one_unit_is_full_run;
           Alcotest.test_case "deterministic" `Quick test_sampler_deterministic;
           Alcotest.test_case "target CI grows units" `Quick
             test_target_ci_grows_units ] );
