@@ -107,11 +107,10 @@ let simulate workload instrs train_instrs sched rs rob issue_width threshold =
   in
   Printf.printf "%s on %s (%d micro-ops):\n" sched workload instrs;
   Format.printf "%a" Cpu_stats.pp_summary outcome.Runner.stats;
-  (match outcome.Runner.artifacts with
-  | Some a ->
+  (match outcome.Runner.tagging with
+  | Some t ->
     Printf.printf "tagging: %d static pcs, %.1f%% of the dynamic stream\n"
-      a.Fdo.tagging.Tagger.static_count
-      (100. *. a.Fdo.tagging.Tagger.dynamic_ratio)
+      t.Tagger.static_count (100. *. t.Tagger.dynamic_ratio)
   | None -> ());
   if sched <> "ooo" then begin
     let base =
@@ -225,12 +224,11 @@ let profile workload instrs =
 let slices workload instrs threshold =
   require_workload workload;
   let w = Catalog.make ~input:Workload.Train ~instrs workload in
-  let artifacts =
-    Fdo.analyze
+  let t =
+    Tagger.analyze
       ~thresholds:(Classifier.with_miss_contribution threshold Classifier.default)
-      w
+      (Workload.trace w)
   in
-  let t = artifacts.Fdo.tagging in
   Printf.printf "%s: %d slices, %d static critical pcs, %.1f%% dynamic ratio\n" workload
     (List.length t.Tagger.slices) t.Tagger.static_count
     (100. *. t.Tagger.dynamic_ratio);

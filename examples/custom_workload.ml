@@ -50,13 +50,14 @@ let build_workload ~input ~instrs =
 
 let () =
   print_endline "Custom workload: skip-list lookup";
-  let train = build_workload ~input:Workload.Train ~instrs:60_000 in
-  let artifacts = Fdo.analyze train in
+  let train = Workload.trace (build_workload ~input:Workload.Train ~instrs:60_000) in
+  let tagging = Tagger.analyze train in
   Printf.printf "delinquent loads found: %s\n"
     (String.concat ", "
-       (List.map
-          (fun (pc, _) -> string_of_int pc)
-          artifacts.Fdo.classification.Classifier.delinquent_loads));
+       (List.filter_map
+          (fun (s : Tagger.slice_info) ->
+            if s.Tagger.kind = `Load then Some (string_of_int s.Tagger.root_pc) else None)
+          tagging.Tagger.slices));
   List.iter
     (fun (s : Tagger.slice_info) ->
       Printf.printf "slice root pc %d (%s): %d static instructions%s\n"
@@ -67,7 +68,7 @@ let () =
          | `Long_op -> "long-op")
         s.Tagger.static_size
         (if s.Tagger.dropped then " [dropped by guardrail]" else ""))
-    artifacts.Fdo.tagging.Tagger.slices;
+    tagging.Tagger.slices;
   let eval_trace = Workload.trace (build_workload ~input:Workload.Ref ~instrs:80_000) in
   let ooo =
     Cpu_core.run
@@ -76,7 +77,7 @@ let () =
   in
   let crisp =
     Cpu_core.run
-      ~criticality:(Fdo.criticality artifacts)
+      ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging))
       (Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake)
       eval_trace
   in

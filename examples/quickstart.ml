@@ -12,14 +12,15 @@ let () =
   Printf.printf "CRISP quickstart on %S\n%!" name;
 
   (* 1. profile the train input and build the criticality tags *)
-  let train = Catalog.make ~input:Workload.Train ~instrs:80_000 name in
-  let artifacts = Fdo.analyze train in
-  let tagging = artifacts.Fdo.tagging in
+  let train = Workload.trace (Catalog.make ~input:Workload.Train ~instrs:80_000 name) in
+  let tagging = Tagger.analyze train in
+  (* every delinquent load and hard branch roots one slice *)
+  let roots kind =
+    List.length (List.filter (fun s -> s.Tagger.kind = kind) tagging.Tagger.slices)
+  in
   Printf.printf "\nSoftware pass (train input):\n";
-  Printf.printf "  delinquent loads   %d\n"
-    (List.length artifacts.Fdo.classification.Classifier.delinquent_loads);
-  Printf.printf "  hard branches      %d\n"
-    (List.length artifacts.Fdo.classification.Classifier.hard_branches);
+  Printf.printf "  delinquent loads   %d\n" (roots `Load);
+  Printf.printf "  hard branches      %d\n" (roots `Branch);
   Printf.printf "  tagged static pcs  %d\n" tagging.Tagger.static_count;
   Printf.printf "  dynamic tag ratio  %.1f%%  (guardrail: 5-40%%)\n"
     (100. *. tagging.Tagger.dynamic_ratio);
@@ -33,7 +34,7 @@ let () =
   in
   let crisp =
     Cpu_core.run
-      ~criticality:(Fdo.criticality artifacts)
+      ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging))
       (Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake)
       eval_trace
   in

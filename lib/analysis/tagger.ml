@@ -150,6 +150,13 @@ let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
     static_count;
     dynamic_ratio = dynamic_ratio_of report critical }
 
+let analyze ?(thresholds = Classifier.default) ?options
+    ?(mem_params = Memory_system.skylake) train_trace =
+  let report = Profiler.profile ~mem_params train_trace in
+  let classification = Classifier.classify report thresholds in
+  let deps = Deps.compute train_trace in
+  build ?options train_trace deps report classification
+
 let is_critical t pc = pc >= 0 && pc < Array.length t.critical && t.critical.(pc)
 
 let avg_load_slice_size t =

@@ -53,6 +53,18 @@ val build :
   Classifier.result ->
   t
 
+val analyze :
+  ?thresholds:Classifier.thresholds ->
+  ?options:options ->
+  ?mem_params:Memory_system.params ->
+  Executor.t ->
+  t
+(** The whole software flow of Figure 5 on a train-input trace: profile,
+    classify delinquent loads and hard branches, compute dependences,
+    then {!build}.  The result retains neither the trace nor the profile
+    and classification: like the binary-rewriting step, it keeps only
+    the per-pc prefixes. *)
+
 val is_critical : t -> int -> bool
 (** Whether static pc carries the prefix. *)
 

@@ -20,9 +20,9 @@
       and bit-identical {!Cpu_stats.t}.
 
     The runner deliberately composes {!Profiler} → {!Classifier} →
-    {!Slicer} → {!Tagger} directly rather than through the [Fdo] facade:
-    the check layer sits {e below} the umbrella library so the umbrella
-    (and its tests) can depend on it. *)
+    {!Slicer} → {!Tagger} directly rather than through
+    {!Tagger.analyze}: it verifies the profile, classification and
+    slices that [analyze] drops once the tag map is built. *)
 
 type slice_report = {
   root_pc : int;

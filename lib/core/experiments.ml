@@ -53,13 +53,13 @@ let submit_scalar_cells ctx ~tag ~names ~cols ~cell =
   submit_cells ctx ~tag ~arity:1 ~names ~cols ~cell:(fun name col -> [ cell name col ])
   |> List.map (fun (name, cells) -> (name, List.map List.hd cells))
 
-let crisp_artifacts ~sizes ~name =
+let crisp_tagging ~sizes ~name =
   let outcome =
     Runner.evaluate ~eval_instrs:sizes.eval_instrs ~train_instrs:sizes.train_instrs
       ~name Runner.crisp_default
   in
-  match outcome.Runner.artifacts with
-  | Some artifacts -> artifacts
+  match outcome.Runner.tagging with
+  | Some tagging -> tagging
   | None -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -68,16 +68,19 @@ let table1 () =
   print_endline "\n== Table 1: simulated system ==";
   Format.printf "%a@." Cpu_config.pp Cpu_config.skylake
 
+(* The timeline is an observation of the run, so it is read from a
+   tracer's retire stamps and smoothed over 25-cycle windows. *)
 let upc_series cfg ~criticality trace =
-  let cfg = { cfg with Cpu_config.record_upc = true } in
-  let stats = Cpu_core.run ~criticality cfg trace in
-  Cpu_stats.smoothed_upc stats ~window:25
+  let tracer = Obs_tracer.create () in
+  ignore (Cpu_core.run ~criticality ~tracer cfg trace);
+  Report.windowed_mean ~window:25 (Obs_tracer.retire_timeline tracer)
 
 let fig1 { sizes; _ } =
   let train =
-    Catalog.pointer_chase ~input:Workload.Train ~instrs:sizes.train_instrs ()
+    Workload.trace
+      (Catalog.pointer_chase ~input:Workload.Train ~instrs:sizes.train_instrs ())
   in
-  let artifacts = Fdo.analyze train in
+  let tagging = Tagger.analyze train in
   let eval_workload =
     Catalog.pointer_chase ~input:Workload.Ref ~instrs:(min sizes.eval_instrs 40_000) ()
   in
@@ -90,7 +93,7 @@ let fig1 { sizes; _ } =
   let crisp =
     upc_series
       (Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake)
-      ~criticality:(Fdo.criticality artifacts) trace
+      ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging)) trace
   in
   Report.print_series ~title:"Figure 1: UPC timeline, OOO baseline" ooo;
   Report.print_series ~title:"Figure 1: UPC timeline, CRISP" crisp;
@@ -178,8 +181,7 @@ let fig12 ({ sizes; _ } as ctx) =
   let rows =
     submit_cells ctx ~tag:"fig12" ~arity:3 ~names:apps ~cols:[ () ]
       ~cell:(fun name () ->
-        let artifacts = crisp_artifacts ~sizes ~name in
-        let critical = Tagger.is_critical artifacts.Fdo.tagging in
+        let critical = Tagger.is_critical (crisp_tagging ~sizes ~name) in
         let eval_workload =
           Catalog.make ~input:Workload.Ref ~instrs:sizes.eval_instrs name
         in
@@ -222,7 +224,7 @@ let static_crit ({ sizes; _ } as ctx) =
       ~cell:(fun name () ->
         let wl = Catalog.make ~input:Workload.Ref ~instrs:sizes.eval_instrs name in
         let prediction = Static_crit.analyze wl in
-        let tagging = (crisp_artifacts ~sizes ~name).Fdo.tagging in
+        let tagging = crisp_tagging ~sizes ~name in
         let c = Static_crit.compare_tagging prediction tagging in
         [ float_of_int c.Static_crit.predicted_pcs;
           float_of_int c.Static_crit.tagged_pcs;
@@ -317,7 +319,7 @@ let division { sizes; _ } =
       use_load_slices = false;
       use_branch_slices = false }
   in
-  let artifacts = Fdo.analyze ~thresholds ~options train in
+  let tagging = Tagger.analyze ~thresholds ~options (Workload.trace train) in
   let trace =
     Workload.trace (build ~input:Workload.Ref ~instrs:sizes.eval_instrs)
   in
@@ -328,7 +330,7 @@ let division { sizes; _ } =
   in
   let crisp =
     Cpu_core.run
-      ~criticality:(Fdo.criticality artifacts)
+      ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging))
       (Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake)
       trace
   in

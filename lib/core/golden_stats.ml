@@ -41,10 +41,9 @@ let stats_entries prefix (st : Cpu_stats.t) =
     k "mem.prefetch_hits_llc" (f m.prefetch_hits_llc) ]
 
 let tag_entries (outcome : Runner.outcome) =
-  match outcome.Runner.artifacts with
+  match outcome.Runner.tagging with
   | None -> []
-  | Some a ->
-    let t = a.Fdo.tagging in
+  | Some t ->
     [ ("crisp.tag.static_count", f t.Tagger.static_count);
       ("crisp.tag.dynamic_ratio", t.Tagger.dynamic_ratio) ]
 
@@ -115,8 +114,8 @@ let static_vector ?(cfg = Cpu_config.skylake) ~sizes () =
              Runner.crisp_default
          in
          let tagging =
-           match outcome.Runner.artifacts with
-           | Some a -> a.Fdo.tagging
+           match outcome.Runner.tagging with
+           | Some t -> t
            | None -> assert false
          in
          let c = Static_crit.compare_tagging prediction tagging in

@@ -119,7 +119,7 @@ let variant_of_column c =
     Error (Printf.sprintf "variant %S does not take a threshold" c.variant)
   | other, _ -> Error (Printf.sprintf "unknown variant %S" other)
 
-let needs_artifacts = function
+let needs_tagging = function
   | Slice_size | Static_count -> true
   | Gain -> false
 
@@ -139,7 +139,7 @@ let validate spec =
       match v with
       | Runner.Crisp _ -> Ok ()
       | Runner.Ooo | Runner.Ibda _ ->
-        if needs_artifacts spec.metric then
+        if needs_tagging spec.metric then
           Error
             (Printf.sprintf "metric %s needs a CRISP column, got %S"
                (metric_to_string spec.metric) c.variant)
@@ -167,18 +167,18 @@ let cell_value ?sample ~eval_instrs ~train_instrs ~name ~metric column =
     let v = ipc variant in
     (v /. base) -. 1.
   | Slice_size | Static_count -> (
-    (* Artifact metrics come from the FDO pass, which sampling leaves at
+    (* Tag-map metrics come from the FDO pass, which sampling leaves at
        full fidelity; under sampling the (cheap, sampled) evaluation
        still avoids the full timing run. *)
-    match (evaluate variant).Runner.artifacts with
+    match (evaluate variant).Runner.tagging with
     | None ->
       invalid_arg
         (Printf.sprintf "Grid.cell_value: metric %s needs a CRISP column"
            (metric_to_string metric))
-    | Some artifacts -> (
+    | Some tagging -> (
       match metric with
-      | Slice_size -> Tagger.avg_load_slice_size artifacts.Fdo.tagging
-      | Static_count -> float_of_int artifacts.Fdo.tagging.Tagger.static_count
+      | Slice_size -> Tagger.avg_load_slice_size tagging
+      | Static_count -> float_of_int tagging.Tagger.static_count
       | Gain -> assert false))
 
 (* The pointer-chasing giants dominate the wall clock of every grid.  In

@@ -77,6 +77,18 @@ let print_series ~title series =
     print_newline ()
   end
 
+let windowed_mean ~window series =
+  if window <= 0 then invalid_arg "Report.windowed_mean: window must be positive";
+  let n = Array.length series in
+  Array.init ((n + window - 1) / window) (fun i ->
+      let lo = i * window in
+      let hi = min n (lo + window) in
+      let sum = ref 0 in
+      for c = lo to hi - 1 do
+        sum := !sum + series.(c)
+      done;
+      (lo, float_of_int !sum /. float_of_int (hi - lo)))
+
 let geomean values =
   match values with
   | [] -> 1.0

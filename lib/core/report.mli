@@ -16,6 +16,12 @@ val print_bars : title:string -> (string * float) list -> unit
 val print_series : title:string -> (int * float) array -> unit
 (** A (x, y) series as a compact sparkline plus min/max annotations. *)
 
+val windowed_mean : window:int -> int array -> (int * float) array
+(** [(start, mean)] of each consecutive [window]-sample slice, the last
+    one possibly shorter — e.g. Figure 1's UPC from per-cycle retirement
+    counts.
+    @raise Invalid_argument if [window <= 0]. *)
+
 val geomean : float list -> float
 (** Geometric mean; returns 1.0 for the empty list. *)
 

@@ -7,7 +7,7 @@ let crisp_default = Crisp (Classifier.default, Tagger.default_options)
 
 type outcome = {
   stats : Cpu_stats.t;
-  artifacts : Fdo.artifacts option;
+  tagging : Tagger.t option;
 }
 
 let cache : (string, outcome) Exec.Memo.t = Exec.Memo.create ~size_hint:64 ()
@@ -56,17 +56,19 @@ let run_variant ?tracer ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
     | Some sample -> (Sampler.run ?criticality ~sample cfg eval_trace).Sampler.stats
   in
   match variant with
-  | Ooo -> { stats = time cfg; artifacts = None }
+  | Ooo -> { stats = time cfg; tagging = None }
   | Crisp (thresholds, options) ->
-    let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
-    let artifacts =
-      Fdo.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_workload
+    let train_trace =
+      Workload.trace (Catalog.make ~input:Workload.Train ~instrs:train_instrs name)
+    in
+    let tagging =
+      Tagger.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_trace
     in
     let stats =
-      time ~criticality:(Fdo.criticality artifacts)
+      time ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging))
         (Cpu_config.with_policy Scheduler.Crisp cfg)
     in
-    { stats; artifacts = Some artifacts }
+    { stats; tagging = Some tagging }
   | Ibda ibda_cfg ->
     (* IBDA is hardware: it learns online while the evaluated input runs. *)
     let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval_trace in
@@ -74,7 +76,7 @@ let run_variant ?tracer ?sample ~cfg ~eval_instrs ~train_instrs ~name variant =
       time ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
         (Cpu_config.with_policy Scheduler.Crisp cfg)
     in
-    { stats; artifacts = None }
+    { stats; tagging = None }
 
 let evaluate ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
     ?(train_instrs = 150_000) ?sample ~name variant =

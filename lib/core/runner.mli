@@ -32,7 +32,9 @@ val crisp_default : variant
 
 type outcome = {
   stats : Cpu_stats.t;
-  artifacts : Fdo.artifacts option;  (** CRISP variants only *)
+  tagging : Tagger.t option;
+      (** CRISP variants only: the per-pc tag map, the one product of the
+          FDO pass a memo entry keeps (never the train trace) *)
 }
 
 val evaluate :

@@ -18,7 +18,6 @@ type t = {
   policy : Scheduler.policy;
   mem : Memory_system.params;
   seed : int;
-  record_upc : bool;
   scoreboard : bool;
 }
 
@@ -42,7 +41,6 @@ let skylake =
     policy = Scheduler.Oldest_ready;
     mem = Memory_system.skylake;
     seed = 0x51ab;
-    record_upc = false;
     scoreboard = false }
 
 let with_policy policy t = { t with policy }

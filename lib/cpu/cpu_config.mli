@@ -23,7 +23,6 @@ type t = {
   policy : Scheduler.policy;
   mem : Memory_system.params;
   seed : int;  (** RAND scheduler slot-allocation seed *)
-  record_upc : bool;  (** record the per-cycle retirement timeline *)
   scoreboard : bool;
       (** run the debug-mode pipeline scoreboard ({!Scoreboard}): per-cycle
           invariant checks on ROB/RS/age-matrix state.  Off by default; the

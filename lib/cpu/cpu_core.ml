@@ -77,7 +77,6 @@ type state = {
   mutable mlp_sum_units : int;  (* per-cycle MLP observations, summed as an int *)
   mutable mlp_cycles : int;
   mutable critical_retired : int;
-  upc_timeline : int Vec.t option;
   sb : Scoreboard.t option;  (* debug-mode invariant oracle, read-only *)
   obs : Obs_tracer.t option;  (* observability tracer, write-only sink *)
 }
@@ -140,15 +139,13 @@ let attribute_head_stall s head =
   | Isa.Div | Isa.Fp_div -> s.stall_long_op <- s.stall_long_op + 1
   | _ -> s.stall_other <- s.stall_other + 1
 
-let rec retire_loop s retired_now =
-  if retired_now >= s.cfg.Cpu_config.retire_width || s.rob_count = 0
-     || s.retired >= s.retire_stop
-  then retired_now
-  else begin
+let rec retire s retired_now =
+  if retired_now < s.cfg.Cpu_config.retire_width && s.rob_count > 0
+     && s.retired < s.retire_stop
+  then begin
     let head = s.rob_head in
     if s.rob_state.(head) <> st_done then begin
-      if retired_now = 0 then attribute_head_stall s head;
-      retired_now
+      if retired_now = 0 then attribute_head_stall s head
     end
     else begin
       (match s.sb with
@@ -178,15 +175,9 @@ let rec retire_loop s retired_now =
       s.rob_head <- (head + 1) mod s.cfg.Cpu_config.rob_size;
       s.rob_count <- s.rob_count - 1;
       s.retired <- s.retired + 1;
-      retire_loop s (retired_now + 1)
+      retire s (retired_now + 1)
     end
   end
-
-let retire s =
-  let retired_now = retire_loop s 0 in
-  match s.upc_timeline with
-  | Some timeline -> Vec.push timeline retired_now
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Issue and execute.                                                  *)
@@ -621,8 +612,6 @@ let make_state ?(criticality = No_tags) ?layout ?tracer ~warm ~start cfg
       mlp_sum_units = 0;
       mlp_cycles = 0;
       critical_retired = 0;
-      upc_timeline =
-        (if cfg.Cpu_config.record_upc then Some (Vec.create ~dummy:0 ()) else None);
       sb = (if cfg.Cpu_config.scoreboard then Some (Scoreboard.create cfg) else None);
       obs = tracer }
   in
@@ -662,7 +651,7 @@ let run_cycles s ~target ~cycle_budget =
            s.cycle s.retired target);
     process_completions s;
     process_mshr_retries s;
-    retire s;
+    retire s 0;
     issue s;
     dispatch s;
     fetch s;
@@ -718,8 +707,7 @@ let snapshot s ~start =
     mlp_sum = float_of_int s.mlp_sum_units;
     mlp_cycles = s.mlp_cycles;
     critical_retired = s.critical_retired;
-    mem = Memory_system.stats s.mem;
-    upc_timeline = Option.map Vec.to_array s.upc_timeline }
+    mem = Memory_system.stats s.mem }
 
 let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
     (trace : Executor.t) =
@@ -750,8 +738,7 @@ let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
   run_cycles s ~target ~cycle_budget;
   warm.wpos <- start + s.retired;
   warm.wline <- -1;
-  let after = snapshot s ~start in
-  { (Cpu_stats.sub after before) with upc_timeline = after.Cpu_stats.upc_timeline }
+  Cpu_stats.sub (snapshot s ~start) before
 
 let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
   let n = Array.length trace.Executor.dyns in

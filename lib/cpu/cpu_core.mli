@@ -99,8 +99,7 @@ val run_window :
     difference of two snapshots of the core's cumulative counters, taken
     at the window's two boundaries: [loads]/[stores] count the measured
     dynamic range and [mem] is the hierarchy activity over it.
-    [upc_timeline], when recorded, covers the whole window including
-    warmup.  [tracer] observes the whole window, as in {!run}.
+    [tracer] observes the whole window, as in {!run}.
 
     @raise Invalid_argument if [start] is out of range, [warmup < 0] or
     [measure <= 0]. *)

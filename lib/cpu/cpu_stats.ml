@@ -20,11 +20,9 @@ type t = {
   mlp_cycles : int;
   critical_retired : int;
   mem : Memory_system.stats;
-  upc_timeline : int array option;
 }
 
-(* The one field walk behind [add] and [sub]; [upc_timeline] does not
-   combine (windows have disjoint time bases) and is dropped. *)
+(* The one field walk behind [add] and [sub]. *)
 let combine op fop a b =
   { cycles = op a.cycles b.cycles;
     retired = op a.retired b.retired;
@@ -43,8 +41,7 @@ let combine op fop a b =
     mlp_sum = fop a.mlp_sum b.mlp_sum;
     mlp_cycles = op a.mlp_cycles b.mlp_cycles;
     critical_retired = op a.critical_retired b.critical_retired;
-    mem = Memory_system.map2_stats op a.mem b.mem;
-    upc_timeline = None }
+    mem = Memory_system.map2_stats op a.mem b.mem }
 
 let add = combine ( + ) ( +. )
 
@@ -74,12 +71,9 @@ let zero =
         dram_row_hits = 0;
         prefetches_issued = 0;
         prefetch_hits_l1d = 0;
-        prefetch_hits_llc = 0 };
-    upc_timeline = None }
+        prefetch_hits_llc = 0 } }
 
 let ipc t = if t.cycles = 0 then 0. else float_of_int t.retired /. float_of_int t.cycles
-
-let upc = ipc
 
 let per_ki value t =
   if t.retired = 0 then 0. else 1000. *. float_of_int value /. float_of_int t.retired
@@ -91,22 +85,6 @@ let mpki_l1i t = per_ki t.mem.Memory_system.l1i_misses t
 let mispredicts_per_ki t = per_ki t.branch_mispredicts t
 
 let avg_mlp t = if t.mlp_cycles = 0 then 0. else t.mlp_sum /. float_of_int t.mlp_cycles
-
-let smoothed_upc t ~window =
-  match t.upc_timeline with
-  | None -> invalid_arg "Cpu_stats.smoothed_upc: timeline not recorded"
-  | Some timeline ->
-    if window <= 0 then invalid_arg "Cpu_stats.smoothed_upc: window must be positive";
-    let n = Array.length timeline in
-    let points = (n + window - 1) / window in
-    Array.init points (fun i ->
-        let lo = i * window in
-        let hi = min n (lo + window) in
-        let sum = ref 0 in
-        for c = lo to hi - 1 do
-          sum := !sum + timeline.(c)
-        done;
-        (lo, float_of_int !sum /. float_of_int (hi - lo)))
 
 let pp_summary fmt t =
   Format.fprintf fmt "cycles %d  retired %d  IPC %.3f@." t.cycles t.retired (ipc t);

@@ -25,26 +25,21 @@ type t = {
   mlp_cycles : int;  (** cycles with at least one outstanding demand miss *)
   critical_retired : int;  (** retired micro-ops carrying the critical tag *)
   mem : Memory_system.stats;
-  upc_timeline : int array option;  (** per-cycle retirement counts *)
 }
 
 val add : t -> t -> t
 (** Field-wise sum — the stitch-up of per-window statistics from
-    sampled simulation.  [upc_timeline] does not stitch (windows have
-    disjoint time bases) and is dropped. *)
+    sampled simulation. *)
 
 val sub : t -> t -> t
 (** Field-wise [a - b]: the activity of a window bracketed by two
-    snapshots of cumulative counters.  [upc_timeline] is dropped, as in
-    {!add}. *)
+    snapshots of cumulative counters. *)
 
 val zero : t
 (** Identity for {!add}. *)
 
 val ipc : t -> float
-val upc : t -> float
-(** Identical to {!ipc} in this model (one micro-op per instruction); kept
-    separate to mirror the paper's UPC plots. *)
+(** Also the paper's UPC: one micro-op per instruction in this model. *)
 
 val mpki_llc : t -> float
 (** Demand LLC misses per kilo-instruction. *)
@@ -54,9 +49,5 @@ val mispredicts_per_ki : t -> float
 
 val avg_mlp : t -> float
 (** Mean outstanding demand misses over cycles with at least one miss. *)
-
-val smoothed_upc : t -> window:int -> (int * float) array
-(** Windowed UPC series from the recorded timeline (for Figure 1).
-    @raise Invalid_argument if the timeline was not recorded. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -69,38 +69,12 @@ let create cfg =
         Some (Resil.Journal.in_dir ~dir ~name:"server" ~signature:server_signature)
       )
   in
-  let served =
-    match server_journal with
-    | None -> 0
-    | Some j -> (
-      match Resil.Journal.find j "requests_served" with
-      | Some payload -> (
-        match int_of_string_opt payload with
-        | Some n -> n
-        | None ->
-          (* A validated journal line whose payload is not an integer
-             means a foreign or corrupt writer.  Quarantine loudly and
-             start the counter from zero rather than trust it. *)
-          Printf.eprintf
-            "crisp_simd: warning: server journal requests_served payload %S \
-             is not an integer; quarantining the entry\n\
-             %!"
-            payload;
-          Resil.Log.record
-            (Resil.Log.Quarantined
-               { ident = "server/requests_served";
-                 reason =
-                   Printf.sprintf "journalled payload %S is not an integer"
-                     payload });
-          0)
-      | None -> 0)
-  in
   { cfg;
     cells = Cell_store.create ?journal:cells_journal cfg.pool cfg.policy;
     server_journal;
     lint_cache = Hashtbl.create 32;
     lint_mutex = Mutex.create ();
-    requests_served = Atomic.make served;
+    requests_served = Atomic.make 0;
     sampled_cells = Atomic.make 0;
     conns = Atomic.make 0;
     stop_flag = Atomic.make false;
@@ -257,14 +231,7 @@ let serve_grid t ~send (g : P.grid_req) =
                label = columns.(c).Grid.label;
                source;
                outcome = Result.map List.hd outcome }));
-    let served = Atomic.fetch_and_add t.requests_served 1 + 1 in
-    (match t.server_journal with
-    | None -> ()
-    | Some j -> (
-      try
-        Resil.Journal.record j ~key:"requests_served" ~payload:(string_of_int served);
-        Resil.Journal.record j ~key:("last_request/" ^ g.tag) ~payload:g.id
-      with _ -> ()));
+    Atomic.incr t.requests_served;
     log t "grid %s (%s) done: %d cells, %d computed, %d memo, %d journal, %d degraded"
       g.tag g.id (nrows * ncols) !computed !memo_hits !journal_hits !degraded;
     send

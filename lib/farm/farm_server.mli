@@ -79,10 +79,10 @@ type config = {
 type t
 
 val create : config -> t
-(** Build the farm state: open (and validate) the journals, restore the
-    served-request counter (an unparsable counter payload is quarantined
-    with a stderr warning, never silently zeroed).  Does not touch the
-    socket yet. *)
+(** Build the farm state: open (and validate) the journals.  The
+    served-request counter starts at zero each daemon start; the server
+    journal holds only the ["clean_shutdown"] marker written at drain.
+    Does not touch the socket yet. *)
 
 val stats : t -> Farm_protocol.farm_stats
 

@@ -18,6 +18,8 @@ let names =
      "redirect_mispredict"; "redirect_btb_miss"; "redirect_ras"; "l1d_miss_llc";
      "l1d_miss_mem"; "l1i_miss"; "prefetch" |]
 
+let kinds = Array.length names
+
 let name k =
   if k >= 0 && k < Array.length names then names.(k)
   else Printf.sprintf "unknown_%d" k

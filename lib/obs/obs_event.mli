@@ -28,6 +28,9 @@ val l1d_miss_mem : int
 val l1i_miss : int
 val prefetch : int
 
+val kinds : int
+(** Number of kinds: every code lies in [\[0, kinds)]. *)
+
 val name : int -> string
 (** Stable snake_case name of a kind code; ["unknown_<k>"] for codes
     outside the vocabulary. *)

@@ -19,24 +19,10 @@ type t = {
   mutable retire_c : int array;
   mutable crit : Bytes.t;
   mutable max_dyn : int;  (* highest dyn seen + 1 *)
-  (* counters *)
-  mutable fetches : int;
-  mutable dispatches : int;
-  mutable selects : int;
+  (* events recorded, indexed by Obs_event kind *)
+  counts : int array;
   mutable prio_overrides : int;
-  mutable issues : int;
-  mutable mshr_retries : int;
-  mutable completes : int;
-  mutable retires : int;
   mutable retires_critical : int;
-  mutable redirects_mispredict : int;
-  mutable redirects_btb : int;
-  mutable redirects_ras : int;
-  mutable l1d_llc : int;
-  mutable l1d_mem : int;
-  mutable l1i : int;
-  mutable prefetches : int;
-  mutable cycles_sampled : int;
   (* histograms *)
   hist_rob : Obs_hist.t;
   hist_rs : Obs_hist.t;
@@ -57,23 +43,9 @@ let create ?(ring_capacity = 65536) () =
     retire_c = Array.make initial_dyns (-1);
     crit = Bytes.make initial_dyns '\000';
     max_dyn = 0;
-    fetches = 0;
-    dispatches = 0;
-    selects = 0;
+    counts = Array.make Obs_event.kinds 0;
     prio_overrides = 0;
-    issues = 0;
-    mshr_retries = 0;
-    completes = 0;
-    retires = 0;
     retires_critical = 0;
-    redirects_mispredict = 0;
-    redirects_btb = 0;
-    redirects_ras = 0;
-    l1d_llc = 0;
-    l1d_mem = 0;
-    l1i = 0;
-    prefetches = 0;
-    cycles_sampled = 0;
     hist_rob = Obs_hist.create ();
     hist_rs = Obs_hist.create ();
     hist_rs_wait = Obs_hist.create ();
@@ -101,49 +73,44 @@ let ensure t dyn =
   end;
   if dyn >= t.max_dyn then t.max_dyn <- dyn + 1
 
-let record t ~cycle ~kind ~a ~b = Obs_ring.record t.ring ~cycle ~kind ~a ~b
+let record t ~cycle ~kind ~a ~b =
+  t.counts.(kind) <- t.counts.(kind) + 1;
+  Obs_ring.record t.ring ~cycle ~kind ~a ~b
 
 let on_fetch t ~cycle ~dyn ~pc =
   ensure t dyn;
   t.pc_of.(dyn) <- pc;
   t.fetch_c.(dyn) <- cycle;
-  t.fetches <- t.fetches + 1;
   record t ~cycle ~kind:Obs_event.fetch ~a:dyn ~b:pc
 
 let on_dispatch t ~cycle ~dyn ~rob ~critical =
   ensure t dyn;
   t.dispatch_c.(dyn) <- cycle;
   if critical then Bytes.set t.crit dyn '\001';
-  t.dispatches <- t.dispatches + 1;
   record t ~cycle ~kind:Obs_event.dispatch ~a:dyn ~b:rob
 
 let on_select t ~cycle ~dyn ~prio_override =
-  t.selects <- t.selects + 1;
   if prio_override then t.prio_overrides <- t.prio_overrides + 1;
   record t ~cycle ~kind:Obs_event.select ~a:dyn ~b:(if prio_override then 1 else 0)
 
 let on_issue t ~cycle ~dyn ~critical =
   ensure t dyn;
   t.issue_c.(dyn) <- cycle;
-  t.issues <- t.issues + 1;
   if t.dispatch_c.(dyn) >= 0 then
     Obs_hist.add t.hist_rs_wait (cycle - t.dispatch_c.(dyn));
   record t ~cycle ~kind:Obs_event.issue ~a:dyn ~b:(if critical then 1 else 0)
 
 let on_mshr_retry t ~cycle ~dyn =
-  t.mshr_retries <- t.mshr_retries + 1;
   record t ~cycle ~kind:Obs_event.mshr_retry ~a:dyn ~b:0
 
 let on_complete t ~cycle ~dyn =
   ensure t dyn;
   t.complete_c.(dyn) <- cycle;
-  t.completes <- t.completes + 1;
   record t ~cycle ~kind:Obs_event.complete ~a:dyn ~b:0
 
 let on_retire t ~cycle ~dyn ~critical =
   ensure t dyn;
   t.retire_c.(dyn) <- cycle;
-  t.retires <- t.retires + 1;
   if critical then t.retires_critical <- t.retires_critical + 1;
   if t.issue_c.(dyn) >= 0 then begin
     let lat = cycle - t.issue_c.(dyn) in
@@ -154,66 +121,41 @@ let on_retire t ~cycle ~dyn ~critical =
 let on_redirect t ~cycle ~dyn ~kind =
   let code =
     match kind with
-    | `Mispredict ->
-      t.redirects_mispredict <- t.redirects_mispredict + 1;
-      Obs_event.redirect_mispredict
-    | `Btb_miss ->
-      t.redirects_btb <- t.redirects_btb + 1;
-      Obs_event.redirect_btb_miss
-    | `Ras_mispredict ->
-      t.redirects_ras <- t.redirects_ras + 1;
-      Obs_event.redirect_ras
+    | `Mispredict -> Obs_event.redirect_mispredict
+    | `Btb_miss -> Obs_event.redirect_btb_miss
+    | `Ras_mispredict -> Obs_event.redirect_ras
   in
   record t ~cycle ~kind:code ~a:dyn ~b:0
 
 let on_l1d_miss t ~cycle ~addr ~level =
   let code =
     match level with
-    | `Llc ->
-      t.l1d_llc <- t.l1d_llc + 1;
-      Obs_event.l1d_miss_llc
-    | `Mem ->
-      t.l1d_mem <- t.l1d_mem + 1;
-      Obs_event.l1d_miss_mem
+    | `Llc -> Obs_event.l1d_miss_llc
+    | `Mem -> Obs_event.l1d_miss_mem
   in
   record t ~cycle ~kind:code ~a:addr ~b:0
 
 let on_l1i_miss t ~cycle ~addr ~level =
-  t.l1i <- t.l1i + 1;
   record t ~cycle ~kind:Obs_event.l1i_miss ~a:addr
     ~b:(match level with `Llc -> 0 | `Mem -> 1)
 
 let on_prefetch t ~cycle ~addr =
-  t.prefetches <- t.prefetches + 1;
   record t ~cycle ~kind:Obs_event.prefetch ~a:addr ~b:0
 
 let on_cycle t ~rob_occupancy ~rs_occupancy =
-  t.cycles_sampled <- t.cycles_sampled + 1;
   Obs_hist.add t.hist_rob rob_occupancy;
   Obs_hist.add t.hist_rs rs_occupancy
 
 let ring t = t.ring
 
 let counters t =
-  [ ("complete", t.completes);
-    ("cycles_sampled", t.cycles_sampled);
-    ("dispatch", t.dispatches);
-    ("events_dropped", Obs_ring.dropped t.ring);
-    ("events_recorded", Obs_ring.recorded t.ring);
-    ("fetch", t.fetches);
-    ("issue", t.issues);
-    ("l1d_miss_llc", t.l1d_llc);
-    ("l1d_miss_mem", t.l1d_mem);
-    ("l1i_miss", t.l1i);
-    ("mshr_retry", t.mshr_retries);
-    ("prefetch", t.prefetches);
-    ("prio_override", t.prio_overrides);
-    ("redirect_btb_miss", t.redirects_btb);
-    ("redirect_mispredict", t.redirects_mispredict);
-    ("redirect_ras", t.redirects_ras);
-    ("retire", t.retires);
-    ("retire_critical", t.retires_critical);
-    ("select", t.selects) ]
+  List.init Obs_event.kinds (fun k -> (Obs_event.name k, t.counts.(k)))
+  @ [ ("cycles_sampled", Obs_hist.count t.hist_rob);
+      ("events_dropped", Obs_ring.dropped t.ring);
+      ("events_recorded", Obs_ring.recorded t.ring);
+      ("prio_override", t.prio_overrides);
+      ("retire_critical", t.retires_critical) ]
+  |> List.sort compare
 
 let counter t name =
   match List.assoc_opt name (counters t) with
@@ -228,6 +170,14 @@ let histograms t =
     ("rs_wait", t.hist_rs_wait) ]
 
 let num_dyns t = t.max_dyn
+
+let retire_timeline t =
+  let timeline = Array.make (Obs_hist.count t.hist_rob) 0 in
+  for dyn = 0 to t.max_dyn - 1 do
+    let c = t.retire_c.(dyn) in
+    if c >= 0 then timeline.(c) <- timeline.(c) + 1
+  done;
+  timeline
 
 let stamp t dyn =
   if dyn < 0 || dyn >= t.max_dyn || t.fetch_c.(dyn) < 0 then None

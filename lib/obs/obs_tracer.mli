@@ -5,7 +5,7 @@
 
     - a bounded {!Obs_ring} binary log of every event (most recent
       window; see {!ring});
-    - monotonic per-stage counters, exported as a sorted name/value
+    - monotonic per-kind event counts, exported as a sorted name/value
       vector by {!counters} — the unit of the golden-stats regression
       harness;
     - per-instruction stage timestamps (fetch/dispatch/issue/complete/
@@ -85,3 +85,9 @@ val num_dyns : t -> int
 
 val stamp : t -> int -> stamp option
 (** [None] for indices never fetched. *)
+
+val retire_timeline : t -> int array
+(** Retirements per cycle of the traced run (Figure 1's UPC), read off
+    the retire stamps: one entry per {!on_cycle} sample, so a whole run
+    from cycle 0 yields [stats.cycles] entries summing to
+    [stats.retired]. *)

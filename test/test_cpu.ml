@@ -119,20 +119,6 @@ let test_store_load_forwarding () =
   let stats, _ = run_insts ~regs:[ (9, 65536) ] (counted_loop ~iters:1000 body) in
   check bool "forwarded chain sustains reasonable IPC" true (ipc stats > 0.5)
 
-let test_upc_timeline () =
-  let open Program in
-  let config = { cfg with Cpu_config.record_upc = true } in
-  let stats, trace = run_insts ~config (counted_loop ~iters:200 [ Nop; Nop ]) in
-  match stats.Cpu_stats.upc_timeline with
-  | None -> Alcotest.fail "timeline not recorded"
-  | Some timeline ->
-    check int "timeline spans all cycles" stats.Cpu_stats.cycles (Array.length timeline);
-    check int "timeline sums to retired count"
-      (Array.length trace.Executor.dyns)
-      (Array.fold_left ( + ) 0 timeline);
-    let series = Cpu_stats.smoothed_upc stats ~window:10 in
-    check bool "smoothed series non-empty" true (Array.length series > 0)
-
 let test_criticality_changes_schedule () =
   let open Program in
   (* a serial chase whose resolution wakes a store burst along with the
@@ -223,7 +209,6 @@ let () =
           Alcotest.test_case "DRAM chase stalls" `Slow test_dram_miss_stalls;
           Alcotest.test_case "mispredict cost" `Slow test_branch_mispredicts_cost;
           Alcotest.test_case "store-to-load forwarding" `Quick test_store_load_forwarding;
-          Alcotest.test_case "UPC timeline" `Quick test_upc_timeline;
           Alcotest.test_case "criticality changes the schedule" `Slow
             test_criticality_changes_schedule;
           Alcotest.test_case "dynamic tags" `Quick test_dynamic_tags;

@@ -896,29 +896,6 @@ let test_server_drain_graceful () =
   | Some _ -> ()
   | None -> Alcotest.fail "graceful drain did not journal clean_shutdown"
 
-(* An unparsable served-requests counter must be quarantined loudly,
-   never silently trusted or crashed on. *)
-let test_server_journal_corruption_quarantined () =
-  let jdir = tmpdir () in
-  let j =
-    Resil.Journal.in_dir ~dir:jdir ~name:"server"
-      ~signature:"crisp-farm server v1"
-  in
-  Resil.Journal.record j ~key:"requests_served" ~payload:"banana";
-  Resil.Log.clear ();
-  with_server ~journal_dir:jdir ~workers:1 @@ fun ~socket ~srv ->
-  Farm_client.close (connect socket);
-  check int "corrupt counter quarantined to zero" 0
-    (Farm_server.stats srv).Farm_protocol.requests_served;
-  let quarantined =
-    List.exists
-      (function
-        | Resil.Log.Quarantined { ident = "server/requests_served"; _ } -> true
-        | _ -> false)
-      (Resil.Log.events ())
-  in
-  check bool "quarantine recorded in the resilience log" true quarantined
-
 (* ---------------- chaos proxy ---------------- *)
 
 let test_proxy_spec_parsing () =
@@ -1042,9 +1019,7 @@ let () =
             test_server_evicts_slowloris_healthy_unblocked;
           Alcotest.test_case "dead reader evicted mid-stream" `Quick
             test_server_evicts_dead_reader;
-          Alcotest.test_case "graceful drain" `Quick test_server_drain_graceful;
-          Alcotest.test_case "corrupt counter journal quarantined" `Quick
-            test_server_journal_corruption_quarantined ] );
+          Alcotest.test_case "graceful drain" `Quick test_server_drain_graceful ] );
       ( "proxy",
         [ Alcotest.test_case "wire-fault specs parse" `Quick
             test_proxy_spec_parsing;

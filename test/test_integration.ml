@@ -21,12 +21,27 @@ let speedup name variant =
 
 let test_fdo_flow () =
   let w = Catalog.pointer_chase ~input:Workload.Train ~instrs:40_000 () in
-  let artifacts = Fdo.analyze w in
+  let tagging = Tagger.analyze (Workload.trace w) in
   check bool "delinquent loads found" true
-    (List.length artifacts.Fdo.classification.Classifier.delinquent_loads > 0);
-  check bool "tags produced" true (artifacts.Fdo.tagging.Tagger.static_count > 0);
-  check bool "tag ratio sane" true
-    (artifacts.Fdo.tagging.Tagger.dynamic_ratio < 0.40001)
+    (List.exists (fun s -> s.Tagger.kind = `Load) tagging.Tagger.slices);
+  check bool "tags produced" true (tagging.Tagger.static_count > 0);
+  check bool "tag ratio sane" true (tagging.Tagger.dynamic_ratio < 0.40001)
+
+(* A memoised CRISP outcome keeps the tag map, never the train trace it
+   was profiled on: the memo would otherwise pin one trace per cell. *)
+let test_outcome_does_not_pin_trace () =
+  let name = "mcf" and eval_instrs = 20_000 and train_instrs = 15_000 in
+  let outcome =
+    Runner.evaluate ~eval_instrs ~train_instrs ~name Runner.crisp_default
+  in
+  let train_words =
+    Obj.reachable_words
+      (Obj.repr
+         (Workload.trace (Catalog.make ~input:Workload.Train ~instrs:train_instrs name)))
+  in
+  let outcome_words = Obj.reachable_words (Obj.repr outcome) in
+  if 4 * outcome_words >= train_words then
+    Alcotest.failf "outcome reaches %d words, train trace %d" outcome_words train_words
 
 let test_crisp_beats_ooo_on_pointer_chase () =
   let s = speedup "pointer_chase" Runner.crisp_default in
@@ -104,6 +119,13 @@ let test_ooo_runs_config_policy () =
   check (Alcotest.float 0.) "random-ready = direct Cpu_core.run"
     (Cpu_stats.ipc direct) (ooo_ipc random)
 
+let test_fig1_series () =
+  let ooo, crisp = Experiments.fig1 ctx in
+  check bool "OOO series non-empty" true (Array.length ooo > 0);
+  check bool "CRISP series non-empty" true (Array.length crisp > 0);
+  let mean series = Report.mean (Array.to_list (Array.map snd series)) in
+  check bool "CRISP mean UPC beats OOO" true (mean crisp > mean ooo)
+
 let test_experiment_shapes () =
   let fig4 = Experiments.fig4 ctx in
   check int "fig4 covers all apps" (List.length Experiments.apps) (List.length fig4);
@@ -133,4 +155,7 @@ let () =
           Alcotest.test_case "figure 3 slice" `Quick test_fig3_slice;
           Alcotest.test_case "figure shapes" `Slow test_experiment_shapes;
           Alcotest.test_case "OOO runs the config's scheduler policy" `Quick
-            test_ooo_runs_config_policy ] ) ]
+            test_ooo_runs_config_policy;
+          Alcotest.test_case "memo entries do not pin traces" `Quick
+            test_outcome_does_not_pin_trace;
+          Alcotest.test_case "fig1 UPC series" `Slow test_fig1_series ] ) ]

@@ -349,6 +349,20 @@ let traced_pointer_chase =
      in
      (stats, tracer))
 
+(* ---------------- Figure 1's data ---------------- *)
+
+let test_retire_timeline () =
+  let stats, tracer = Lazy.force traced_pointer_chase in
+  let timeline = Obs_tracer.retire_timeline tracer in
+  check int "one entry per cycle" stats.Cpu_stats.cycles (Array.length timeline);
+  check int "entries sum to retired" stats.Cpu_stats.retired
+    (Array.fold_left ( + ) 0 timeline);
+  check
+    (Alcotest.list (Alcotest.pair int (Alcotest.float 0.)))
+    "windows of 2, short last window"
+    [ (0, 1.5); (2, 0.); (4, 6.) ]
+    (Array.to_list (Report.windowed_mean ~window:2 [| 1; 2; 0; 0; 6 |]))
+
 let test_jsonl_export_parses () =
   let _, tracer = Lazy.force traced_pointer_chase in
   let buf = Buffer.create 4096 in
@@ -423,6 +437,7 @@ let () =
         [ Alcotest.test_case "stats identical with obs off/on" `Slow
             test_obs_off_stats_identical;
           QCheck_alcotest.to_alcotest prop_trace_self_consistent ] );
+      ("timeline", [ Alcotest.test_case "UPC timeline" `Quick test_retire_timeline ]);
       ( "export",
         [ Alcotest.test_case "jsonl parses" `Quick test_jsonl_export_parses;
           Alcotest.test_case "chrome trace valid" `Quick test_chrome_export_valid ] ) ]

@@ -79,8 +79,7 @@ let test_sampled_within_ci () =
 
 (* One unit spanning the whole trace, with no warmup, is the full run:
    the sampler's warm carrier (adopted, then quiesced, before any
-   fast-forward) must be exactly a cold start.  Sampling stitches with
-   [Cpu_stats.add], which drops the timeline. *)
+   fast-forward) must be exactly a cold start. *)
 let test_one_unit_is_full_run () =
   let instrs = 20_000 in
   let sample =
@@ -92,7 +91,7 @@ let test_one_unit_is_full_run () =
         let trace = trace_of ~instrs name in
         let full = Cpu_core.run cfg trace in
         let sampled = (Sampler.run ~sample cfg trace).Sampler.stats in
-        sampled <> { full with Cpu_stats.upc_timeline = None })
+        sampled <> full)
       Catalog.names
   in
   check (Alcotest.list Alcotest.string) "workloads whose one-unit sample differs"
