@@ -48,28 +48,27 @@ type row = {
    repeats is the stable estimate of what the engine costs.  The GC
    counter is deterministic per run and is read around the fastest
    repeat like any other. *)
-let rec timed_runs ~layout ~cfg ~trace n best_seconds best_minor =
+let rec timed_runs ~cfg ~trace n best_seconds best_minor =
   if n = 0 then (best_seconds, best_minor)
   else begin
     let m0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    ignore (Cpu_core.run ~layout cfg trace);
+    ignore (Cpu_core.run cfg trace);
     let t1 = Unix.gettimeofday () in
     let m1 = Gc.minor_words () in
     let seconds = t1 -. t0 in
-    if seconds < best_seconds then timed_runs ~layout ~cfg ~trace (n - 1) seconds (m1 -. m0)
-    else timed_runs ~layout ~cfg ~trace (n - 1) best_seconds best_minor
+    if seconds < best_seconds then timed_runs ~cfg ~trace (n - 1) seconds (m1 -. m0)
+    else timed_runs ~cfg ~trace (n - 1) best_seconds best_minor
   end
 
 let measure ~instrs ~repeat name =
   let w = Catalog.make ~input:Workload.Ref ~instrs name in
   let trace = Workload.trace w in
   let cfg = Cpu_config.skylake in
-  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
   (* Warm run: caches the trace pages, JIT-free but branch predictors of
      the *host* settle; also triggers any one-time lazy setup. *)
-  let stats = Cpu_core.run ~layout cfg trace in
-  let seconds, minor = timed_runs ~layout ~cfg ~trace repeat infinity 0. in
+  let stats = Cpu_core.run cfg trace in
+  let seconds, minor = timed_runs ~cfg ~trace repeat infinity 0. in
   let cycles = stats.Cpu_stats.cycles in
   { name;
     instrs = stats.Cpu_stats.retired;
@@ -122,13 +121,12 @@ let measure_sampled ~instrs =
   let w = Catalog.make ~input:Workload.Ref ~instrs sampled_workload in
   let trace = Workload.trace w in
   let cfg = Cpu_config.skylake in
-  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
   let t0 = Unix.gettimeofday () in
-  let full = Cpu_core.run ~layout cfg trace in
+  let full = Cpu_core.run cfg trace in
   let t1 = Unix.gettimeofday () in
   let sample = Sample_config.default in
   let t2 = Unix.gettimeofday () in
-  let s = Sampler.run ~layout ~sample cfg trace in
+  let s = Sampler.run ~sample cfg trace in
   let t3 = Unix.gettimeofday () in
   let full_cpi =
     float_of_int full.Cpu_stats.cycles /. float_of_int full.Cpu_stats.retired

@@ -7,12 +7,17 @@
      slices      print the criticality tagging for a workload
      experiments regenerate paper tables/figures
      chaos       deterministic fault-injection harness over one figure
+     check       static validation battery
      list        list the workload catalog
-     client      run figure grids against a crisp_simd farm daemon
+     serve       the persistent simulation-farm daemon
+     client      run figure grids against a `serve' daemon
+     farm-chaos  wire-level fault-injection self-check of the farm
 
-   Exit codes: 0 success; 1 a check failed or the run degraded (some
-   cells timed out / crashed / were quarantined — see the stderr
-   summary); 2 usage error or internal failure. *)
+   Exit codes: 0 success (for serve: clean shutdown on a signal or a
+   client `shutdown' request); 1 a check failed or the run degraded
+   (some cells timed out / crashed / were quarantined — see the stderr
+   summary); 2 usage error, startup failure (serve: socket in use) or
+   internal failure. *)
 
 open Cmdliner
 
@@ -39,7 +44,11 @@ let train_arg =
   Arg.(value & opt int 80_000 & info [ "train-instrs" ] ~docv:"N" ~doc)
 
 let sched_arg =
-  let doc = "Scheduler variant: ooo, crisp, ibda-1k, ibda-8k, ibda-64k, ibda-inf, random." in
+  let doc =
+    "Scheduler variant, named as in the figure grids: ooo, crisp, crisp-load, \
+     crisp-branch, ibda-1k, ibda-8k, ibda-64k or ibda-inf; or random (the \
+     OOO variant under random-ready select)."
+  in
   Arg.(value & opt string "crisp" & info [ "s"; "scheduler" ] ~docv:"SCHED" ~doc)
 
 let rs_arg =
@@ -57,8 +66,12 @@ let issue_width_arg =
   Arg.(value & opt (some int) None & info [ "issue-width" ] ~docv:"N" ~doc)
 
 let threshold_arg =
-  let doc = "Miss-contribution threshold T for delinquent-load selection." in
-  Arg.(value & opt float 0.01 & info [ "t"; "threshold" ] ~docv:"T" ~doc)
+  let doc =
+    "Miss-contribution threshold T for delinquent-load selection (CRISP \
+     variants only; default: the classifier's)."
+  in
+  let none = Classifier.default.Classifier.miss_contribution_min in
+  Arg.(value & opt (some' ~none float) None & info [ "t"; "threshold" ] ~docv:"T" ~doc)
 
 let base_config ~rs ~rob ~issue_width =
   let cfg =
@@ -74,33 +87,28 @@ let base_config ~rs ~rob ~issue_width =
     end;
     Cpu_config.with_issue_width w cfg
 
-let variant_of_string threshold = function
-  | "ooo" -> Ok Runner.Ooo
-  | "crisp" ->
-    Ok
-      (Runner.Crisp
-         ( Classifier.with_miss_contribution threshold Classifier.default,
-           Tagger.default_options ))
-  | "ibda-1k" -> Ok (Runner.Ibda Ibda.ist_1k)
-  | "ibda-8k" -> Ok (Runner.Ibda Ibda.ist_8k)
-  | "ibda-64k" -> Ok (Runner.Ibda Ibda.ist_64k)
-  | "ibda-inf" -> Ok (Runner.Ibda Ibda.ist_infinite)
-  | other -> Error other
+(* Resolve [-s] the way a grid column resolves: one scheduler
+   vocabulary, with [-t] a column threshold.  [random] is the one name
+   the grids do not know: the OOO variant under Random_ready select. *)
+let resolve_scheduler sched threshold cfg =
+  let random = sched = "random" in
+  let column =
+    { Grid.label = sched;
+      variant = (if random then "ooo" else sched);
+      threshold;
+      window = None }
+  in
+  match Grid.variant_of_column column with
+  | Ok v ->
+    (v, if random then Cpu_config.with_policy Scheduler.Random_ready cfg else cfg)
+  | Error msg ->
+    Printf.eprintf "crisp_sim: -s %s: %s\n" sched msg;
+    exit 2
 
 let simulate workload instrs train_instrs sched rs rob issue_width threshold =
   require_workload workload;
-  let cfg = base_config ~rs ~rob ~issue_width in
-  let cfg =
-    if sched = "random" then Cpu_config.with_policy Scheduler.Random_ready cfg else cfg
-  in
-  let variant =
-    if sched = "random" then Runner.Ooo
-    else
-      match variant_of_string threshold sched with
-      | Ok v -> v
-      | Error other ->
-        Printf.eprintf "unknown scheduler %S\n" other;
-        exit 2
+  let variant, cfg =
+    resolve_scheduler sched threshold (base_config ~rs ~rob ~issue_width)
   in
   let outcome =
     Runner.evaluate ~cfg ~eval_instrs:instrs ~train_instrs ~name:workload variant
@@ -127,8 +135,8 @@ let trace_output_arg =
 
 let trace_format_arg =
   let doc =
-    "Export format: $(b,chrome) (chrome://tracing / Perfetto JSON), $(b,jsonl) \
-     (one JSON object per retained ring event) or $(b,binary) (the raw ring)."
+    "Export format: $(b,chrome) (chrome://tracing / Perfetto JSON) or \
+     $(b,jsonl) (one JSON object per retained ring event)."
   in
   Arg.(value & opt string "chrome" & info [ "f"; "format" ] ~docv:"FMT" ~doc)
 
@@ -139,13 +147,8 @@ let trace_ring_arg =
 let trace workload instrs train_instrs sched rs rob issue_width threshold output
     format ring =
   require_workload workload;
-  let cfg = base_config ~rs ~rob ~issue_width in
-  let variant =
-    match variant_of_string threshold sched with
-    | Ok v -> v
-    | Error other ->
-      Printf.eprintf "unknown scheduler %S\n" other;
-      exit 2
+  let variant, cfg =
+    resolve_scheduler sched threshold (base_config ~rs ~rob ~issue_width)
   in
   let tracer = Obs_tracer.create ~ring_capacity:ring () in
   let outcome, tracer =
@@ -159,16 +162,17 @@ let trace workload instrs train_instrs sched rs rob issue_width threshold output
       Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
     end
   in
-  (match format with
-  | "chrome" | "jsonl" ->
-    let buf = Buffer.create 65_536 in
-    if format = "chrome" then Obs_export.chrome_trace buf tracer
-    else Obs_export.jsonl buf tracer;
-    write_to (fun oc -> Buffer.output_buffer oc buf)
-  | "binary" -> write_to (fun oc -> Obs_ring.write_binary oc (Obs_tracer.ring tracer))
-  | other ->
-    Printf.eprintf "unknown format %S (expected chrome, jsonl or binary)\n" other;
-    exit 2);
+  let export =
+    match format with
+    | "chrome" -> Obs_export.chrome_trace
+    | "jsonl" -> Obs_export.jsonl
+    | other ->
+      Printf.eprintf "unknown format %S (expected chrome or jsonl)\n" other;
+      exit 2
+  in
+  let buf = Buffer.create 65_536 in
+  export buf tracer;
+  write_to (fun oc -> Buffer.output_buffer oc buf);
   Printf.eprintf "%s on %s (%d micro-ops):\n" sched workload instrs;
   Format.eprintf "%a" Cpu_stats.pp_summary outcome.Runner.stats;
   let c = Obs_tracer.counter tracer in
@@ -224,11 +228,10 @@ let profile workload instrs =
 let slices workload instrs threshold =
   require_workload workload;
   let w = Catalog.make ~input:Workload.Train ~instrs workload in
-  let t =
-    Tagger.analyze
-      ~thresholds:(Classifier.with_miss_contribution threshold Classifier.default)
-      (Workload.trace w)
+  let thresholds =
+    Option.map (fun t -> Classifier.with_miss_contribution t Classifier.default) threshold
   in
+  let t = Tagger.analyze ?thresholds (Workload.trace w) in
   Printf.printf "%s: %d slices, %d static critical pcs, %.1f%% dynamic ratio\n" workload
     (List.length t.Tagger.slices) t.Tagger.static_count
     (100. *. t.Tagger.dynamic_ratio);
@@ -314,9 +317,9 @@ let figures_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the experiment grids (0 = one per recommended core). \
+    "Worker domains for the simulation pool (0 = one per recommended core). \
      With $(docv) = 1 the pool is bypassed and every cell runs sequentially \
-     on the calling domain; any other value fans the (workload x variant) \
+     on the calling thread; any other value fans the (workload x variant) \
      cells out to a pool of worker domains that take them in FIFO order.  \
      Figures are byte-identical for every value."
   in
@@ -621,7 +624,10 @@ let retries_arg =
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let seed_arg =
-  let doc = "Seed for backoff jitter and (in chaos) the random fault plan." in
+  let doc =
+    "Seed for backoff jitter and (in chaos and farm-chaos) the random fault \
+     plan."
+  in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
 
 let experiments_cmd =
@@ -710,15 +716,165 @@ let list_cmd =
   Cmd.v info Term.(const list_workloads $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* client: run figure grids against a crisp_simd daemon.  Figure text on
+(* serve: the persistent simulation-farm daemon.  It listens on a
+   Unix-domain socket for clients, decomposes their grid requests into
+   canonical cells, dedups identical cells across all connected clients,
+   shards them over a domain pool under supervision, and (with
+   --journal-dir) checkpoints every completed cell so a killed daemon
+   restarts warm.  Connections live under a hostile-traffic lifecycle:
+   per-frame I/O deadlines, idle reaping, connection/request/queue
+   budgets with structured Overloaded sheds, and graceful SIGTERM drain.
+   Every limit flag defaults to [Farm_server.default_limits]. *)
+
+let socket_arg =
+  let doc =
+    "Unix-domain socket of the farm daemon: $(b,serve) listens on it \
+     (unlinking a stale file; do not point two live daemons at one path) \
+     and $(b,client) connects to it."
+  in
+  let default = Filename.concat (Filename.get_temp_dir_name ()) "crisp_simd.sock" in
+  Arg.(value & opt string default & info [ "socket" ] ~docv:"PATH" ~doc)
+
+let journal_dir_arg =
+  let doc =
+    "Persist the farm's state under $(docv): a `cells' journal of every \
+     completed cell value and a `server' journal holding the \
+     clean_shutdown marker written at drain.  A restarted daemon serves \
+     journalled cells without recomputing them.  Omitted = fully \
+     in-memory."
+  in
+  Arg.(value & opt (some string) None & info [ "journal-dir" ] ~docv:"DIR" ~doc)
+
+let verbose_arg =
+  let doc = "Log every connection, spawn, journal hit and degradation to stderr." in
+  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+
+(* [Farm_server.limits] spells "no limit" as [None]; its flags spell it
+   as 0. *)
+let limit = Farm_server.default_limits
+let or_zero = Option.value ~default:0
+let or_zero_secs = Option.value ~default:0.
+let positive v = if v <= 0. then None else Some v
+let positive_int v = if v <= 0 then None else Some v
+
+let io_timeout_arg =
+  let doc =
+    "Per-frame read/write deadline in seconds: a frame that does not \
+     transfer completely within $(docv) evicts its connection (the \
+     slowloris and dead-reader defence).  0 waits forever."
+  in
+  Arg.(value & opt float (or_zero_secs limit.io_timeout)
+       & info [ "io-timeout" ] ~docv:"SECS" ~doc)
+
+let idle_timeout_arg =
+  let doc =
+    "Reap a connection with no request in flight for $(docv) seconds.  \
+     0 keeps idle connections forever."
+  in
+  Arg.(value & opt float (or_zero_secs limit.idle_timeout)
+       & info [ "idle-timeout" ] ~docv:"SECS" ~doc)
+
+let max_conns_arg =
+  let doc =
+    "Concurrent connection cap; excess connections are shed with a \
+     structured Overloaded frame at accept time."
+  in
+  Arg.(value & opt int limit.max_connections & info [ "max-conns" ] ~docv:"N" ~doc)
+
+let max_requests_arg =
+  let doc =
+    "Requests served per connection before it is recycled with an \
+     Overloaded (retry immediately) frame."
+  in
+  Arg.(value & opt int limit.max_requests_per_conn
+       & info [ "max-requests" ] ~docv:"N" ~doc)
+
+let max_queued_arg =
+  let doc =
+    "Shed new grid requests while the simulation pool's queue is deeper \
+     than $(docv).  0 admits regardless of queue depth."
+  in
+  Arg.(value & opt int (or_zero limit.max_queued) & info [ "max-queued" ] ~docv:"N" ~doc)
+
+let retry_after_ms_arg =
+  let doc = "Backoff hint (milliseconds) carried by Overloaded shed frames." in
+  Arg.(value & opt int limit.retry_after_ms & info [ "retry-after-ms" ] ~docv:"MS" ~doc)
+
+let sndbuf_arg =
+  let doc =
+    "SO_SNDBUF for accepted sockets, bytes — bounds per-connection kernel \
+     memory and makes dead-reader eviction prompt.  0 keeps the kernel \
+     default."
+  in
+  Arg.(value & opt int (or_zero limit.sndbuf) & info [ "sndbuf" ] ~docv:"BYTES" ~doc)
+
+let serve socket jobs journal_dir deadline retries seed verbose io_timeout
+    idle_timeout max_connections max_requests_per_conn max_queued
+    retry_after_ms sndbuf =
+  let limits =
+    { Farm_server.max_connections;
+      max_requests_per_conn;
+      max_queued = positive_int max_queued;
+      io_timeout = positive io_timeout;
+      idle_timeout = positive idle_timeout;
+      sndbuf = positive_int sndbuf;
+      retry_after_ms }
+  in
+  with_jobs jobs @@ fun pool ->
+  let server =
+    Farm_server.create
+      { Farm_server.socket;
+        pool;
+        policy = policy_of ~deadline ~retries ~seed;
+        journal_dir;
+        verbose;
+        limits }
+  in
+  (* SIGTERM/SIGINT start a graceful drain: the accept loop closes,
+     in-flight grids finish streaming, idle connections get a Draining
+     frame, client threads are joined, the socket file is removed and
+     the clean shutdown is journalled. *)
+  let request_stop _ = Farm_server.stop server in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+  match Farm_server.run server with
+  | () -> ()
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "crisp_sim: cannot serve on %s: %s (%s %s)\n" socket
+      (Unix.error_message e) fn arg;
+    exit 2
+
+let serve_cmd =
+  let info =
+    Cmd.info "serve"
+      ~doc:
+        "Simulation-farm daemon: batches, shards, dedups and journals CRISP \
+         grid work for concurrent $(b,client)s until SIGTERM, SIGINT or a \
+         client shutdown request."
+  in
+  Cmd.v info
+    Term.(
+      const serve $ socket_arg $ jobs_arg $ journal_dir_arg $ deadline_arg
+      $ retries_arg $ seed_arg $ verbose_arg $ io_timeout_arg $ idle_timeout_arg
+      $ max_conns_arg $ max_requests_arg $ max_queued_arg $ retry_after_ms_arg
+      $ sndbuf_arg)
+
+(* ------------------------------------------------------------------ *)
+(* client: run figure grids against a `serve' daemon.  Figure text on
    stdout is byte-identical to `experiments' on the same grids — shared
    Grid specs, round-trip-precise floats on the wire, degraded cells as
    `--' — while farm accounting goes to stderr. *)
 
-let farm_socket_arg =
-  let doc = "Unix-domain socket of the crisp_simd daemon." in
-  let default = Filename.concat (Filename.get_temp_dir_name ()) "crisp_simd.sock" in
-  Arg.(value & opt string default & info [ "socket" ] ~docv:"PATH" ~doc)
+let find_grids tags =
+  List.map
+    (fun tag ->
+      match Grid.find tag with
+      | Some spec -> spec
+      | None ->
+        Printf.eprintf "crisp_sim: unknown grid %S (farm-servable grids: %s)\n" tag
+          (String.concat ", " (List.map (fun (s : Grid.spec) -> s.Grid.tag) Grid.catalog));
+        exit 2)
+    tags
 
 let client_grids_arg =
   let doc =
@@ -774,24 +930,9 @@ let print_farm_stats (s : Farm_protocol.farm_stats) =
 
 let client grids instrs train_instrs socket do_ping do_stats do_shutdown
     retries connect_timeout io_timeout sample_spec =
-  let io_timeout = if io_timeout <= 0. then None else Some io_timeout in
+  let io_timeout = positive io_timeout in
   let sample = parse_sample sample_spec in
-  let specs =
-    match grids with
-    | [] -> Grid.catalog
-    | tags ->
-      List.map
-        (fun tag ->
-          match Grid.find tag with
-          | Some spec -> spec
-          | None ->
-            Printf.eprintf
-              "crisp_sim: unknown grid %S (farm-servable grids: %s)\n" tag
-              (String.concat ", "
-                 (List.map (fun (s : Grid.spec) -> s.Grid.tag) Grid.catalog));
-            exit 2)
-        tags
-  in
+  let specs = if grids = [] then Grid.catalog else find_grids grids in
   let with_conn f =
     let conn =
       try Farm_client.connect ~connect_timeout ?io_timeout ~socket ()
@@ -805,13 +946,13 @@ let client grids instrs train_instrs socket do_ping do_stats do_shutdown
     if do_ping then
       with_conn (fun conn ->
           Farm_client.ping conn;
-          Printf.printf "crisp_simd at %s: alive\n" socket)
+          Printf.printf "daemon at %s: alive\n" socket)
     else if do_stats then
       with_conn (fun conn -> print_farm_stats (Farm_client.stats conn))
     else if do_shutdown then
       with_conn (fun conn ->
           Farm_client.shutdown_daemon conn;
-          Printf.printf "crisp_simd at %s: shutting down\n" socket)
+          Printf.printf "daemon at %s: shutting down\n" socket)
     else begin
       (* Each grid opens its own connection(s) through the retry loop;
          the daemon's cross-request dedup keeps repeated attempts free. *)
@@ -867,7 +1008,7 @@ let client_cmd =
   let info =
     Cmd.info "client"
       ~doc:
-        "Run figure grids against a crisp_simd simulation-farm daemon.  \
+        "Run figure grids against a $(b,serve) simulation-farm daemon.  \
          Figure text (stdout) is byte-identical to the `experiments' \
          subcommand on the same grids; cells shared with other clients or \
          earlier requests are simulated only once, and the per-grid dedup \
@@ -875,10 +1016,253 @@ let client_cmd =
   in
   Cmd.v info
     Term.(
-      const client $ client_grids_arg $ instrs_arg $ train_arg $ farm_socket_arg
+      const client $ client_grids_arg $ instrs_arg $ train_arg $ socket_arg
       $ client_ping_arg $ client_stats_arg $ client_shutdown_arg
       $ client_retries_arg $ client_connect_timeout_arg $ client_io_timeout_arg
       $ sample_arg)
+
+(* ------------------------------------------------------------------ *)
+(* farm-chaos: the wire-level self-check.  One in-process daemon, a
+   clean reference pass connected directly, then a retrying client run
+   through a Chaos_proxy armed with a seeded (or explicit) wire-fault
+   plan.  The verdict mirrors the grid `chaos' contract:
+
+     exit 0  figures byte-identical to the clean pass, zero cells
+             recomputed (exactly-once across every retry), and at least
+             one wire fault actually fired
+     exit 1  the faults disrupted the run and every disruption was
+             explicitly reported (retries exhausted, degraded cells)
+     exit 2  SILENT DIVERGENCE (output changed, nothing reported), a
+             vacuous plan (nothing fired), or an internal error *)
+
+let chaos_tmpdir () =
+  (* Short paths: two sockets live here and sun_path is ~107 bytes. *)
+  let rec go i =
+    let p =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "cschaos%d.%d" (Unix.getpid ()) i)
+    in
+    match Unix.mkdir p 0o700 with
+    | () -> p
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
+  in
+  go 0
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
+let wire_fault_arg =
+  let doc =
+    "Wire-fault spec [up:|down:]ACTION[#N|+N] where ACTION is \
+     delay[=SECS], stall[=SECS], truncate, corrupt-len or drop; #N fires \
+     on exactly the Nth frame of that direction (counted globally across \
+     reconnects), +N from the Nth onward.  Repeatable.  Omitted = a \
+     seeded random plan."
+  in
+  Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
+
+let farm_chaos_grids_arg =
+  let doc = "Figure grids to converge on (default: fig8)." in
+  Arg.(value & pos_all string [] & info [] ~docv:"GRID" ~doc)
+
+let farm_chaos_instrs_arg =
+  let doc = "Dynamic micro-ops per evaluation run (kept small: chaos runs every grid twice)." in
+  Arg.(value & opt int 4000 & info [ "n"; "instrs" ] ~docv:"N" ~doc)
+
+let farm_chaos_train_arg =
+  let doc = "Dynamic micro-ops for the profiling (training) run." in
+  Arg.(value & opt int 3000 & info [ "train-instrs" ] ~docv:"N" ~doc)
+
+let farm_chaos_attempts_arg =
+  let doc = "Client attempts per grid before giving up." in
+  Arg.(value & opt int 8 & info [ "attempts" ] ~docv:"N" ~doc)
+
+let farm_chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
+  let specs = find_grids (if grids = [] then [ "fig8" ] else grids) in
+  let plan =
+    match fault_specs with
+    | [] -> Chaos_proxy.random ~seed
+    | specs ->
+      List.map
+        (fun s ->
+          match Chaos_proxy.parse_spec s with
+          | Ok tr -> tr
+          | Error msg ->
+            Printf.eprintf "crisp_sim: %s\n" msg;
+            exit 2)
+        specs
+  in
+  Printf.printf "farm-chaos: seed %d, %d grid(s), plan:\n" seed (List.length specs);
+  List.iter
+    (fun tr -> Printf.printf "  %s\n" (Chaos_proxy.trigger_to_string tr))
+    plan;
+  let dir = chaos_tmpdir () in
+  let daemon_socket = Filename.concat dir "d.sock" in
+  let proxy_socket = Filename.concat dir "p.sock" in
+  let pool = Exec.Pool.of_jobs jobs in
+  let srv =
+    Farm_server.create
+      { Farm_server.socket = daemon_socket;
+        pool;
+        policy = Resil.Supervise.default_policy;
+        journal_dir = Some (Filename.concat dir "journal");
+        verbose;
+        limits = Farm_server.default_limits }
+  in
+  let srv_thread = Thread.create Farm_server.run srv in
+  let proxy = ref None in
+  let cleanup () =
+    (match !proxy with Some p -> Chaos_proxy.stop p | None -> ());
+    Farm_server.stop srv;
+    Thread.join srv_thread;
+    Exec.Pool.shutdown pool;
+    rm_rf dir
+  in
+  let finish code =
+    cleanup ();
+    exit code
+  in
+  let connect_ready socket =
+    (* The in-process daemon binds asynchronously; wait for it. *)
+    let rec go n =
+      match Farm_client.connect ~connect_timeout:1. ~socket () with
+      | c -> Farm_client.close c
+      | exception Farm_client.Disconnected _ when n > 0 ->
+        Thread.delay 0.02;
+        go (n - 1)
+    in
+    go 250
+  in
+  try
+    connect_ready daemon_socket;
+    (* Pass 1: clean reference, connected directly to the daemon. *)
+    let clean =
+      Resil.Capture.stdout (fun () ->
+          List.iter
+            (fun (spec : Grid.spec) ->
+              let c = Farm_client.connect ~socket:daemon_socket () in
+              Fun.protect
+                ~finally:(fun () -> Farm_client.close c)
+                (fun () ->
+                  let r =
+                    Farm_client.run_grid c ~spec ~eval_instrs:instrs
+                      ~train_instrs ()
+                  in
+                  Grid.render spec r.Farm_client.rows))
+            specs)
+    in
+    let misses_before =
+      (Farm_server.stats srv).Farm_protocol.memo.Exec.Memo.misses
+    in
+    (* Pass 2: the same grids through the fault-injecting proxy, with a
+       retrying client.  Every cell is already memoized (and journalled)
+       server-side, so convergence must recompute nothing. *)
+    let p = Chaos_proxy.start ~listen:proxy_socket ~upstream:daemon_socket ~plan in
+    proxy := Some p;
+    let retry =
+      { Farm_client.default_retry with
+        Farm_client.attempts;
+        seed;
+        connect_timeout = 5. }
+    in
+    let total_attempts = ref 0 in
+    let outcome =
+      match
+        Resil.Capture.stdout (fun () ->
+            List.iter
+              (fun (spec : Grid.spec) ->
+                let r, used =
+                  Farm_client.run_grid_retrying ~socket:proxy_socket ~retry
+                    ~spec ~eval_instrs:instrs ~train_instrs ()
+                in
+                total_attempts := !total_attempts + used;
+                Grid.render spec r.Farm_client.rows)
+              specs)
+      with
+      | chaotic -> Ok chaotic
+      | exception Farm_client.Farm_error msg -> Error msg
+    in
+    let fired = Chaos_proxy.fired p in
+    Printf.printf "farm-chaos: %d wire fault(s) fired:\n" (List.length fired);
+    List.iter
+      (fun (dir, n, action) ->
+        Printf.printf "  %s frame %d: %s\n"
+          (Chaos_proxy.direction_to_string dir)
+          n
+          (Chaos_proxy.action_to_string action))
+      fired;
+    let misses_after =
+      (Farm_server.stats srv).Farm_protocol.memo.Exec.Memo.misses
+    in
+    let recomputed = misses_after - misses_before in
+    match outcome with
+    | Error msg ->
+      (* The client gave up, loudly: a reported disruption, not a lie. *)
+      Printf.printf
+        "farm-chaos: client gave up and said so: %s\n\
+         farm-chaos: faults disrupted the run and the disruption was \
+         reported (exit 1)\n"
+        msg;
+      finish 1
+    | Ok chaotic ->
+      Printf.printf
+        "farm-chaos: converged in %d attempt(s) across %d grid(s), %d \
+         cell(s) recomputed\n"
+        !total_attempts (List.length specs) recomputed;
+      if chaotic <> clean then begin
+        Printf.printf
+          "farm-chaos: SILENT DIVERGENCE — figures differ from the clean \
+           pass with no reported failure (exit 2)\n";
+        print_string "--- clean ---\n";
+        print_string clean;
+        print_string "--- chaotic ---\n";
+        print_string chaotic;
+        finish 2
+      end
+      else if recomputed <> 0 then begin
+        Printf.printf
+          "farm-chaos: EXACTLY-ONCE VIOLATION — %d cell(s) recomputed \
+           during retries (exit 2)\n"
+          recomputed;
+        finish 2
+      end
+      else if fired = [] then begin
+        Printf.printf
+          "farm-chaos: VACUOUS RUN — no wire fault fired, nothing was \
+           verified (exit 2)\n";
+        finish 2
+      end
+      else begin
+        Printf.printf
+          "farm-chaos: clean — figures byte-identical through every wire \
+           fault, zero recomputation (exit 0)\n";
+        finish 0
+      end
+  with exn ->
+    Printf.eprintf "crisp_sim: farm-chaos internal error: %s\n"
+      (Printexc.to_string exn);
+    finish 2
+
+let farm_chaos_cmd =
+  let info =
+    Cmd.info "farm-chaos"
+      ~doc:
+        "Wire-level chaos self-check: run a retrying client through a \
+         seeded fault-injecting proxy (delays, stalls, torn frames, \
+         corrupt length prefixes, dropped connections) and assert the \
+         rendered figures are byte-identical to a clean run with zero \
+         cells recomputed."
+  in
+  Cmd.v info
+    Term.(
+      const farm_chaos $ seed_arg $ wire_fault_arg $ farm_chaos_grids_arg
+      $ farm_chaos_instrs_arg $ farm_chaos_train_arg $ jobs_arg
+      $ farm_chaos_attempts_arg $ verbose_arg)
 
 let () =
   let info =
@@ -888,7 +1272,7 @@ let () =
   let group =
     Cmd.group info
       [ simulate_cmd; trace_cmd; profile_cmd; slices_cmd; experiments_cmd;
-        chaos_cmd; check_cmd; list_cmd; client_cmd ]
+        chaos_cmd; check_cmd; list_cmd; serve_cmd; client_cmd; farm_chaos_cmd ]
   in
   (* ~catch:false so an uncaught exception reaches our handler: one line
      on stderr and exit 2 (internal error), never a bare backtrace.

@@ -47,10 +47,6 @@ let split_expected ~name diags =
     (fun (d : Lint.diag) -> not (List.mem (d.Lint.pc, d.Lint.rule) expected))
     diags
 
-let lint_workload ?(instrs = 60_000) name =
-  let wl = Catalog.make ~input:Workload.Ref ~instrs name in
-  fst (split_expected ~name (Lint.check_workload wl))
-
 let scoreboard_compare ~tagger etrace =
   let pair (policy_name, policy, criticality) =
     let cfg = Cpu_config.with_policy policy Cpu_config.skylake in

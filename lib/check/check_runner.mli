@@ -62,11 +62,6 @@ val expected_findings : (string * (int * Lint.rule) list) list
     the test suite — a listed finding that {e stops} firing is as much a
     regression as a new one. *)
 
-val lint_workload : ?instrs:int -> string -> Lint.diag list
-(** Lint one catalog workload on the [Ref] input and return only the
-    unexpected diagnostics — the farm daemon's request gate.
-    @raise Not_found for a name outside {!Catalog.names}. *)
-
 val check_workload :
   ?instrs:int ->
   ?train_instrs:int ->

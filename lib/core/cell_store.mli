@@ -1,6 +1,6 @@
 (** The one place a grid cell is restored, computed, checkpointed and
     degraded — shared by {!Experiments} (one store per figure run) and
-    the [crisp_simd] farm daemon (one store for its lifetime).
+    the [crisp_sim serve] farm daemon (one store for its lifetime).
 
     A store holds an optional checkpoint {!Resil.Journal.t}, the pool and
     supervision policy cells run under, and an {!Exec.Memo} of

@@ -8,7 +8,7 @@
 
     - {!Experiments} runs them through the supervised job graph and
       renders them ({!render});
-    - the simulation-farm daemon ([crisp_simd]) decomposes wire requests
+    - the simulation-farm daemon ([crisp_sim serve]) decomposes wire requests
       into the same cells, dedups them across clients and journals them;
     - [crisp_sim client] rebuilds the rows from streamed cell frames and
       renders them with the same {!render}.

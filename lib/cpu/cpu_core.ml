@@ -531,21 +531,18 @@ let warm_touch w layout (d : Executor.dyn) =
   | _ -> ());
   w.wpos <- w.wpos + 1
 
-let layout_for ?(criticality = No_tags) ?layout (trace : Executor.t) =
-  match layout with
-  | Some l -> l
-  | None ->
-    let critical =
-      match criticality with
-      | Static_tags f -> f
-      | No_tags | Dynamic_tags _ -> fun _ -> false
-    in
-    Layout.compute ~critical trace.Executor.prog
+let layout_for ?(criticality = No_tags) (trace : Executor.t) =
+  let critical =
+    match criticality with
+    | Static_tags f -> f
+    | No_tags | Dynamic_tags _ -> fun _ -> false
+  in
+  Layout.compute ~critical trace.Executor.prog
 
-let make_state ?(criticality = No_tags) ?layout ?tracer ~warm ~start cfg
+let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
     (trace : Executor.t) =
   let dyns = trace.Executor.dyns in
-  let layout = layout_for ~criticality ?layout trace in
+  let layout = layout_for ~criticality trace in
   let critical_of =
     match criticality with
     | No_tags -> fun _ -> false
@@ -709,7 +706,7 @@ let snapshot s ~start =
     critical_retired = s.critical_retired;
     mem = Memory_system.stats s.mem }
 
-let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
+let run_window ?criticality ?tracer ?warm ~start ~warmup ~measure cfg
     (trace : Executor.t) =
   let n = Array.length trace.Executor.dyns in
   if start < 0 || start > n then invalid_arg "Cpu_core.run_window: start out of range";
@@ -722,7 +719,7 @@ let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
     if t < avail && t >= 0 (* t < 0 on overflow *) then t else avail
   in
   let warm = match warm with Some w -> w | None -> warm_create cfg in
-  let s = make_state ?criticality ?layout ?tracer ~warm ~start cfg trace in
+  let s = make_state ?criticality ?tracer ~warm ~start cfg trace in
   (* The window's cycle counter starts at zero; state adopted from a warm
      carrier may hold stamps from a previous window's time base, which
      must not read as in-flight work here (a no-op on a fresh carrier). *)
@@ -740,6 +737,6 @@ let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
   warm.wline <- -1;
   Cpu_stats.sub (snapshot s ~start) before
 
-let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
+let run ?criticality ?tracer cfg (trace : Executor.t) =
   let n = Array.length trace.Executor.dyns in
-  run_window ?criticality ?layout ?tracer ~start:0 ~warmup:0 ~measure:(max 1 n) cfg trace
+  run_window ?criticality ?tracer ~start:0 ~warmup:0 ~measure:(max 1 n) cfg trace

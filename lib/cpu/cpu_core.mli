@@ -25,11 +25,11 @@ type criticality =
           tags depend on the state of on-chip tables at fetch time *)
 
 val run :
-  ?criticality:criticality -> ?layout:Layout.t -> ?tracer:Obs_tracer.t ->
+  ?criticality:criticality -> ?tracer:Obs_tracer.t ->
   Cpu_config.t -> Executor.t -> Cpu_stats.t
 (** Simulate the whole trace and return aggregate statistics: exactly
-    {!run_window} from a cold start over the entire trace.  [layout]
-    defaults to {!layout_for} (critical instructions carry a one-byte
+    {!run_window} from a cold start over the entire trace.  Fetch goes
+    through {!layout_for} (critical instructions carry a one-byte
     prefix, which grows the fetch footprint — Section 5.7).
 
     Passing [tracer] is the observability switch: the run emits pipeline
@@ -41,12 +41,11 @@ val run :
     [400 * n + 100_000] cycles for an [n]-instruction trace (indicates a
     model bug, not a workload property). *)
 
-val layout_for :
-  ?criticality:criticality -> ?layout:Layout.t -> Executor.t -> Layout.t
-(** The byte layout a run with these arguments uses: [layout] when given,
-    otherwise the layout induced by [Static_tags] (no prefixes for
-    [No_tags] or [Dynamic_tags]).  Fast-forward warming must fetch
-    through the same layout as the detail windows. *)
+val layout_for : ?criticality:criticality -> Executor.t -> Layout.t
+(** The byte layout every run with this criticality fetches through:
+    the layout induced by [Static_tags] (no prefixes for [No_tags] or
+    [Dynamic_tags]).  Fast-forward warming must fetch through the same
+    layout as the detail windows. *)
 
 (** {1 Sampled simulation}
 
@@ -74,7 +73,6 @@ val warm_touch : warm -> Layout.t -> Executor.dyn -> unit
 
 val run_window :
   ?criticality:criticality ->
-  ?layout:Layout.t ->
   ?tracer:Obs_tracer.t ->
   ?warm:warm ->
   start:int ->

@@ -1,6 +1,6 @@
 (** A deterministic wire-level chaos proxy for the simulation farm.
 
-    The proxy sits between a {!Farm_client} and a [crisp_simd] daemon
+    The proxy sits between a {!Farm_client} and a [crisp_sim serve] daemon
     on a second Unix-domain socket, parses the framed stream in both
     directions, and injects faults at exact frame boundaries according
     to a {!plan} — the wire counterpart of {!Resil.Fault_plan}'s

@@ -23,7 +23,7 @@ let connect ?(connect_timeout = 10.) ?io_timeout ~socket () =
       fmt
   in
   let unreachable e =
-    give_up "cannot reach daemon at %s: %s (is crisp_simd running?)" socket
+    give_up "cannot reach daemon at %s: %s (is `crisp_sim serve' running?)" socket
       (Unix.error_message e)
   in
   Unix.set_nonblock fd;
@@ -187,12 +187,10 @@ let run_grid t ?id ?sample ~(spec : Grid.spec) ~eval_instrs ~train_instrs () =
             row)
         filled;
       s
-    | P.Invalid_request { req_id; reason; diags } ->
+    | P.Invalid_request { req_id; reason } ->
       if req_id <> id then
         fail "rejection echoes request %S, expected %S" req_id id;
-      fail "daemon rejected the request: %s%s" reason
-        (if diags = [] then ""
-         else "\n  " ^ String.concat "\n  " diags)
+      fail "daemon rejected the request: %s" reason
     | P.Error_reply msg when contains ~sub:"framing error" msg ->
       (* The daemon received garbage: the wire mangled our bytes on the
          way up.  Transport damage, so retryable. *)

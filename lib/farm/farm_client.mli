@@ -1,4 +1,4 @@
-(** Client side of the simulation farm: connect to a [crisp_simd]
+(** Client side of the simulation farm: connect to a [crisp_sim serve]
     daemon, submit grid requests, and reassemble the streamed cell
     frames into exactly the rows {!Experiments} would have produced
     locally — same {!Grid} spec, same floats (round-trip-precise on the
@@ -69,9 +69,9 @@ val run_grid :
     keys, so mixed sampled/full traffic never collides.
     @raise Farm_error if a frame is out of range, any cell never
     arrives, the summary echoes a different request id, or the daemon
-    rejects the request at admission (budget sanity, grid-spec shape,
-    or the crisp-check lint) — the rejection's reason and per-finding
-    diagnostics are folded into the exception message.
+    rejects the request at admission (budget bounds, sample-config
+    parse, grid-spec shape) — the rejection's reason is folded into
+    the exception message.
     @raise Disconnected if the stream dies mid-conversation.
     @raise Overloaded if the daemon sheds the request. *)
 

@@ -63,7 +63,6 @@ type response =
   | Invalid_request of {
       req_id : string;
       reason : string;
-      diags : string list;
     }
   | Overloaded of { retry_after_ms : int }
   | Draining
@@ -178,11 +177,8 @@ let encode_response resp =
         ("journal_hits", J.num_int s.journal_hits);
         ("degraded", J.num_int s.degraded) ]
       @ sample_field s.sample [ ("stats", json_of_farm_stats s.farm) ]
-    | Invalid_request { req_id; reason; diags } ->
-      [ ("resp", J.Str "invalid");
-        ("id", J.Str req_id);
-        ("reason", J.Str reason);
-        ("diags", J.Arr (List.map (fun d -> J.Str d) diags)) ]
+    | Invalid_request { req_id; reason } ->
+      [ ("resp", J.Str "invalid"); ("id", J.Str req_id); ("reason", J.Str reason) ]
     | Overloaded { retry_after_ms } ->
       [ ("resp", J.Str "overloaded"); ("retry_after_ms", J.num_int retry_after_ms) ]
     | Draining -> [ ("resp", J.Str "draining") ]
@@ -336,9 +332,7 @@ let decode_response payload =
       | "invalid" ->
         Invalid_request
           { req_id = str ~what:"id" (field "id" j);
-            reason = str ~what:"reason" (field "reason" j);
-            diags =
-              List.map (str ~what:"diags[]") (arr ~what:"diags" (field "diags" j)) }
+            reason = str ~what:"reason" (field "reason" j) }
       | "overloaded" ->
         let ms = int ~what:"retry_after_ms" (field "retry_after_ms" j) in
         if ms < 0 then bad "field \"retry_after_ms\" must be non-negative";

@@ -87,13 +87,11 @@ type response =
   | Summary of summary
   | Invalid_request of {
       req_id : string;  (** echo of {!grid_req.id} *)
-      reason : string;  (** one-line category, e.g. lint failure *)
-      diags : string list;  (** rendered per-finding detail, possibly empty *)
+      reason : string;  (** one line, e.g. an out-of-range budget *)
     }
       (** Structured rejection of a {!Run_grid} request that failed the
-          daemon's admission checks (budget sanity, {!Grid.validate},
-          per-workload crisp-check lint) {e before} any cell was
-          scheduled.  Terminates the request like [Summary] does. *)
+          daemon's admission checks (budget bounds, sample-config parse,
+          {!Grid.validate}) {e before} any cell was scheduled.  Terminates the request like [Summary] does. *)
   | Overloaded of { retry_after_ms : int }
       (** The daemon shed this connection or request: the connection cap
           is full, the pool's queue is too deep, or this connection

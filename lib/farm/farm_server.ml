@@ -32,11 +32,6 @@ type t = {
   cfg : config;
   cells : Cell_store.t;
   server_journal : Resil.Journal.t option;
-  (* Admission-lint verdicts per workload name.  Catalog programs are
-     immutable for the life of the daemon, so a verdict never expires;
-     the mutex covers concurrent client threads. *)
-  lint_cache : (string, string list) Hashtbl.t;
-  lint_mutex : Mutex.t;
   requests_served : int Atomic.t;
   sampled_cells : int Atomic.t;
   conns : int Atomic.t;
@@ -51,7 +46,7 @@ type t = {
 
 let log t fmt =
   Printf.ksprintf
-    (fun s -> if t.cfg.verbose then Printf.eprintf "crisp_simd: %s\n%!" s)
+    (fun s -> if t.cfg.verbose then Printf.eprintf "crisp_sim serve: %s\n%!" s)
     fmt
 
 (* The cell-journal signature pins only the payload format: cell keys
@@ -72,8 +67,6 @@ let create cfg =
   { cfg;
     cells = Cell_store.create ?journal:cells_journal cfg.pool cfg.policy;
     server_journal;
-    lint_cache = Hashtbl.create 32;
-    lint_mutex = Mutex.create ();
     requests_served = Atomic.make 0;
     sampled_cells = Atomic.make 0;
     conns = Atomic.make 0;
@@ -124,62 +117,28 @@ let spec_of_req (g : P.grid_req) : Grid.spec =
    enough that a corrupt budget cannot wedge the pool for hours. *)
 let max_cell_instrs = 10_000_000
 
-(* Rendered unexpected-lint findings for one catalog workload, cached
-   for the daemon's lifetime (the catalog programs cannot change under
-   a running daemon).  The lint itself runs outside the mutex would be
-   nicer, but it is a few milliseconds once per workload ever. *)
-let lint_findings t name =
-  Mutex.lock t.lint_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lint_mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.lint_cache name with
-      | Some diags -> diags
-      | None ->
-        let diags =
-          List.map
-            (fun d -> Format.asprintf "%s: %a" name Lint.pp_diag d)
-            (Check_runner.lint_workload name)
-        in
-        Hashtbl.replace t.lint_cache name diags;
-        diags)
-
-(* Validate a grid request before any cell is scheduled: budget sanity,
-   grid-spec shape, then the crisp-check admission lint over every
-   requested workload.  [Error (reason, diags)] becomes a structured
-   [Invalid_request] frame. *)
-let admit t (g : P.grid_req) =
+(* Validate a grid request before any cell is scheduled: budget bounds,
+   the sample-config parse, then the grid-spec shape ([Grid.validate]
+   also pins every name to the catalog).  [Error reason] becomes a
+   structured [Invalid_request] frame. *)
+let admit (g : P.grid_req) =
   let bad_budget what v =
     Printf.sprintf "%s must be within [1, %d], got %d" what max_cell_instrs v
   in
   if g.eval_instrs < 1 || g.eval_instrs > max_cell_instrs then
-    Error (bad_budget "eval_instrs" g.eval_instrs, [])
+    Error (bad_budget "eval_instrs" g.eval_instrs)
   else if g.train_instrs < 1 || g.train_instrs > max_cell_instrs then
-    Error (bad_budget "train_instrs" g.train_instrs, [])
+    Error (bad_budget "train_instrs" g.train_instrs)
   else
     match
       if g.sample = "" then Ok None
       else Result.map Option.some (Sample_config.of_string g.sample)
     with
-    | Error msg -> Error ("malformed sample config: " ^ msg, [])
+    | Error msg -> Error ("malformed sample config: " ^ msg)
     | Ok sample -> (
       match Grid.validate (spec_of_req g) with
-      | Error msg -> Error ("malformed grid spec: " ^ msg, [])
-      | Ok () -> (
-        (* validate already pinned every name to the catalog *)
-        let failing =
-          List.filter_map
-            (fun name ->
-              match lint_findings t name with [] -> None | ds -> Some (name, ds))
-            (List.sort_uniq compare g.names)
-        in
-        match failing with
-        | [] -> Ok sample
-        | _ ->
-          Error
-            ( Printf.sprintf "%d workload(s) fail the crisp-check lint"
-                (List.length failing),
-              List.concat_map snd failing )))
+      | Error msg -> Error ("malformed grid spec: " ^ msg)
+      | Ok () -> Ok sample)
 
 (* Pool-pressure admission: refuse new grids while the shared queue is
    deeper than the configured cap, so a flood of concurrent grids sheds
@@ -190,10 +149,10 @@ let queue_overloaded t =
   | Some cap -> (Exec.Pool.stats t.cfg.pool).queued > cap
 
 let serve_grid t ~send (g : P.grid_req) =
-  match admit t g with
-  | Error (reason, diags) ->
+  match admit g with
+  | Error reason ->
     log t "rejecting grid %s (%s): %s" g.tag g.id reason;
-    send (P.Invalid_request { req_id = g.id; reason; diags })
+    send (P.Invalid_request { req_id = g.id; reason })
   | Ok sample ->
     if sample <> None then log t "grid %s (%s) runs sampled: %s" g.tag g.id g.sample;
     let names = Array.of_list g.names in

@@ -33,34 +33,3 @@ let iter f t =
     let base = (t.start + i) mod t.cap * 4 in
     f ~cycle:t.buf.(base) ~kind:t.buf.(base + 1) ~a:t.buf.(base + 2) ~b:t.buf.(base + 3)
   done
-
-let magic = 0x0b5e_0001
-
-let write_binary oc t =
-  output_binary_int oc magic;
-  output_binary_int oc t.cap;
-  output_binary_int oc t.len;
-  output_binary_int oc (dropped t);
-  iter
-    (fun ~cycle ~kind ~a ~b ->
-      output_binary_int oc cycle;
-      output_binary_int oc kind;
-      output_binary_int oc a;
-      output_binary_int oc b)
-    t
-
-let read_binary ic =
-  if input_binary_int ic <> magic then failwith "Obs_ring.read_binary: bad magic";
-  let cap = input_binary_int ic in
-  let len = input_binary_int ic in
-  let dropped = input_binary_int ic in
-  let t = create ~capacity:cap in
-  for _ = 1 to len do
-    let cycle = input_binary_int ic in
-    let kind = input_binary_int ic in
-    let a = input_binary_int ic in
-    let b = input_binary_int ic in
-    record t ~cycle ~kind ~a ~b
-  done;
-  t.total <- t.total + dropped;
-  t

@@ -1,4 +1,4 @@
-(** Ring-buffered binary event log.
+(** Ring-buffered event log.
 
     A bounded circular buffer of packed (cycle, kind, a, b) event records
     backed by one flat int array: recording is four stores and never
@@ -26,11 +26,3 @@ val dropped : t -> int
 
 val iter : (cycle:int -> kind:int -> a:int -> b:int -> unit) -> t -> unit
 (** Visit the retained events oldest-first. *)
-
-val write_binary : out_channel -> t -> unit
-(** Serialise the retained window (magic, counts, then 4 big-endian
-    32-bit words per event). *)
-
-val read_binary : in_channel -> t
-(** Inverse of {!write_binary}; raises [Failure] on a bad magic number.
-    The reloaded ring reports the original [dropped] count. *)

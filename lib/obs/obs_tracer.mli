@@ -3,7 +3,7 @@
     One tracer accompanies one simulation run.  It maintains three views
     of the same event stream:
 
-    - a bounded {!Obs_ring} binary log of every event (most recent
+    - a bounded {!Obs_ring} log of every event (most recent
       window; see {!ring});
     - monotonic per-kind event counts, exported as a sorted name/value
       vector by {!counters} — the unit of the golden-stats regression

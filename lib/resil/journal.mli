@@ -52,7 +52,7 @@ val in_dir : dir:string -> name:string -> signature:string -> t
 (** [in_dir ~dir ~name ~signature] opens the named journal
     [DIR/NAME.journal] (creating [DIR] as needed; [name] is sanitised to
     a filesystem-safe slug).  This is how a process holds several
-    journals side by side — e.g. the [crisp_simd] daemon's ["server"]
+    journals side by side — e.g. the [crisp_sim serve] daemon's ["server"]
     state journal next to its ["cells"] checkpoint journal.
     @raise Invalid_argument on an empty [name]. *)
 

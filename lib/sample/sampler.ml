@@ -38,7 +38,7 @@ let run_units ?criticality ~layout ~(sample : Sample_config.t) ~units cfg
       Cpu_core.warm_touch warm layout dyns.(Cpu_core.warm_pos warm)
     done;
     let st =
-      Cpu_core.run_window ?criticality ~layout ~warm ~start:m ~warmup:(boundary - m)
+      Cpu_core.run_window ?criticality ~warm ~start:m ~warmup:(boundary - m)
         ~measure:sample.unit_len cfg trace
     in
     unit_cpis.(k) <-
@@ -59,13 +59,13 @@ let ci95 xs m =
     1.96 *. sqrt (variance /. float_of_int u)
   end
 
-let run ?criticality ?layout ~(sample : Sample_config.t) cfg (trace : Executor.t) =
+let run ?criticality ~(sample : Sample_config.t) cfg (trace : Executor.t) =
   (match Sample_config.validate sample with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sampler.run: " ^ msg));
   (* Fast-forward warming fetches through the same layout as the
      detail windows. *)
-  let layout = Cpu_core.layout_for ?criticality ?layout trace in
+  let layout = Cpu_core.layout_for ?criticality trace in
   let total_instrs = Array.length trace.Executor.dyns in
   let rec go units attempts =
     let used, unit_cpis, stats =

@@ -22,7 +22,6 @@ type result = {
 
 val run :
   ?criticality:Cpu_core.criticality ->
-  ?layout:Layout.t ->
   sample:Sample_config.t ->
   Cpu_config.t ->
   Executor.t ->

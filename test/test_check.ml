@@ -36,41 +36,38 @@ let test_lint_clean () =
 
 let test_lint_catalog_clean () =
   (* Every catalog workload lints down to exactly its pinned
-     expected-findings ledger entry (empty for most).  Both directions
-     are regressions: a new finding means a kernel or analysis bug, a
-     pinned finding that stops firing means the analysis lost power. *)
+     expected-findings ledger entry (empty for most), both at a tiny
+     budget and at 60k instructions.  Both directions are regressions:
+     a new finding means a kernel or analysis bug, a pinned finding that
+     stops firing means the analysis lost power. *)
   List.iter
-    (fun name ->
-      let w = Catalog.make ~instrs:1_000 name in
-      let diags = Lint.check_workload w in
-      let got = List.map (fun d -> (d.Lint.pc, d.Lint.rule)) diags in
-      let expected =
-        Option.value
-          (List.assoc_opt name Check_runner.expected_findings)
-          ~default:[]
-      in
-      check bool
-        (Printf.sprintf "%s lints to its pinned findings (%s)" name
-           (diag_strings diags))
-        true
-        (List.sort compare got = List.sort compare expected))
-    Catalog.names
+    (fun instrs ->
+      List.iter
+        (fun name ->
+          let w = Catalog.make ~instrs name in
+          let diags = Lint.check_workload w in
+          let got = List.map (fun d -> (d.Lint.pc, d.Lint.rule)) diags in
+          let expected =
+            Option.value
+              (List.assoc_opt name Check_runner.expected_findings)
+              ~default:[]
+          in
+          check bool
+            (Printf.sprintf "%s at %d instrs lints to its pinned findings (%s)"
+               name instrs (diag_strings diags))
+            true
+            (List.sort compare got = List.sort compare expected))
+        Catalog.names)
+    [ 1_000; 60_000 ]
 
 let test_lint_catalog_ledger_pinned () =
   (* The ledger itself is part of the contract: exactly these two
-     findings, and the farm admission gate treats them as clean. *)
+     findings. *)
   check bool "ledger pins gcc pc 53 dataflow-unreachable and xhpcg pc 72 dead-store"
     true
     (Check_runner.expected_findings
     = [ ("gcc", [ (53, Lint.Dataflow_unreachable) ]);
-        ("xhpcg", [ (72, Lint.Dead_store) ]) ]);
-  List.iter
-    (fun name ->
-      check int
-        (Printf.sprintf "%s passes the farm admission lint" name)
-        0
-        (List.length (Check_runner.lint_workload ~instrs:1_000 name)))
-    [ "gcc"; "xhpcg"; "pointer_chase" ]
+        ("xhpcg", [ (72, Lint.Dead_store) ]) ])
 
 (* ---------------- Lint: every rule fires on a broken fixture -------- *)
 

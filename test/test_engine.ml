@@ -261,11 +261,10 @@ let test_gc_budget () =
   let w = Catalog.make ~input:Workload.Ref ~instrs "mcf" in
   let trace = Workload.trace w in
   let cfg = Cpu_config.skylake in
-  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
   (* warm run settles one-time lazy setup *)
-  let stats = Cpu_core.run ~layout cfg trace in
+  let stats = Cpu_core.run cfg trace in
   let m0 = Gc.minor_words () in
-  let stats2 = Cpu_core.run ~layout cfg trace in
+  let stats2 = Cpu_core.run cfg trace in
   let m1 = Gc.minor_words () in
   check int "deterministic rerun" stats.Cpu_stats.cycles stats2.Cpu_stats.cycles;
   let per_cycle = (m1 -. m0) /. float_of_int stats2.Cpu_stats.cycles in
@@ -281,8 +280,7 @@ let run_with cfg =
   let instrs = 30_000 in
   let w = Catalog.make ~input:Workload.Ref ~instrs "gcc" in
   let trace = Workload.trace w in
-  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
-  Cpu_core.run ~layout cfg trace
+  Cpu_core.run cfg trace
 
 let test_issue_width_default () =
   let base = run_with Cpu_config.skylake in

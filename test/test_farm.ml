@@ -295,8 +295,7 @@ let gen_response =
        return (Farm_protocol.Error_reply msg));
       (let* req_id = gen_name in
        let* reason = gen_label in
-       let* diags = list_size (int_range 0 4) gen_label in
-       return (Farm_protocol.Invalid_request { req_id; reason; diags }));
+       return (Farm_protocol.Invalid_request { req_id; reason }));
       (let* cell_id = gen_name in
        let* row = small_nat and* col = small_nat in
        let* name = gen_name and* label = gen_label in
@@ -379,10 +378,7 @@ let test_decode_rejects_garbage () =
      \"label\":\"l\",\"source\":\"memo\",\"ok\":1,\"degraded\":\"r\"}"
     Farm_protocol.decode_response;
   rejected "rejection without a reason"
-    "{\"resp\":\"invalid\",\"id\":\"r\",\"diags\":[]}"
-    Farm_protocol.decode_response;
-  rejected "rejection with non-string diags"
-    "{\"resp\":\"invalid\",\"id\":\"r\",\"reason\":\"no\",\"diags\":[1]}"
+    "{\"resp\":\"invalid\",\"id\":\"r\"}"
     Farm_protocol.decode_response;
   rejected "overloaded with a negative retry hint"
     "{\"resp\":\"overloaded\",\"retry_after_ms\":-5}"

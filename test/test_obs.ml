@@ -21,32 +21,6 @@ let test_ring_overflow () =
   check (Alcotest.list int) "retains the newest window oldest-first" [ 6; 7; 8; 9 ]
     (List.rev !seen)
 
-let test_ring_binary_roundtrip () =
-  let ring = Obs_ring.create ~capacity:8 in
-  for i = 0 to 19 do
-    Obs_ring.record ring ~cycle:(100 + i) ~kind:(i mod 14) ~a:i ~b:(i * i)
-  done;
-  let file = Filename.temp_file "crisp_obs" ".ring" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      let oc = open_out_bin file in
-      Obs_ring.write_binary oc ring;
-      close_out oc;
-      let ic = open_in_bin file in
-      let back = Obs_ring.read_binary ic in
-      close_in ic;
-      check int "length survives" (Obs_ring.length ring) (Obs_ring.length back);
-      check int "dropped survives" (Obs_ring.dropped ring) (Obs_ring.dropped back);
-      let dump r =
-        let events = ref [] in
-        Obs_ring.iter
-          (fun ~cycle ~kind ~a ~b -> events := (cycle, kind, a, b) :: !events)
-          r;
-        List.rev !events
-      in
-      check bool "events survive byte-for-byte" true (dump ring = dump back))
-
 (* ---------------- Histograms ---------------- *)
 
 let test_hist_buckets () =
@@ -421,8 +395,7 @@ let test_chrome_export_valid () =
 let () =
   Alcotest.run "obs"
     [ ( "ring",
-        [ Alcotest.test_case "overflow" `Quick test_ring_overflow;
-          Alcotest.test_case "binary round-trip" `Quick test_ring_binary_roundtrip ] );
+        [ Alcotest.test_case "overflow" `Quick test_ring_overflow ] );
       ("hist", [ Alcotest.test_case "buckets" `Quick test_hist_buckets ]);
       ("json", [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip ]);
       ( "golden",

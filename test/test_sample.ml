@@ -16,9 +16,6 @@ let trace_of ?(input = Workload.Ref) ~instrs name =
   let w = Catalog.make ~input ~instrs name in
   Workload.trace w
 
-let layout_of trace =
-  Layout.compute ~critical:(fun _ -> false) trace.Executor.prog
-
 (* ---------------- Sample_config ---------------- *)
 
 let test_config_roundtrip () =
@@ -57,13 +54,12 @@ let test_sampled_within_ci () =
     List.filter_map
       (fun name ->
         let trace = trace_of ~instrs name in
-        let layout = layout_of trace in
-        let full = Cpu_core.run ~layout cfg trace in
+        let full = Cpu_core.run cfg trace in
         let full_cpi =
           float_of_int full.Cpu_stats.cycles
           /. float_of_int full.Cpu_stats.retired
         in
-        let s = Sampler.run ~layout ~sample cfg trace in
+        let s = Sampler.run ~sample cfg trace in
         let err = Float.abs (s.Sampler.cpi_mean -. full_cpi) in
         if err > s.Sampler.cpi_ci95 +. 1e-9 then
           Some
@@ -99,10 +95,9 @@ let test_one_unit_is_full_run () =
 
 let test_sampler_deterministic () =
   let trace = trace_of ~instrs:60_000 "mcf" in
-  let layout = layout_of trace in
   let sample = Sample_config.default in
-  let a = Sampler.run ~layout ~sample cfg trace in
-  let b = Sampler.run ~layout ~sample cfg trace in
+  let a = Sampler.run ~sample cfg trace in
+  let b = Sampler.run ~sample cfg trace in
   check bool "identical results on identical inputs" true (a = b);
   check int "total instrs is the trace length" 60_000 a.Sampler.total_instrs;
   check bool "measured a strict subset" true
@@ -111,11 +106,10 @@ let test_sampler_deterministic () =
 
 let test_target_ci_grows_units () =
   let trace = trace_of ~instrs:100_000 "gcc" in
-  let layout = layout_of trace in
   let base = { Sample_config.default with Sample_config.units = 4 } in
-  let loose = Sampler.run ~layout ~sample:base cfg trace in
+  let loose = Sampler.run ~sample:base cfg trace in
   let tight =
-    Sampler.run ~layout
+    Sampler.run
       ~sample:{ base with Sample_config.target_ci = Some 0.005 }
       cfg trace
   in
@@ -340,8 +334,7 @@ let prop_fast_forward_matches_detailed_prefix =
               "micro-op %d: effective address <> replay-oracle registers" i
           | None ->
             let prefix = { full with Executor.dyns = prefix } in
-            let layout = layout_of prefix in
-            let stats = Cpu_core.run ~layout cfg prefix in
+            let stats = Cpu_core.run cfg prefix in
             if stats.Cpu_stats.retired <> b then
               QCheck.Test.fail_reportf
                 "detailed prefix run retired %d, wanted exactly %d"
