@@ -781,14 +781,6 @@ let max_conns_arg =
   in
   Arg.(value & opt int limit.max_connections & info [ "max-conns" ] ~docv:"N" ~doc)
 
-let max_requests_arg =
-  let doc =
-    "Requests served per connection before it is recycled with an \
-     Overloaded (retry immediately) frame."
-  in
-  Arg.(value & opt int limit.max_requests_per_conn
-       & info [ "max-requests" ] ~docv:"N" ~doc)
-
 let max_queued_arg =
   let doc =
     "Shed new grid requests while the simulation pool's queue is deeper \
@@ -809,11 +801,9 @@ let sndbuf_arg =
   Arg.(value & opt int (or_zero limit.sndbuf) & info [ "sndbuf" ] ~docv:"BYTES" ~doc)
 
 let serve socket jobs journal_dir deadline retries seed verbose io_timeout
-    idle_timeout max_connections max_requests_per_conn max_queued
-    retry_after_ms sndbuf =
+    idle_timeout max_connections max_queued retry_after_ms sndbuf =
   let limits =
     { Farm_server.max_connections;
-      max_requests_per_conn;
       max_queued = positive_int max_queued;
       io_timeout = positive io_timeout;
       idle_timeout = positive idle_timeout;
@@ -856,7 +846,7 @@ let serve_cmd =
     Term.(
       const serve $ socket_arg $ jobs_arg $ journal_dir_arg $ deadline_arg
       $ retries_arg $ seed_arg $ verbose_arg $ io_timeout_arg $ idle_timeout_arg
-      $ max_conns_arg $ max_requests_arg $ max_queued_arg $ retry_after_ms_arg
+      $ max_conns_arg $ max_queued_arg $ retry_after_ms_arg
       $ sndbuf_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -45,7 +45,7 @@ let build_workload ~input ~instrs =
     description = "custom example: finger table + two-hop arena walk";
     program = assemble ~name:"skiplist" code;
     reg_init = [ (key, 12345); (t, 31); (fb, fingers); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }
 
 let () =

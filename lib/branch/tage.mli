@@ -16,12 +16,10 @@ type config = {
   base_entries : int;  (** bimodal base table size *)
 }
 
-val default_config : config
-(** 6 tagged tables of 1024 entries, 9-bit tags, 3-bit counters, history
-    lengths 5..130, 4K-entry base — a compact TAGE in the spirit of the
-    original paper. *)
-
 val create : ?config:config -> ?seed:int -> unit -> t
+(** [config] defaults to 6 tagged tables of 1024 entries, 9-bit tags,
+    3-bit counters, history lengths 5..130 and a 4K-entry base — a
+    compact TAGE in the spirit of the original paper. *)
 
 val predict : t -> pc:int -> bool
 (** Current prediction for [pc]; does not modify any state. *)

@@ -124,9 +124,3 @@ let hits t = t.hits
 let misses t = t.misses
 let prefetch_fills t = t.prefetch_fills
 let prefetch_hits t = t.prefetch_hits
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.prefetch_fills <- 0;
-  t.prefetch_hits <- 0

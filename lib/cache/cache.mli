@@ -43,4 +43,3 @@ val prefetch_fills : t -> int
 val prefetch_hits : t -> int
 (** Demand hits on prefetched lines (prefetcher coverage numerator). *)
 
-val reset_stats : t -> unit

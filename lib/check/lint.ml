@@ -49,24 +49,12 @@ type image_bounds = {
   hi : int;
 }
 
-(* Initialised words are 8 bytes wide; one cache line of slack on either
-   side keeps intra-structure padding (Mem_builder line-aligns every
-   allocation) from producing noise. *)
-let word_bytes = 8
-
+(* One cache line of slack on either side keeps intra-structure padding
+   (Mem_builder line-aligns every allocation) from producing noise. *)
 let slack_bytes = 64
 
 let bounds_of_image image =
-  if Hashtbl.length image = 0 then None
-  else begin
-    let lo = ref max_int and hi = ref min_int in
-    Hashtbl.iter
-      (fun addr _ ->
-        if addr < !lo then lo := addr;
-        if addr + word_bytes > !hi then hi := addr + word_bytes)
-      image;
-    Some { lo = !lo; hi = !hi }
-  end
+  Option.map (fun (lo, hi) -> { lo; hi }) (Mem_image.bounds image)
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 

@@ -84,8 +84,8 @@ type image_bounds = {
   hi : int;  (** one past the highest initialised byte address *)
 }
 
-val bounds_of_image : (int, int) Hashtbl.t -> image_bounds option
-(** Bounds of an initial-memory table; [None] when the image is empty. *)
+val bounds_of_image : Mem_image.t -> image_bounds option
+(** Bounds of an initial-memory image; [None] when the image is empty. *)
 
 val check_program :
   ?initialised:Isa.reg list -> ?bounds:image_bounds -> Program.t -> diag list

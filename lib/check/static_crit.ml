@@ -219,10 +219,6 @@ let compare_tagging st (tg : Tagger.t) =
     load_roots;
     load_roots_hit }
 
-let pp_candidate fmt c =
-  Format.fprintf fmt "pc %d %s (loop@%d): %d-instr slice, cost %d" c.pc
-    (reason_name c.reason) c.header (List.length c.slice) c.cost
-
 let pp_comparison fmt c =
   Format.fprintf fmt
     "predicted %d / tagged %d / overlap %d pcs — precision %.2f recall %.2f \

@@ -70,6 +70,4 @@ val compare_tagging : t -> Tagger.t -> comparison
 
 val reason_name : reason -> string
 
-val pp_candidate : Format.formatter -> candidate -> unit
-
 val pp_comparison : Format.formatter -> comparison -> unit

@@ -304,7 +304,7 @@ let division { sizes; _ } =
       description = "serial division chain with dependent scoring bursts";
       program = assemble ~name:"divchain" code;
       reg_init = [ (d, 987_654_321); (k, 1); (tb, table); buf_init ];
-      mem_init = Mem_builder.table mb;
+      mem_init = Mem_builder.image mb;
       max_instrs = instrs }
   in
   let train = build ~input:Workload.Train ~instrs:sizes.train_instrs in

@@ -56,8 +56,6 @@ val static_name : string
 (** ["static_crit"]: the golden's basename, deliberately outside the
     workload namespace. *)
 
-val static_vector : ?cfg:Cpu_config.t -> sizes:sizes -> unit -> Obs_golden.vector
-
 val static_write : ?cfg:Cpu_config.t -> dir:string -> sizes:sizes -> unit -> unit
 
 val static_check :

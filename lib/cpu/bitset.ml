@@ -29,10 +29,6 @@ let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let same_width a b = if a.bits <> b.bits then invalid_arg "Bitset: width mismatch"
 
-let copy_into ~src ~dst =
-  same_width src dst;
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
-
 let inter_into ~a ~b ~dst =
   same_width a b;
   same_width a dst;

@@ -13,7 +13,6 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val is_empty : t -> bool
-val copy_into : src:t -> dst:t -> unit
 val inter_into : a:t -> b:t -> dst:t -> unit
 (** [dst := a AND b]; all three must share a width. *)
 

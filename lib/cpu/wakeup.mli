@@ -8,10 +8,6 @@
 
 type t
 
-val links_per_node : int
-(** Producer operands a consumer can wait on at once (src1, src2,
-    store-to-load forward). *)
-
 val create : int -> t
 (** Lists over [n] slots; all initially empty. *)
 
@@ -19,9 +15,10 @@ val capacity : t -> int
 
 val push : t -> producer:int -> consumer:int -> link:int -> unit
 (** Thread [consumer] onto [producer]'s list via the consumer's operand
-    [link] (0 <= link < links_per_node).  A given (consumer, link) pair
-    must be on at most one list at a time — the caller guarantees this by
-    using a distinct link per producer operand. *)
+    [link] (0 <= link < 3: src1, src2, store-to-load forward).  A given
+    (consumer, link) pair must be on at most one list at a time — the
+    caller guarantees this by using a distinct link per producer
+    operand. *)
 
 val pop : t -> int -> int
 (** Detach and return the most recently pushed consumer of the producer,

@@ -94,11 +94,10 @@ type response =
           {!Grid.validate}) {e before} any cell was scheduled.  Terminates the request like [Summary] does. *)
   | Overloaded of { retry_after_ms : int }
       (** The daemon shed this connection or request: the connection cap
-          is full, the pool's queue is too deep, or this connection
-          exhausted its request budget.  A {e connection-terminating}
-          frame — the server closes the socket right after sending it.
-          [retry_after_ms] is the server's backoff hint; [0] means
-          "reconnect immediately" (budget recycling, not overload). *)
+          is full or the pool's queue is too deep.  A
+          {e connection-terminating} frame — the server closes the socket
+          right after sending it.  [retry_after_ms] is the server's
+          backoff hint. *)
   | Draining
       (** The daemon is draining (SIGTERM / client-requested shutdown):
           it will finish streaming in-flight grids but accepts no new

@@ -2,7 +2,6 @@ module P = Farm_protocol
 
 type limits = {
   max_connections : int;
-  max_requests_per_conn : int;
   max_queued : int option;
   io_timeout : float option;
   idle_timeout : float option;
@@ -12,7 +11,6 @@ type limits = {
 
 let default_limits =
   { max_connections = 64;
-    max_requests_per_conn = 10_000;
     max_queued = None;
     io_timeout = Some 30.;
     idle_timeout = Some 600.;
@@ -223,8 +221,7 @@ let stop t =
    - every write carries the io deadline (evict a dead reader whose
      socket buffer is full);
    - the drain flag is polled between frames, so an idle connection
-     learns about a drain within ~50ms via a [Draining] frame;
-   - a finite request budget recycles long-lived connections. *)
+     learns about a drain within ~50ms via a [Draining] frame. *)
 let handle_client t fd =
   let limits = t.cfg.limits in
   (match limits.sndbuf with
@@ -236,61 +233,52 @@ let handle_client t fd =
     Farm_frame.write_fd ?io_timeout:limits.io_timeout fd (P.encode_response resp)
   in
   let draining () = Atomic.get t.stop_flag in
-  let requests = ref 0 in
   let rec loop () =
-    if !requests >= limits.max_requests_per_conn then begin
-      (* Budget exhausted: recycle the connection.  retry_after 0 tells
-         a well-behaved client to simply reconnect. *)
-      log t "recycling connection after %d requests" !requests;
-      send (P.Overloaded { retry_after_ms = 0 })
+    match
+      Farm_frame.read_fd ?idle_timeout:limits.idle_timeout
+        ?io_timeout:limits.io_timeout ~poll:draining fd
+    with
+    | `Eof -> ()
+    | `Abort ->
+      (* The daemon started draining while this connection sat between
+         frames; say so and hang up. *)
+      send P.Draining
+    | `Idle_timeout -> log t "reaping idle connection"
+    | `Timeout ->
+      (* A frame started but never completed — the slowloris
+         signature.  Evict without a goodbye: the peer is hostile or
+         wedged, and a reply would just block on it. *)
+      log t "evicting slow client: frame did not complete within %gs"
+        (Option.value limits.io_timeout ~default:0.)
+    | `Frame payload -> begin
+      match P.decode_request payload with
+      | Error msg ->
+        (* A client that speaks garbage gets one loud error and the
+           door: resynchronising a confused peer helps nobody. *)
+        log t "rejecting request: %s" msg;
+        send (P.Error_reply msg)
+      | Ok P.Ping ->
+        send P.Pong;
+        loop ()
+      | Ok P.Stats ->
+        send (P.Stats_reply (stats t));
+        loop ()
+      | Ok P.Shutdown ->
+        log t "shutdown requested by client";
+        send P.Shutting_down;
+        stop t
+      | Ok (P.Run_grid g) ->
+        if queue_overloaded t then begin
+          log t "shedding grid %s (%s): pool queue over cap" g.tag g.id;
+          send (P.Overloaded { retry_after_ms = limits.retry_after_ms })
+        end
+        else begin
+          serve_grid t ~send g;
+          (* An in-flight grid finishes streaming even under drain;
+             only then does the connection learn the daemon is gone. *)
+          if draining () then send P.Draining else loop ()
+        end
     end
-    else
-      match
-        Farm_frame.read_fd ?idle_timeout:limits.idle_timeout
-          ?io_timeout:limits.io_timeout ~poll:draining fd
-      with
-      | `Eof -> ()
-      | `Abort ->
-        (* The daemon started draining while this connection sat between
-           frames; say so and hang up. *)
-        send P.Draining
-      | `Idle_timeout -> log t "reaping idle connection"
-      | `Timeout ->
-        (* A frame started but never completed — the slowloris
-           signature.  Evict without a goodbye: the peer is hostile or
-           wedged, and a reply would just block on it. *)
-        log t "evicting slow client: frame did not complete within %gs"
-          (Option.value limits.io_timeout ~default:0.)
-      | `Frame payload -> begin
-        incr requests;
-        match P.decode_request payload with
-        | Error msg ->
-          (* A client that speaks garbage gets one loud error and the
-             door: resynchronising a confused peer helps nobody. *)
-          log t "rejecting request: %s" msg;
-          send (P.Error_reply msg)
-        | Ok P.Ping ->
-          send P.Pong;
-          loop ()
-        | Ok P.Stats ->
-          send (P.Stats_reply (stats t));
-          loop ()
-        | Ok P.Shutdown ->
-          log t "shutdown requested by client";
-          send P.Shutting_down;
-          stop t
-        | Ok (P.Run_grid g) ->
-          if queue_overloaded t then begin
-            log t "shedding grid %s (%s): pool queue over cap" g.tag g.id;
-            send (P.Overloaded { retry_after_ms = limits.retry_after_ms })
-          end
-          else begin
-            serve_grid t ~send g;
-            (* An in-flight grid finishes streaming even under drain;
-               only then does the connection learn the daemon is gone. *)
-            if draining () then send P.Draining else loop ()
-          end
-      end
   in
   (try loop () with
   | Farm_frame.Frame_error msg ->

@@ -27,9 +27,8 @@
       byte per second or a dead reader that never drains its socket is
       evicted within [io_timeout] instead of pinning a handler thread;
     - a connection silent for [idle_timeout] is reaped;
-    - over-cap connections ([max_connections]), over-deep pool queues
-      ([max_queued]) and exhausted per-connection request budgets
-      ([max_requests_per_conn]) all shed with a structured
+    - over-cap connections ([max_connections]) and over-deep pool
+      queues ([max_queued]) both shed with a structured
       {!Farm_protocol.response.Overloaded} terminating frame;
     - {!stop} (SIGTERM) drains gracefully: the accept loop closes,
       in-flight grids finish streaming, idle connections get a
@@ -42,9 +41,6 @@ type limits = {
   max_connections : int;
       (** concurrent handler threads; excess connections are shed with
           [Overloaded] at accept time *)
-  max_requests_per_conn : int;
-      (** requests served before a connection is recycled with
-          [Overloaded {retry_after_ms = 0}] *)
   max_queued : int option;
       (** shed new grid requests while the pool queue is deeper than
           this; [None] admits regardless of queue depth *)

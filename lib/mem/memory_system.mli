@@ -65,8 +65,6 @@ val code_l1 : int
 val code_llc : int
 val code_mem : int
 
-val level_of_code : int -> level
-
 val load_raw : t -> cycle:int -> addr:int -> int
 (** Packed {!load}; [-1] when the MSHRs are full. *)
 

@@ -46,11 +46,8 @@ let run ?(reg_init = []) ?mem_init ?on_step ~max_instrs prog =
   let regs = Array.make Isa.num_regs 0 in
   List.iter (fun (r, v) -> regs.(r) <- v) reg_init;
   let mem =
-    match mem_init with
-    | Some m -> Hashtbl.copy m
-    | None -> Hashtbl.create 1024
+    match mem_init with Some m -> Mem_image.copy_on_write m | None -> Mem_image.create ()
   in
-  let read_mem addr = match Hashtbl.find_opt mem addr with Some v -> v | None -> 0 in
   let call_stack = ref [] in
   let dyns = Vec.create ~capacity:(min max_instrs 65536) ~dummy:dummy_dyn () in
   let halted = ref false in
@@ -77,10 +74,10 @@ let run ?(reg_init = []) ?mem_init ?on_step ~max_instrs prog =
       regs.(d.dst) <- (if b = 0 then 0 else regs.(d.src1) / b)
     | Isa.Load ->
       addr := regs.(d.src1) + d.imm;
-      regs.(d.dst) <- read_mem !addr
+      regs.(d.dst) <- Mem_image.get mem !addr
     | Isa.Store ->
       addr := regs.(d.src2) + d.imm;
-      Hashtbl.replace mem !addr regs.(d.src1)
+      Mem_image.set mem !addr regs.(d.src1)
     | Isa.Prefetch -> addr := regs.(d.src1) + d.imm
     | Isa.Branch cond ->
       if cond_eval cond regs.(d.src1) operand2 then begin

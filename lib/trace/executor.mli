@@ -29,14 +29,16 @@ type t = {
 
 val run :
   ?reg_init:(Isa.reg * int) list ->
-  ?mem_init:(int, int) Hashtbl.t ->
+  ?mem_init:Mem_image.t ->
   ?on_step:(int -> int array -> unit) ->
   max_instrs:int ->
   Program.t ->
   t
 (** Execute from pc 0 with the given initial architectural state.  Memory is
-    word-addressed by byte address (accesses are assumed aligned) and reads
-    of uninitialised locations return 0.  Execution stops at [Halt], when pc
+    word-addressed by exact byte address and reads of uninitialised
+    locations return 0.  The run stores into a {!Mem_image.copy_on_write}
+    view, so [mem_init] is never mutated and one image can seed any
+    number of runs.  Execution stops at [Halt], when pc
     runs past the end of the program, when [Ret] finds an empty call stack,
     or after [max_instrs] dynamic micro-ops.
 

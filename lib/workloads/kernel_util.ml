@@ -2,8 +2,6 @@ let base_reg = 48
 let temp0 = 49
 let num_temps = 9
 
-let payload_temps = List.init (num_temps + 1) (fun i -> base_reg + i)
-
 let buf_reg = 58
 
 let payload ?(stores = 0) ~tag ~dep ~buf ~loads ~fp_ops () =
@@ -29,8 +27,6 @@ let payload ?(stores = 0) ~tag ~dep ~buf ~loads ~fp_ops () =
     St (temp0 + (k mod num_temps), base_reg, (k * 8 mod 2048) + 2048)
   in
   List.init fp_ops fp @ header @ List.init loads load @ List.init stores store
-
-let payload_length ?(stores = 0) ~loads ~fp_ops () = 2 + loads + fp_ops + stores
 
 let scratch_buffer mb =
   let base = Mem_builder.alloc mb ~bytes:4096 in

@@ -8,10 +8,6 @@
     payload before restarting the miss chain, while CRISP issues the
     critical slice first and overlaps the payload with the next miss. *)
 
-val payload_temps : Isa.reg list
-(** Registers the generated payload clobbers (r48-r57); kernels must not
-    use them elsewhere. *)
-
 val payload :
   ?stores:int ->
   tag:string ->
@@ -28,9 +24,8 @@ val payload :
     the loaded values (mutually independent, no long chains), and [stores]
     writes back into the buffer.  Loads (two ports) and stores (one port)
     are what make the burst drain slowly past the baseline picker.  Total
-    length is [2 + loads + fp_ops + stores] instructions. *)
-
-val payload_length : ?stores:int -> loads:int -> fp_ops:int -> unit -> int
+    length is [2 + loads + fp_ops + stores] instructions.  The payload
+    clobbers r48-r57; kernels must not use them elsewhere. *)
 
 val scratch_buffer : Mem_builder.t -> Isa.reg * (Isa.reg * int)
 (** Allocate the 4 KiB cache-resident scratch buffer the payload reads;

@@ -1,13 +1,13 @@
 type t = {
-  mem : (int, int) Hashtbl.t;
+  mem : Mem_image.t;
   mutable cursor : int;
 }
 
 let line = 64
 
-let create () = { mem = Hashtbl.create 4096; cursor = 0x1000_0000 }
+let create () = { mem = Mem_image.create (); cursor = 0x1000_0000 }
 
-let table t = t.mem
+let image t = t.mem
 
 let alloc t ~bytes =
   let base = t.cursor in
@@ -15,7 +15,7 @@ let alloc t ~bytes =
   t.cursor <- t.cursor + rounded + line;
   base
 
-let write t ~addr value = Hashtbl.replace t.mem addr value
+let write t ~addr value = Mem_image.set t.mem addr value
 
 let int_array t values =
   let base = alloc t ~bytes:(8 * Array.length values) in

@@ -6,8 +6,8 @@ type t
 
 val create : unit -> t
 
-val table : t -> (int, int) Hashtbl.t
-(** The underlying address -> word map, passed to {!Executor.run}. *)
+val image : t -> Mem_image.t
+(** The image built so far, passed to {!Executor.run}. *)
 
 val alloc : t -> bytes:int -> int
 (** Reserve a cache-line-aligned region; returns its base address. *)

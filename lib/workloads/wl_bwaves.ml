@@ -44,5 +44,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       ((n, 29) :: (acc, 1) :: (i, 0)
       :: List.init 8 (fun k -> (idx0 + k, seeds.(k))));
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -59,5 +59,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (cell, grid); (cend, grid + (cells * 16)); (mbase, mat_base); (acc, 1);
         buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

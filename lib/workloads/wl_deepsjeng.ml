@@ -53,5 +53,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (pos, 12345); (alpha, 2048); (tb, table); (hb, history); (h, 7); (best, 0);
         (i, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -40,5 +40,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     description = "FDTD field update: unit-stride streaming, prefetcher-covered";
     program = assemble ~name:"fotonik" code;
     reg_init = [ (i, 0); (exb, ex); (hyb, hy); (hzb, hz); (limit, count) ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -82,5 +82,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (ip, ops_base); (iend, ops_base + (op_count * 8)); (stb, symtab);
         (off, syms_base - ops_base); (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

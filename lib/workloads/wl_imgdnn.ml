@@ -51,5 +51,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     program = assemble ~name:"imgdnn" code;
     reg_init =
       [ (wp, weights); (wend, weights + (rows * dim * 8)); (ab, activations); (r, 0) ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

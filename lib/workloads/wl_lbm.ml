@@ -64,5 +64,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (cell, grid_base); (cell_end, grid_base + (cells * 16)); (nbase, neighbors_base);
         (rho, 3); (u, 5); (f0, 7); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

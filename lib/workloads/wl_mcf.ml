@@ -53,5 +53,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (arc, arcs_base); (arc_end, arcs_base + (arc_count * 16)); (base, nodes_base);
         buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -74,5 +74,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (rp, reqs); (rend, reqs + (req_count * 8)); (bb, buckets_base);
         (outb, Mem_builder.alloc mb ~bytes:64); (out, 0); (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -92,5 +92,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (ptr, phrases); (pend, phrases + (phrase_count * 8)); (l1b, l1_base); (i, 3);
         (prob, 0); (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

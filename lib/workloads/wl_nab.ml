@@ -50,5 +50,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (ptr, pairs_base); (pend, pairs_base + (pair_count * 8)); (pb, pos_base);
         (cutoff, 750); (acc, 1); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -58,5 +58,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     program = assemble ~name:"omnetpp" code;
     reg_init =
       [ (cur, heap + (order.(0) * 64)); (target, 77); (i, 3); (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -75,5 +75,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (kp, keys_base); (kend, keys_base + (key_count * 8)); (tb, table_base); (i, 3);
         (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -43,5 +43,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) ?(vec_size = 24)
        cur->val load executes: the first vector sweep multiplies by the
        initial value declared here. *)
     reg_init = [ (cur, head); (vbase, vec_base); (v, 0) ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

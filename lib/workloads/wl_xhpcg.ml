@@ -76,5 +76,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     reg_init =
       [ (row, perm.(0)); (j, 0); (xb, x_base); (cb, cols_base); (vb, vals_base);
         (yb, y_base); (nb, next_base); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -68,5 +68,5 @@ let make ?(input = Workload.Ref) ?(instrs = 240_000) () =
     program = assemble ~name:"xz" code;
     reg_init =
       [ (pos, 0); (wb, window); (hb, head_base); (cb, chain_base); (acc, 0); buf_init ];
-    mem_init = Mem_builder.table mb;
+    mem_init = Mem_builder.image mb;
     max_instrs = instrs }

@@ -7,7 +7,7 @@ type t = {
   description : string;
   program : Program.t;
   reg_init : (Isa.reg * int) list;
-  mem_init : (int, int) Hashtbl.t;
+  mem_init : Mem_image.t;
   max_instrs : int;
 }
 

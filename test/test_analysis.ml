@@ -16,15 +16,15 @@ let bool = Alcotest.bool
 *)
 let spill_chase_workload ?(nodes = 30_000) () =
   let rng = Prng.create 21 in
-  let mem = Hashtbl.create 1024 in
+  let mem = Mem_image.create () in
   let order = Array.init nodes (fun i -> i) in
   Prng.shuffle rng order;
   (* nodes are two lines apart, with the value on the second line, so the
      chain load and the value load miss independently *)
   for i = 0 to nodes - 1 do
     let addr = 0x400000 + (order.(i) * 128) in
-    Hashtbl.replace mem addr (0x400000 + (order.((i + 1) mod nodes) * 128));
-    Hashtbl.replace mem (addr + 64) (Prng.int rng 100)
+    Mem_image.set mem addr (0x400000 + (order.((i + 1) mod nodes) * 128));
+    Mem_image.set mem (addr + 64) (Prng.int rng 100)
   done;
   let open Program in
   let insts =
@@ -67,9 +67,9 @@ let test_profiler_mlp_serial_vs_parallel () =
   check bool "serial chain has MLP ~ 1" true (Profiler.avg_mlp value_load < 1.5);
   (* independent gathers: high MLP *)
   let rng = Prng.create 31 in
-  let mem = Hashtbl.create 64 in
+  let mem = Mem_image.create () in
   for i = 0 to (1 lsl 15) - 1 do
-    Hashtbl.replace mem (0x500000 + (i * 8)) (Prng.int rng 100)
+    Mem_image.set mem (0x500000 + (i * 8)) (Prng.int rng 100)
   done;
   let open Program in
   let gather k =
@@ -182,8 +182,8 @@ let test_slicer_branch_slice () =
 let test_critical_path_filters_cheap_side_chains () =
   (* root load fed by an expensive load chain and a cheap constant chain:
      only the expensive side survives a high theta *)
-  let mem = Hashtbl.create 16 in
-  Hashtbl.replace mem 0x600000 0x610000;
+  let mem = Mem_image.create () in
+  Mem_image.set mem 0x600000 0x610000;
   let open Program in
   let insts =
     [ Ld (1, 9, 0);  (* pc 0: slow producer (DRAM) *)

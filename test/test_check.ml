@@ -22,9 +22,9 @@ let clean_program () =
       Halt ]
 
 let test_lint_clean () =
-  let mem = Hashtbl.create 64 in
+  let mem = Mem_image.create () in
   for i = 0 to 127 do
-    Hashtbl.replace mem (0x10000 + (i * 8)) i
+    Mem_image.set mem (0x10000 + (i * 8)) i
   done;
   let diags =
     match Lint.bounds_of_image mem with
@@ -146,9 +146,9 @@ let test_lint_unreachable () =
 
 let test_lint_addresses () =
   let open Program in
-  let mem = Hashtbl.create 16 in
+  let mem = Mem_image.create () in
   for i = 0 to 63 do
-    Hashtbl.replace mem (0x8000 + (i * 8)) i
+    Mem_image.set mem (0x8000 + (i * 8)) i
   done;
   let bounds = Option.get (Lint.bounds_of_image mem) in
   let negative =
@@ -253,9 +253,9 @@ let test_lint_invariant_address () =
 
 let test_lint_oob_range () =
   let open Program in
-  let mem = Hashtbl.create 16 in
+  let mem = Mem_image.create () in
   for i = 0 to 63 do
-    Hashtbl.replace mem (0x8000 + (i * 8)) i
+    Mem_image.set mem (0x8000 + (i * 8)) i
   done;
   let bounds = Option.get (Lint.bounds_of_image mem) in
   (* r1 is unknown at entry but masked into [0, 7] then rebased far past
@@ -311,13 +311,13 @@ let test_lint_bad_register_short_circuits () =
    chain passes through memory, so follow_memory matters. *)
 let spill_chase_trace ?(nodes = 8_000) () =
   let rng = Prng.create 21 in
-  let mem = Hashtbl.create 1024 in
+  let mem = Mem_image.create () in
   let order = Array.init nodes (fun i -> i) in
   Prng.shuffle rng order;
   for i = 0 to nodes - 1 do
     let addr = 0x400000 + (order.(i) * 128) in
-    Hashtbl.replace mem addr (0x400000 + (order.((i + 1) mod nodes) * 128));
-    Hashtbl.replace mem (addr + 64) (Prng.int rng 100)
+    Mem_image.set mem addr (0x400000 + (order.((i + 1) mod nodes) * 128));
+    Mem_image.set mem (addr + 64) (Prng.int rng 100)
   done;
   let open Program in
   let prog =
@@ -438,9 +438,9 @@ let random_trace seed =
   let rng = Prng.create (1000 + seed) in
   let words = 512 in
   let base = 0x20000 in
-  let mem = Hashtbl.create 256 in
+  let mem = Mem_image.create () in
   for i = 0 to words - 1 do
-    Hashtbl.replace mem (base + (i * 8)) (Prng.int rng 1_000_000)
+    Mem_image.set mem (base + (i * 8)) (Prng.int rng 1_000_000)
   done;
   let reg () = 1 + Prng.int rng 8 in
   let alu_kinds = [| Isa.Add; Isa.Sub; Isa.Xor; Isa.And; Isa.Or; Isa.Shr |] in

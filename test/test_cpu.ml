@@ -66,12 +66,12 @@ let test_dram_miss_stalls () =
   let open Program in
   (* pointer chase over a large random list: every iteration misses DRAM *)
   let rng = Prng.create 5 in
-  let mem = Hashtbl.create 1024 in
+  let mem = Mem_image.create () in
   let nodes = 4000 in
   let order = Array.init nodes (fun i -> i) in
   Prng.shuffle rng order;
   for i = 0 to nodes - 1 do
-    Hashtbl.replace mem (0x100000 + (order.(i) * 64))
+    Mem_image.set mem (0x100000 + (order.(i) * 64))
       (0x100000 + (order.((i + 1) mod nodes) * 64))
   done;
   let body = [ Ld (9, 9, 0) ] in
@@ -87,10 +87,10 @@ let test_dram_miss_stalls () =
 let test_branch_mispredicts_cost () =
   let open Program in
   (* data-dependent branch on pseudo-random values vs an always-taken one *)
-  let mem = Hashtbl.create 64 in
+  let mem = Mem_image.create () in
   let rng = Prng.create 11 in
   for i = 0 to 4095 do
-    Hashtbl.replace mem (8192 + (i * 8)) (Prng.int rng 2)
+    Mem_image.set mem (8192 + (i * 8)) (Prng.int rng 2)
   done;
   let body which =
     [ Alu (Isa.And, 1, 31, Imm 4095);
@@ -124,12 +124,12 @@ let test_criticality_changes_schedule () =
   (* a serial chase whose resolution wakes a store burst along with the
      next chain load: tagging the chain load must help *)
   let rng = Prng.create 7 in
-  let mem = Hashtbl.create 1024 in
+  let mem = Mem_image.create () in
   let nodes = 2000 in
   let order = Array.init nodes (fun i -> i) in
   Prng.shuffle rng order;
   for i = 0 to nodes - 1 do
-    Hashtbl.replace mem (0x200000 + (order.(i) * 64))
+    Mem_image.set mem (0x200000 + (order.(i) * 64))
       (0x200000 + (order.((i + 1) mod nodes) * 64))
   done;
   let burst =
@@ -172,9 +172,9 @@ let test_window_scaling_helps () =
   let open Program in
   (* independent misses: a bigger window exposes more MLP *)
   let rng = Prng.create 13 in
-  let mem = Hashtbl.create 64 in
+  let mem = Mem_image.create () in
   for i = 0 to (1 lsl 15) - 1 do
-    Hashtbl.replace mem (0x300000 + (i * 8)) (Prng.int rng 1000)
+    Mem_image.set mem (0x300000 + (i * 8)) (Prng.int rng 1000)
   done;
   let body =
     [ Mul (1, 1, 9);

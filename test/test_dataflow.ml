@@ -78,9 +78,9 @@ let random_program seed =
   in
   let prog = assemble ~name:(Printf.sprintf "df%d" seed) code in
   let reg_init = List.init 10 (fun r -> (r + 1, Prng.int rng 1_000)) in
-  let mem_init = Hashtbl.create 256 in
+  let mem_init = Mem_image.create () in
   for i = 0 to words - 1 do
-    Hashtbl.replace mem_init (mem_base + (i * 8)) (Prng.int rng 1_000_000)
+    Mem_image.set mem_init (mem_base + (i * 8)) (Prng.int rng 1_000_000)
   done;
   (prog, reg_init, mem_init)
 

@@ -736,24 +736,19 @@ let test_server_sheds_on_saturated_pool () =
   check int "no grid was served" 0 st.Farm_protocol.requests_served;
   check int "the shed grid queued no cell" 1 st.Farm_protocol.pool.Exec.Pool.queued
 
-let test_server_recycles_request_budget () =
-  with_server
-    ~limits:{ Farm_server.default_limits with max_requests_per_conn = 2 }
-    ~workers:1
-  @@ fun ~socket ~srv:_ ->
+(* A healthy client may keep one connection for as long as it likes:
+   the handler holds no per-connection state that grows, so no request
+   count is refused. *)
+let test_server_long_lived_connection () =
+  with_server ~workers:1 @@ fun ~socket ~srv:_ ->
   let c = connect socket in
-  (Fun.protect ~finally:(fun () -> Farm_client.close c) @@ fun () ->
-   Farm_client.ping c;
-   Farm_client.ping c;
-   match Farm_client.ping c with
-   | () -> Alcotest.fail "third request exceeded the connection budget"
-   | exception Farm_client.Overloaded 0 -> ()
-   | exception Farm_client.Overloaded ms ->
-     Alcotest.failf "recycle hint should be 0 (just reconnect), got %d" ms);
-  (* Reconnecting gets a fresh budget. *)
-  let c2 = connect socket in
-  Farm_client.ping c2;
-  Farm_client.close c2
+  Fun.protect ~finally:(fun () -> Farm_client.close c) @@ fun () ->
+  for i = 1 to 10_001 do
+    match Farm_client.ping c with
+    | () -> ()
+    | exception Farm_client.Overloaded ms ->
+      Alcotest.failf "ping %d shed with Overloaded (retry %d ms)" i ms
+  done
 
 (* The acceptance property: a slowloris writer trickling a frame one
    byte at a time is evicted within the io deadline, while a healthy
@@ -1009,8 +1004,8 @@ let () =
             test_server_sheds_over_cap;
           Alcotest.test_case "saturated pool sheds grids" `Quick
             test_server_sheds_on_saturated_pool;
-          Alcotest.test_case "request budget recycles connections" `Quick
-            test_server_recycles_request_budget;
+          Alcotest.test_case "long-lived connection served" `Quick
+            test_server_long_lived_connection;
           Alcotest.test_case "slowloris evicted, healthy client served" `Quick
             test_server_evicts_slowloris_healthy_unblocked;
           Alcotest.test_case "dead reader evicted mid-stream" `Quick

@@ -175,9 +175,9 @@ let random_trace seed =
   let rng = Prng.create (4_000 + seed) in
   let words = 512 in
   let base = 0x20000 in
-  let mem = Hashtbl.create 256 in
+  let mem = Mem_image.create () in
   for i = 0 to words - 1 do
-    Hashtbl.replace mem (base + (i * 8)) (Prng.int rng 1_000_000)
+    Mem_image.set mem (base + (i * 8)) (Prng.int rng 1_000_000)
   done;
   let reg () = 1 + Prng.int rng 8 in
   let alu_kinds = [| Isa.Add; Isa.Sub; Isa.Xor; Isa.And; Isa.Or; Isa.Shr |] in

@@ -277,9 +277,9 @@ let random_program seed =
   in
   let prog = assemble ~name:(Printf.sprintf "sm%d" seed) code in
   let reg_init = List.init 10 (fun r -> (r + 1, Prng.int rng 1_000)) in
-  let mem_init = Hashtbl.create 256 in
+  let mem_init = Mem_image.create () in
   for i = 0 to words - 1 do
-    Hashtbl.replace mem_init (mem_base + (i * 8)) (Prng.int rng 1_000_000)
+    Mem_image.set mem_init (mem_base + (i * 8)) (Prng.int rng 1_000_000)
   done;
   (prog, reg_init, mem_init)
 
@@ -298,16 +298,14 @@ let prop_fast_forward_matches_detailed_prefix =
     QCheck.small_int (fun seed ->
       let prog, reg_init, mem_init = random_program seed in
       let max_instrs = 3_000 in
-      (* the Hashtbl is mutated by execution — fresh copy per run *)
-      let mem () = Hashtbl.copy mem_init in
-      let full = Executor.run ~reg_init ~mem_init:(mem ()) ~max_instrs prog in
+      let full = Executor.run ~reg_init ~mem_init ~max_instrs prog in
       let n = Array.length full.Executor.dyns in
       if n < 20 then true
       else begin
         let b = 1 + ((seed * 7919) mod (n - 1)) in
         let prefix = Array.sub full.Executor.dyns 0 b in
         let truncated =
-          Executor.run ~reg_init ~mem_init:(mem ()) ~max_instrs:b prog
+          Executor.run ~reg_init ~mem_init ~max_instrs:b prog
         in
         let bad_addr = ref None in
         let step = ref 0 in
@@ -324,7 +322,7 @@ let prop_fast_forward_matches_detailed_prefix =
              if expect <> d.Executor.addr then bad_addr := Some !step);
           incr step
         in
-        ignore (Executor.run ~reg_init ~mem_init:(mem ()) ~on_step ~max_instrs prog);
+        ignore (Executor.run ~reg_init ~mem_init ~on_step ~max_instrs prog);
         if truncated.Executor.dyns <> prefix then
           QCheck.Test.fail_report "truncated run <> prefix of the full trace"
         else

@@ -51,6 +51,100 @@ let test_vec_bounds () =
   Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec.get") (fun () ->
       ignore (Vec.get v 1))
 
+(* ---------------- Mem_image ---------------- *)
+
+(* One step against a list of images: store to image [i], load from it,
+   or open a copy-on-write view of it.  Image indices are taken modulo
+   the number of images open at that point. *)
+type image_op =
+  | Set of int * int * int
+  | Get of int * int
+  | View of int
+
+let gen_image_addr =
+  let base = 0x1000_0000 in
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun k -> base + (8 * k)) (int_bound 2_000));
+        (2, map (fun k -> base + k) (int_bound 2_000));
+        (2, map (fun k -> base + (4096 * k)) (int_range (-2_000) 2_000));
+        (1, map (fun k -> -k) (int_bound 5_000));
+        (1, map (fun k -> k * base) (int_range (-4) 64));
+        (1, oneofl [ 0; 8; max_int; max_int - 7; min_int ]) ])
+
+let gen_image_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 300)
+      (frequency
+         [ (6, map3 (fun i a v -> Set (i, a, v)) small_nat gen_image_addr small_signed_int);
+           (4, map2 (fun i a -> Get (i, a)) small_nat gen_image_addr);
+           (1, map (fun i -> View i) small_nat) ]))
+
+let print_image_op = function
+  | Set (i, a, v) -> Printf.sprintf "set %d %#x %d" i a v
+  | Get (i, a) -> Printf.sprintf "get %d %#x" i a
+  | View i -> Printf.sprintf "view %d" i
+
+(* The oracle: one Hashtbl binding per stored word, copied whole for a
+   view. *)
+let model_bounds m =
+  if Hashtbl.length m = 0 then None
+  else
+    Some
+      (Hashtbl.fold
+         (fun a _ (lo, hi) -> (min lo a, if a + 8 > hi then a + 8 else hi))
+         m (max_int, min_int))
+
+let prop_mem_image_matches_hashtbl =
+  QCheck.Test.make ~name:"Mem_image = Hashtbl model, views isolated" ~count:300
+    (QCheck.make gen_image_ops ~print:(QCheck.Print.list print_image_op))
+    (fun ops ->
+      let images = ref [| (Mem_image.create (), Hashtbl.create 16) |] in
+      let touched = Hashtbl.create 64 in
+      let pick i = !images.(i mod Array.length !images) in
+      let ok = ref true in
+      List.iter
+        (function
+          | Set (i, a, v) ->
+            let img, m = pick i in
+            Hashtbl.replace touched a ();
+            Mem_image.set img a v;
+            Hashtbl.replace m a v
+          | Get (i, a) ->
+            let img, m = pick i in
+            let want = Option.value ~default:0 (Hashtbl.find_opt m a) in
+            if Mem_image.get img a <> want then ok := false
+          | View i ->
+            let img, m = pick i in
+            images := Array.append !images [| (Mem_image.copy_on_write img, Hashtbl.copy m) |])
+        ops;
+      Array.iter
+        (fun (img, m) ->
+          if Mem_image.bounds img <> model_bounds m then ok := false;
+          Hashtbl.iter
+            (fun a () ->
+              if Mem_image.get img a <> Option.value ~default:0 (Hashtbl.find_opt m a) then
+                ok := false)
+            touched)
+        !images;
+      !ok)
+
+let test_mem_image_view_isolated () =
+  let base = Mem_image.create () in
+  Mem_image.set base 0x1000 1;
+  Mem_image.set base 0x1008 2;
+  let view = Mem_image.copy_on_write base in
+  Mem_image.set view 0x1000 10;
+  Mem_image.set view 0x9000_0000 11;
+  Mem_image.set base 0x1008 20;
+  check int "view store hidden from base" 1 (Mem_image.get base 0x1000);
+  check int "base store hidden from view" 2 (Mem_image.get view 0x1008);
+  check int "view reads its own store" 10 (Mem_image.get view 0x1000);
+  check int "far store lands" 11 (Mem_image.get view 0x9000_0000);
+  check bool "base bounds unchanged by the view" true
+    (Mem_image.bounds base = Some (0x1000, 0x1010));
+  check bool "empty image has no bounds" true (Mem_image.bounds (Mem_image.create ()) = None)
+
 (* ---------------- Assembler ---------------- *)
 
 let test_assemble_labels () =
@@ -263,6 +357,9 @@ let () =
       ( "vec",
         [ Alcotest.test_case "push/grow/get" `Quick test_vec_grows;
           Alcotest.test_case "bounds check" `Quick test_vec_bounds ] );
+      ( "mem_image",
+        [ Alcotest.test_case "views isolated both ways" `Quick test_mem_image_view_isolated;
+          QCheck_alcotest.to_alcotest prop_mem_image_matches_hashtbl ] );
       ( "assembler",
         [ Alcotest.test_case "label resolution" `Quick test_assemble_labels;
           Alcotest.test_case "assembly errors" `Quick test_assemble_errors;

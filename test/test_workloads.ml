@@ -37,6 +37,20 @@ let test_deterministic_generation () =
   let t2 = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:5_000 "xz") in
   check bool "same input, same trace" true (t1.Executor.dyns = t2.Executor.dyns)
 
+(* Executor.run stores into a copy-on-write view, so the declared image
+   seeds any number of identical runs and keeps its bounds. *)
+let test_retrace_leaves_image () =
+  List.iter
+    (fun name ->
+      let w = Catalog.make ~input:Workload.Ref ~instrs:5_000 name in
+      let bounds = Mem_image.bounds w.Workload.mem_init in
+      let t1 = Workload.trace w in
+      let t2 = Workload.trace w in
+      check bool (name ^ ": same trace twice") true (t1.Executor.dyns = t2.Executor.dyns);
+      check bool (name ^ ": image bounds unchanged") true
+        (Mem_image.bounds w.Workload.mem_init = bounds))
+    Catalog.names
+
 let miss_heavy_apps = [ "mcf"; "omnetpp"; "xhpcg"; "moses"; "memcached"; "xz" ]
 
 let test_memory_character () =
@@ -132,6 +146,7 @@ let () =
           Alcotest.test_case "train/ref inputs differ" `Quick test_inputs_differ;
           Alcotest.test_case "deterministic generation" `Quick
             test_deterministic_generation;
+          Alcotest.test_case "retrace leaves the image" `Quick test_retrace_leaves_image;
           Alcotest.test_case "memory character" `Slow test_memory_character;
           Alcotest.test_case "branch character" `Slow test_branch_character;
           Alcotest.test_case "pointer-chase variants" `Quick test_pointer_chase_variants;
