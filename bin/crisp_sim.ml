@@ -13,6 +13,10 @@
      client      run figure grids against a `serve' daemon
      farm-chaos  wire-level fault-injection self-check of the farm
 
+   Both chaos harnesses read one fault grammar, Resil.Fault_plan's
+   SITE:ACTION[@SUBSTR][#N|+N]; chaos accepts the compute sites and
+   farm-chaos the wire sites (wire.up, wire.down).
+
    Exit codes: 0 success (for serve: clean shutdown on a signal or a
    client `shutdown' request); 1 a check failed or the run degraded
    (some cells timed out / crashed / were quarantined — see the stderr
@@ -425,39 +429,35 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
              a resilience-property violation, or an internal error;
              also when the fault-free reference itself degraded. *)
 
-let trigger_to_string (tr : Resil.Fault_plan.trigger) =
-  let selector =
-    match tr.Resil.Fault_plan.selector with
-    | Resil.Fault_plan.Any -> ""
-    | Resil.Fault_plan.Substring s -> "@" ^ s
-    | Resil.Fault_plan.Bucket { modulus; residue } ->
-      Printf.sprintf "@bucket(%d mod %d)" residue modulus
-  in
-  let count =
-    match tr.Resil.Fault_plan.count with
-    | Resil.Fault_plan.Nth n -> Printf.sprintf "#%d" n
-    | Resil.Fault_plan.From n -> Printf.sprintf "+%d" n
-  in
-  Printf.sprintf "%s:%s%s%s" tr.Resil.Fault_plan.site
-    (Resil.Fault_plan.action_to_string tr.Resil.Fault_plan.action)
-    selector count
+(* The plan a chaos harness arms: its --fault specs parsed against the
+   sites that harness exercises (a spec for any other site exits 2), or
+   a seeded random plan when none is given. *)
+let fault_plan ~sites ~random seed specs =
+  match specs with
+  | [] -> random seed
+  | specs ->
+    Resil.Fault_plan.make
+      (List.map
+         (fun spec ->
+           match Resil.Fault_plan.parse_spec ~sites spec with
+           | Ok trigger -> trigger
+           | Error msg ->
+             Printf.eprintf "crisp_sim: %s\n" msg;
+             exit 2)
+         specs)
+
+let print_plan plan =
+  List.iter
+    (fun tr -> Printf.printf "  %s\n" (Resil.Fault_plan.trigger_to_string tr))
+    (Resil.Fault_plan.triggers plan)
 
 let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
     journal_path keep_journal =
   validate_figures [ figure ];
   let plan =
-    match fault_specs with
-    | [] -> Resil.Fault_plan.random ~seed ()
-    | specs ->
-      Resil.Fault_plan.make
-        (List.map
-           (fun spec ->
-             match Resil.Fault_plan.parse_spec spec with
-             | Ok trigger -> trigger
-             | Error msg ->
-               Printf.eprintf "crisp_sim: %s\n" msg;
-               exit 2)
-           specs)
+    fault_plan ~sites:Resil.Fault_plan.compute_sites
+      ~random:(fun seed -> Resil.Fault_plan.random ~seed ())
+      seed fault_specs
   in
   with_jobs jobs @@ fun pool ->
   let ctx =
@@ -497,9 +497,7 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
   in
   Printf.printf "chaos: figure %s, seed %d, %d worker(s), plan:\n" figure seed
     (Exec.Pool.parallelism pool);
-  List.iter
-    (fun tr -> Printf.printf "  %s\n" (trigger_to_string tr))
-    (Resil.Fault_plan.triggers plan);
+  print_plan plan;
   let reference = pass ~journaled:false () in
   if Sys.file_exists jpath then Sys.remove jpath;
   (let _, _, degraded, quarantined, _ = Resil.Log.counts () in
@@ -625,8 +623,8 @@ let retries_arg =
 
 let seed_arg =
   let doc =
-    "Seed for backoff jitter and (in chaos and farm-chaos) the random fault \
-     plan."
+    "Seed for backoff jitter and, when no $(b,--fault) is given, the random \
+     fault plan (chaos draws compute sites, farm-chaos draws wire.down)."
   in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
 
@@ -648,15 +646,14 @@ let chaos_figure_arg =
   let doc = "Figure to run under fault injection." in
   Arg.(value & opt string "fig4" & info [ "figure" ] ~docv:"FIGURE" ~doc)
 
-let fault_arg =
+let fault_arg ~sites ~detail =
   let doc =
     Printf.sprintf
-      "Inject a fault (repeatable): SITE:ACTION[@SUBSTR][#N|+N] with ACTION \
-       one of crash, corrupt, stall=SECS; @SUBSTR restricts to matching cell \
-       idents; #N fires on exactly the Nth hit, +N from the Nth on (default \
-       +1).  Sites: %s.  Without $(b,--fault) a seeded random plan is \
-       generated."
-      (String.concat ", " Resil.Fault_plan.standard_sites)
+      "Inject a fault (repeatable): SITE:ACTION[@SUBSTR][#N|+N] with SITE one \
+       of %s and ACTION one of crash, stall=SECS, corrupt, truncate; #N fires \
+       on exactly the Nth hit, +N from the Nth on (default +1).  %s  Without \
+       $(b,--fault) a seeded random plan is generated."
+      (String.concat ", " sites) detail
   in
   Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
 
@@ -684,9 +681,11 @@ let chaos_cmd =
   in
   Cmd.v info
     Term.(
-      const chaos $ chaos_figure_arg $ seed_arg $ fault_arg $ chaos_instrs_arg
-      $ chaos_train_arg $ jobs_arg $ deadline_arg $ retries_arg $ journal_arg
-      $ keep_journal_arg)
+      const chaos $ chaos_figure_arg $ seed_arg
+      $ fault_arg ~sites:Resil.Fault_plan.compute_sites
+          ~detail:"@SUBSTR restricts to cell idents containing SUBSTR."
+      $ chaos_instrs_arg $ chaos_train_arg $ jobs_arg $ deadline_arg
+      $ retries_arg $ journal_arg $ keep_journal_arg)
 
 let check_instrs_arg =
   let doc = "Dynamic micro-ops for the ref-input lint/scoreboard context." in
@@ -1046,16 +1045,6 @@ let rec rm_rf path =
   | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let wire_fault_arg =
-  let doc =
-    "Wire-fault spec [up:|down:]ACTION[#N|+N] where ACTION is \
-     delay[=SECS], stall[=SECS], truncate, corrupt-len or drop; #N fires \
-     on exactly the Nth frame of that direction (counted globally across \
-     reconnects), +N from the Nth onward.  Repeatable.  Omitted = a \
-     seeded random plan."
-  in
-  Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
-
 let farm_chaos_grids_arg =
   let doc = "Figure grids to converge on (default: fig8)." in
   Arg.(value & pos_all string [] & info [] ~docv:"GRID" ~doc)
@@ -1075,22 +1064,12 @@ let farm_chaos_attempts_arg =
 let farm_chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
   let specs = find_grids (if grids = [] then [ "fig8" ] else grids) in
   let plan =
-    match fault_specs with
-    | [] -> Chaos_proxy.random ~seed
-    | specs ->
-      List.map
-        (fun s ->
-          match Chaos_proxy.parse_spec s with
-          | Ok tr -> tr
-          | Error msg ->
-            Printf.eprintf "crisp_sim: %s\n" msg;
-            exit 2)
-        specs
+    fault_plan ~sites:Resil.Fault_plan.wire_sites
+      ~random:(fun seed -> Resil.Fault_plan.random_wire ~seed)
+      seed fault_specs
   in
   Printf.printf "farm-chaos: seed %d, %d grid(s), plan:\n" seed (List.length specs);
-  List.iter
-    (fun tr -> Printf.printf "  %s\n" (Chaos_proxy.trigger_to_string tr))
-    plan;
+  print_plan plan;
   let dir = chaos_tmpdir () in
   let daemon_socket = Filename.concat dir "d.sock" in
   let proxy_socket = Filename.concat dir "p.sock" in
@@ -1180,11 +1159,9 @@ let farm_chaos seed fault_specs grids instrs train_instrs jobs attempts verbose 
     let fired = Chaos_proxy.fired p in
     Printf.printf "farm-chaos: %d wire fault(s) fired:\n" (List.length fired);
     List.iter
-      (fun (dir, n, action) ->
-        Printf.printf "  %s frame %d: %s\n"
-          (Chaos_proxy.direction_to_string dir)
-          n
-          (Chaos_proxy.action_to_string action))
+      (fun (site, n, action) ->
+        Printf.printf "  %s frame %d: %s\n" site n
+          (Resil.Fault_plan.action_to_string action))
       fired;
     let misses_after =
       (Farm_server.stats srv).Farm_protocol.memo.Exec.Memo.misses
@@ -1243,16 +1220,19 @@ let farm_chaos_cmd =
     Cmd.info "farm-chaos"
       ~doc:
         "Wire-level chaos self-check: run a retrying client through a \
-         seeded fault-injecting proxy (delays, stalls, torn frames, \
-         corrupt length prefixes, dropped connections) and assert the \
-         rendered figures are byte-identical to a clean run with zero \
-         cells recomputed."
+         seeded fault-injecting proxy (stalled, torn and corrupt frames, \
+         dropped connections) and assert the rendered figures are \
+         byte-identical to a clean run with zero cells recomputed."
   in
   Cmd.v info
     Term.(
-      const farm_chaos $ seed_arg $ wire_fault_arg $ farm_chaos_grids_arg
-      $ farm_chaos_instrs_arg $ farm_chaos_train_arg $ jobs_arg
-      $ farm_chaos_attempts_arg $ verbose_arg)
+      const farm_chaos $ seed_arg
+      $ fault_arg ~sites:Resil.Fault_plan.wire_sites
+          ~detail:
+            "A hit is one frame in that direction, counted globally across \
+             reconnects; frames carry no ident, so @SUBSTR is rejected."
+      $ farm_chaos_grids_arg $ farm_chaos_instrs_arg $ farm_chaos_train_arg
+      $ jobs_arg $ farm_chaos_attempts_arg $ verbose_arg)
 
 let () =
   let info =

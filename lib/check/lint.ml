@@ -58,8 +58,6 @@ let bounds_of_image image =
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 
-let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-
 (* ------------------------------------------------------------------ *)
 (* The lint driver                                                     *)
 (* ------------------------------------------------------------------ *)

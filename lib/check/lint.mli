@@ -75,8 +75,6 @@ type diag = {
   message : string;
 }
 
-val rule_name : rule -> string
-
 val pp_diag : Format.formatter -> diag -> unit
 
 type image_bounds = {
@@ -100,5 +98,3 @@ val check_workload : Workload.t -> diag list
     the declared initial register values. *)
 
 val errors : diag list -> diag list
-
-val warnings : diag list -> diag list

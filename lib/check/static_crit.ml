@@ -20,11 +20,6 @@ let cache_resident_bytes = 4096
 
 let load_latency = 20
 
-let reason_name = function
-  | Pointer_chase -> "pointer-chase"
-  | Indirect -> "indirect"
-  | Data_branch -> "data-branch"
-
 module IntSet = Set.Make (Int)
 module RangesSolver = Dataflow.Solver (Dataflow.Ranges)
 module ReachSolver = Dataflow.Solver (Dataflow.Reaching)

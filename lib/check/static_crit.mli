@@ -12,7 +12,7 @@
     - {b indirect/gather loads}: in-loop loads whose address depends on
       another load's data and whose effective-address interval is not
       provably cache-resident (a bounded footprint no larger than
-      {!cache_resident_bytes} stays in L1 and is never delinquent);
+      4 KiB stays in L1 and is never delinquent);
     - {b data-dependent branches}: conditional in-loop branches whose
       condition closure contains a load — the statically visible share
       of CRISP's hard branches.
@@ -45,13 +45,6 @@ type t = {
   candidates : candidate list;  (** sorted by pc *)
 }
 
-val cache_resident_bytes : int
-(** Footprint width at or below which an address stream is considered
-    cache-resident (4096: the scratch-buffer convention). *)
-
-val load_latency : int
-(** Assumed miss-side latency weight of a load in {!candidate.cost}. *)
-
 val analyze : Workload.t -> t
 (** Deterministic: same workload, same result. *)
 
@@ -67,7 +60,5 @@ type comparison = {
 }
 
 val compare_tagging : t -> Tagger.t -> comparison
-
-val reason_name : reason -> string
 
 val pp_comparison : Format.formatter -> comparison -> unit

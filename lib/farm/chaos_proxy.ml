@@ -1,114 +1,3 @@
-type direction = Up | Down
-
-type action =
-  | Delay of float
-  | Stall of float
-  | Truncate
-  | Corrupt_len
-  | Drop
-
-type trigger = {
-  direction : direction;
-  count : Resil.Fault_plan.count;
-  action : action;
-}
-
-type plan = trigger list
-
-let direction_to_string = function Up -> "up" | Down -> "down"
-
-let action_to_string = function
-  | Delay s -> Printf.sprintf "delay=%g" s
-  | Stall s -> Printf.sprintf "stall=%g" s
-  | Truncate -> "truncate"
-  | Corrupt_len -> "corrupt-len"
-  | Drop -> "drop"
-
-let trigger_to_string tr =
-  Printf.sprintf "%s:%s%s"
-    (direction_to_string tr.direction)
-    (action_to_string tr.action)
-    (match tr.count with
-    | Resil.Fault_plan.Nth n -> Printf.sprintf "#%d" n
-    | Resil.Fault_plan.From n -> Printf.sprintf "+%d" n)
-
-(* ---- CLI trigger specs: [up:|down:]ACTION[#N|+N] ---- *)
-
-let parse_spec spec =
-  let ( let* ) = Result.bind in
-  let after s j = String.sub s (j + 1) (String.length s - j - 1) in
-  let direction, rest =
-    match String.index_opt spec ':' with
-    | Some i when String.sub spec 0 i = "up" -> (Up, after spec i)
-    | Some i when String.sub spec 0 i = "down" -> (Down, after spec i)
-    | _ -> (Down, spec)
-  in
-  let* rest, count =
-    let int_of s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (Printf.sprintf "bad count %S in wire-fault spec %S" s spec)
-    in
-    match (String.rindex_opt rest '#', String.rindex_opt rest '+') with
-    | Some j, _ ->
-      let* n = int_of (after rest j) in
-      Ok (String.sub rest 0 j, Resil.Fault_plan.Nth n)
-    | None, Some j ->
-      let* n = int_of (after rest j) in
-      Ok (String.sub rest 0 j, Resil.Fault_plan.From n)
-    | None, None -> Ok (rest, Resil.Fault_plan.Nth 1)
-  in
-  let* action =
-    let secs_of what s =
-      match float_of_string_opt s with
-      | Some v when v >= 0. -> Ok v
-      | _ ->
-        Error (Printf.sprintf "bad %s duration in wire-fault spec %S" what spec)
-    in
-    match String.index_opt rest '=' with
-    | Some j when String.sub rest 0 j = "delay" ->
-      Result.map (fun s -> Delay s) (secs_of "delay" (after rest j))
-    | Some j when String.sub rest 0 j = "stall" ->
-      Result.map (fun s -> Stall s) (secs_of "stall" (after rest j))
-    | Some _ ->
-      Error (Printf.sprintf "unknown action in wire-fault spec %S" spec)
-    | None -> (
-      match rest with
-      | "delay" -> Ok (Delay 0.2)
-      | "stall" -> Ok (Stall 0.2)
-      | "truncate" -> Ok Truncate
-      | "corrupt-len" -> Ok Corrupt_len
-      | "drop" -> Ok Drop
-      | other ->
-        Error
-          (Printf.sprintf
-             "unknown wire fault %S in spec %S (expected delay[=SECS], \
-              stall[=SECS], truncate, corrupt-len or drop)"
-             other spec))
-  in
-  Ok { direction; count; action }
-
-(* A deterministic pseudo-random plan: one or two downstream triggers,
-   each firing exactly once ([Nth]), so a retrying client always
-   converges — the fault supply is finite by construction. *)
-let random ~seed =
-  let st = Random.State.make [| 0xc4a05; seed |] in
-  let n = 1 + Random.State.int st 2 in
-  List.init n (fun _ ->
-      let action =
-        match Random.State.int st 5 with
-        | 0 -> Delay 0.05
-        | 1 -> Stall 0.2
-        | 2 -> Truncate
-        | 3 -> Corrupt_len
-        | _ -> Drop
-      in
-      { direction = Down;
-        count = Resil.Fault_plan.Nth (1 + Random.State.int st 6);
-        action })
-
-(* ---- the proxy ---- *)
-
 (* One client<->server connection pair.  Both pump threads share it;
    [sever] shuts both sockets down (waking any pump blocked in
    read/write), and the last pump to exit closes the descriptors. *)
@@ -122,17 +11,16 @@ type pair = {
 type t = {
   listen : string;
   upstream : string;
-  plan : plan;
+  plan : Resil.Fault_plan.t;
   stop_flag : bool Atomic.t;
   listen_fd : Unix.file_descr Atomic.t;
-  (* Per-direction frame counters, global and monotonic across every
+  (* One frame counter per wire site, global and monotonic across every
      connection the proxy ever carries: "the 3rd downstream frame" means
      the same frame no matter how many times the client reconnected
      before it, which is what makes Nth-counted faults deterministic
      under retries. *)
-  up_frames : int Atomic.t;
-  down_frames : int Atomic.t;
-  fired_rev : (direction * int * action) list ref;
+  frames : (string * int Atomic.t) list;
+  fired_rev : (string * int * Resil.Fault_plan.action) list ref;
   pairs : (int, pair) Hashtbl.t;
   pumps : (int, Thread.t) Hashtbl.t;
   mutex : Mutex.t;
@@ -144,9 +32,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let fired t = locked t (fun () -> List.rev !(t.fired_rev))
-let frames t = function
-  | Up -> Atomic.get t.up_frames
-  | Down -> Atomic.get t.down_frames
+let frames t site = Atomic.get (List.assoc site t.frames)
 
 let sever pair =
   if not (Atomic.exchange pair.severed true) then begin
@@ -163,32 +49,10 @@ let release pair =
     try Unix.close pair.server_fd with Unix.Unix_error _ -> ()
   end
 
-(* The first trigger matching this direction and (1-based) global frame
-   number wins. *)
-let fault_for t direction n =
-  List.find_map
-    (fun tr ->
-      if tr.direction <> direction then None
-      else
-        match tr.count with
-        | Resil.Fault_plan.Nth k when n = k -> Some tr.action
-        | Resil.Fault_plan.From k when n >= k -> Some tr.action
-        | Resil.Fault_plan.Nth _ | Resil.Fault_plan.From _ -> None)
-    t.plan
-
-(* Flip the top byte of the 4-byte big-endian length prefix: the
-   declared length rockets past [Farm_frame.max_frame_bytes], so the
-   peer's decoder raises [Frame_error] — deterministic damage with a
-   deterministic diagnosis. *)
-let corrupt_length raw =
-  let b = Bytes.of_string raw in
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x7f));
-  Bytes.unsafe_to_string b
-
-let pump t pair direction ~src ~dst =
-  let counter = match direction with Up -> t.up_frames | Down -> t.down_frames in
+let pump t pair site ~src ~dst =
+  let counter = List.assoc site t.frames in
   let note n action =
-    locked t (fun () -> t.fired_rev := (direction, n, action) :: !(t.fired_rev))
+    locked t (fun () -> t.fired_rev := (site, n, action) :: !(t.fired_rev))
   in
   let rec loop () =
     match
@@ -197,32 +61,21 @@ let pump t pair direction ~src ~dst =
     | `Eof | `Abort | `Idle_timeout | `Timeout -> ()
     | `Frame payload -> (
       let n = Atomic.fetch_and_add counter 1 + 1 in
-      match fault_for t direction n with
+      match Resil.Fault_plan.fires t.plan site n with
       | None ->
         Farm_frame.write_fd dst payload;
         loop ()
       | Some action -> (
         note n action;
         match action with
-        | Delay s ->
-          (* Transparent slowdown: the frame still arrives intact. *)
+        | Resil.Fault_plan.Stall s ->
           Unix.sleepf s;
           Farm_frame.write_fd dst payload;
           loop ()
-        | Stall s ->
-          (* Hold the frame, then die — the peer sees a silent gap
-             followed by a disconnect, like a wedged server rebooting. *)
-          Unix.sleepf s
-        | Drop -> ()
-        | Truncate ->
-          (* Half a frame, then death: the reader must diagnose a torn
-             frame, never hang or deliver garbage. *)
-          let raw = Farm_frame.encode payload in
+        | Throw -> ()
+        | Corrupt | Truncate ->
           Farm_frame.write_raw_fd dst
-            (String.sub raw 0 (Int.max 1 (String.length raw / 2)))
-        | Corrupt_len ->
-          Farm_frame.write_raw_fd dst (corrupt_length (Farm_frame.encode payload))
-        ))
+            (Resil.Fault_plan.damage action (Farm_frame.encode payload))))
   in
   (try loop () with
   | Farm_frame.Frame_error _ | Farm_frame.Io_timeout _ -> ()
@@ -239,7 +92,7 @@ let connect_upstream t =
 
 let pump_counter = ref 0
 
-let spawn_pump t pair direction ~src ~dst =
+let spawn_pump t pair site ~src ~dst =
   locked t (fun () ->
       let id = !pump_counter in
       incr pump_counter;
@@ -247,7 +100,7 @@ let spawn_pump t pair direction ~src ~dst =
         Thread.create
           (fun () ->
             Fun.protect
-              (fun () -> pump t pair direction ~src ~dst)
+              (fun () -> pump t pair site ~src ~dst)
               ~finally:(fun () ->
                 locked t (fun () -> Hashtbl.remove t.pumps id)))
           ()
@@ -268,8 +121,8 @@ let handle t client_fd =
         let id = !pump_counter in
         incr pump_counter;
         Hashtbl.replace t.pairs id pair);
-    spawn_pump t pair Up ~src:client_fd ~dst:server_fd;
-    spawn_pump t pair Down ~src:server_fd ~dst:client_fd
+    spawn_pump t pair "wire.up" ~src:client_fd ~dst:server_fd;
+    spawn_pump t pair "wire.down" ~src:server_fd ~dst:client_fd
 
 let accept_loop t fd =
   let rec go () =
@@ -296,8 +149,8 @@ let start ~listen ~upstream ~plan =
       plan;
       stop_flag = Atomic.make false;
       listen_fd = Atomic.make fd;
-      up_frames = Atomic.make 0;
-      down_frames = Atomic.make 0;
+      frames =
+        List.map (fun site -> (site, Atomic.make 0)) Resil.Fault_plan.wire_sites;
       fired_rev = ref [];
       pairs = Hashtbl.create 8;
       pumps = Hashtbl.create 16;

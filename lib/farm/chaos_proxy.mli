@@ -3,62 +3,25 @@
     The proxy sits between a {!Farm_client} and a [crisp_sim serve] daemon
     on a second Unix-domain socket, parses the framed stream in both
     directions, and injects faults at exact frame boundaries according
-    to a {!plan} — the wire counterpart of {!Resil.Fault_plan}'s
-    compute-path injection.  Because triggers count {e global,
-    monotonic} per-direction frame numbers (a client that reconnects
-    does not reset the count), a seeded plan fires the same faults at
-    the same frames on every run, which is what lets the farm chaos
-    self-check assert byte-identical convergence. *)
+    to a {!Resil.Fault_plan.t} over the wire sites ["wire.up"]
+    (client→server) and ["wire.down"] (server→client).  Per frame the
+    proxy asks {!Resil.Fault_plan.fires} with the frame number and acts:
+    - [Throw]: sever the connection at this frame boundary;
+    - [Stall s]: hold the frame [s] seconds, then forward it intact;
+    - [Corrupt]/[Truncate]: write the encoded frame through
+      {!Resil.Fault_plan.damage}, then sever — the peer must raise
+      [Frame_error] (a blown length prefix or a torn frame), never hang.
 
-(** [Up] is client→server traffic; [Down] (the default in specs and
-    random plans) is server→client. *)
-type direction = Up | Down
-
-type action =
-  | Delay of float
-      (** hold the frame for that many seconds, then forward it intact
-          — a transparent slowdown *)
-  | Stall of float
-      (** hold the frame for that many seconds, then sever the
-          connection — a wedged peer that eventually dies *)
-  | Truncate
-      (** forward a strict prefix of the encoded frame, then sever —
-          the reader must raise [Frame_error], never hang *)
-  | Corrupt_len
-      (** forward the frame with its length prefix's top byte flipped
-          (declared length blows the {!Farm_frame.max_frame_bytes}
-          cap), then sever *)
-  | Drop  (** sever the connection at this frame boundary *)
-
-type trigger = {
-  direction : direction;
-  count : Resil.Fault_plan.count;
-      (** which global frame number(s) on that direction fire it *)
-  action : action;
-}
-
-type plan = trigger list
-
-val parse_spec : string -> (trigger, string) result
-(** Parse a CLI wire-fault spec: [[up:|down:]ACTION[#N|+N]] where
-    ACTION is [delay[=SECS]], [stall[=SECS]], [truncate],
-    [corrupt-len] or [drop]; [#N] fires on exactly the Nth frame of
-    that direction and [+N] from the Nth frame onward.  Defaults:
-    direction [down], count [#1].  Examples: ["down:drop#3"],
-    ["up:corrupt-len"], ["stall=0.5#2"]. *)
-
-val random : seed:int -> plan
-(** A deterministic pseudo-random plan: one or two downstream triggers,
-    every one [Nth]-counted so the fault supply is finite and a
-    retrying client always converges. *)
-
-val trigger_to_string : trigger -> string
-val direction_to_string : direction -> string
-val action_to_string : action -> string
+    Because triggers count {e global, monotonic} per-direction frame
+    numbers (a client that reconnects does not reset the count), a
+    seeded plan fires the same faults at the same frames on every run,
+    which is what lets the farm chaos self-check assert byte-identical
+    convergence.  The plan and counters belong to the proxy instance;
+    the process-wide armed plan is never consulted. *)
 
 type t
 
-val start : listen:string -> upstream:string -> plan:plan -> t
+val start : listen:string -> upstream:string -> plan:Resil.Fault_plan.t -> t
 (** Bind [listen] (unlinking a stale socket file) and start proxying
     every connection to [upstream].  Each accepted connection gets a
     fresh upstream connection and two pump threads; if [upstream] is
@@ -69,9 +32,11 @@ val stop : t -> unit
 (** Stop accepting, sever every live connection, join all pump
     threads, close and unlink the listening socket.  Idempotent. *)
 
-val fired : t -> (direction * int * action) list
-(** Every fault fired so far, in firing order, with the global frame
-    number that triggered it. *)
+val fired : t -> (string * int * Resil.Fault_plan.action) list
+(** Every fault fired so far, in firing order: the wire site, the
+    global frame number that triggered it, and the action. *)
 
-val frames : t -> direction -> int
-(** Global frames forwarded-or-faulted on that direction so far. *)
+val frames : t -> string -> int
+(** Global frames forwarded-or-faulted on that wire site so far.
+    @raise Not_found if the site is not one of
+    {!Resil.Fault_plan.wire_sites}. *)

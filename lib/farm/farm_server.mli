@@ -57,9 +57,8 @@ type limits = {
 }
 
 val default_limits : limits
-(** 64 connections, 10k requests/connection, unbounded queue, 30s I/O
-    deadline, 600s idle reap, kernel-default [SO_SNDBUF], 250ms retry
-    hint. *)
+(** 64 connections, unbounded queue, 30s I/O deadline, 600s idle reap,
+    kernel-default [SO_SNDBUF], 250ms retry hint. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (note the ~107-byte limit) *)

@@ -138,5 +138,3 @@ let op_name = function
   | Ret -> "ret"
   | Nop -> "nop"
   | Halt -> "halt"
-
-let pp_op fmt op = Format.pp_print_string fmt (op_name op)

@@ -91,8 +91,5 @@ val is_mem : op -> bool
 val writes_reg : op -> bool
 (** Whether the opcode produces a register result. *)
 
-val pp_op : Format.formatter -> op -> unit
-(** Pretty-print an opcode mnemonic. *)
-
 val op_name : op -> string
 (** Mnemonic of an opcode, e.g. ["add"], ["ld"], ["beq"]. *)

@@ -1,4 +1,4 @@
-type action = Throw | Stall of float | Corrupt
+type action = Throw | Stall of float | Corrupt | Truncate
 
 type selector =
   | Any
@@ -18,18 +18,34 @@ type t = { triggers : trigger list }
 
 exception Injected of string
 
-let none = { triggers = [] }
 let make triggers = { triggers }
 let triggers t = t.triggers
 
-(* One site per real failure boundary: a worker job, a simulation, and
-   the journal's two persistence directions. *)
-let standard_sites = [ "pool.job"; "runner.run"; "journal.read"; "journal.write" ]
+(* One site per real failure boundary: a worker job, a simulation, the
+   journal's two persistence directions, and the farm socket's two. *)
+let compute_sites = [ "pool.job"; "runner.run"; "journal.read"; "journal.write" ]
+let wire_sites = [ "wire.up"; "wire.down" ]
 
 let action_to_string = function
   | Throw -> "crash"
   | Stall s -> Printf.sprintf "stall=%.3g" s
   | Corrupt -> "corrupt"
+  | Truncate -> "truncate"
+
+let trigger_to_string tr =
+  let selector =
+    match tr.selector with
+    | Any -> ""
+    | Substring s -> "@" ^ s
+    | Bucket { modulus; residue } ->
+      Printf.sprintf "@bucket(%d mod %d)" residue modulus
+  in
+  let count =
+    match tr.count with
+    | Nth n -> Printf.sprintf "#%d" n
+    | From n -> Printf.sprintf "+%d" n
+  in
+  Printf.sprintf "%s:%s%s%s" tr.site (action_to_string tr.action) selector count
 
 let random ~seed ?(stall = 0.5) () =
   let st = Random.State.make [| 0xfa17; seed |] in
@@ -37,7 +53,7 @@ let random ~seed ?(stall = 0.5) () =
   let n = 1 + Random.State.int st 3 in
   let triggers =
     List.init n (fun _ ->
-        let site = pick standard_sites in
+        let site = pick compute_sites in
         let action =
           match Random.State.int st 4 with
           | 0 -> Stall stall
@@ -53,9 +69,33 @@ let random ~seed ?(stall = 0.5) () =
   in
   { triggers }
 
+(* Its own seed and draw sequence, independent of [random]'s, so
+   neither family's seeded plans move when the other's do; every
+   trigger is [Nth], so a retrying client always converges — the fault
+   supply is finite by construction. *)
+let random_wire ~seed =
+  let st = Random.State.make [| 0xc4a05; seed |] in
+  let n = 1 + Random.State.int st 2 in
+  let triggers =
+    List.init n (fun _ ->
+        let action =
+          match Random.State.int st 5 with
+          | 0 -> Stall 0.05
+          | 1 -> Stall 0.2
+          | 2 -> Truncate
+          | 3 -> Corrupt
+          | _ -> Throw
+        in
+        { site = "wire.down";
+          selector = Any;
+          count = Nth (1 + Random.State.int st 6);
+          action })
+  in
+  { triggers }
+
 (* ---- CLI trigger specs: SITE:ACTION[@SUBSTRING][#N|+N] ---- *)
 
-let parse_spec spec =
+let parse_spec ~sites spec =
   let ( let* ) = Result.bind in
   let int_of s =
     match int_of_string_opt s with
@@ -64,6 +104,10 @@ let parse_spec spec =
   in
   match String.index_opt spec ':' with
   | None -> Error (Printf.sprintf "fault spec %S: expected SITE:ACTION..." spec)
+  | Some i when not (List.mem (String.sub spec 0 i) sites) ->
+    Error
+      (Printf.sprintf "unknown site %S in fault spec %S (expected one of %s)"
+         (String.sub spec 0 i) spec (String.concat ", " sites))
   | Some i ->
     let site = String.sub spec 0 i in
     let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
@@ -108,19 +152,22 @@ let parse_spec spec =
         match rest with
         | "crash" -> Ok Throw
         | "corrupt" -> Ok Corrupt
+        | "truncate" -> Ok Truncate
         | "stall" -> Ok (Stall 1.0)
         | other ->
           Error
             (Printf.sprintf
-               "unknown action %S in fault spec %S (expected crash, corrupt or \
-                stall=SECS)"
+               "unknown action %S in fault spec %S (expected crash, corrupt, \
+                truncate or stall=SECS)"
                other spec))
     in
-    if List.mem site standard_sites then Ok { site; selector; count; action }
-    else
+    if selector <> Any && List.mem site wire_sites then
       Error
-        (Printf.sprintf "unknown site %S in fault spec %S (expected one of %s)"
-           site spec (String.concat ", " standard_sites))
+        (Printf.sprintf
+           "fault spec %S: wire frames carry no ident, so @SUBSTR could never \
+            match"
+           spec)
+    else Ok { site; selector; count; action }
 
 (* ---- armed state ---- *)
 
@@ -162,7 +209,7 @@ let bump site ident =
 let hits ?(ident = "") site =
   locked (fun () -> try Hashtbl.find counters (site, ident) with Not_found -> 0)
 
-let triggered plan site ident n =
+let fires plan ?(ident = "") site n =
   List.find_map
     (fun tr ->
       if tr.site = site && selector_matches tr.selector ident then
@@ -178,38 +225,41 @@ let note site ident action =
 
 (* Deterministic byte flipping: every 5th byte XORed, so short payloads
    (digests) and long ones (journal entries) are both visibly damaged
-   and the damage is a pure function of the input. *)
-let corrupt_bytes s =
-  String.mapi
-    (fun i c -> if i mod 5 = 0 then Char.chr (Char.code c lxor 0x2a) else c)
-    s
+   and the damage is a pure function of the input.  Byte 0 is always
+   flipped: on the wire that is the top byte of the length prefix, so
+   the declared length blows [Farm_frame.max_frame_bytes] and the peer
+   diagnoses the frame instead of waiting for bytes that never come. *)
+let damage action s =
+  match action with
+  | Corrupt ->
+    String.mapi
+      (fun i c -> if i mod 5 = 0 then Char.chr (Char.code c lxor 0x2a) else c)
+      s
+  | Truncate -> String.sub s 0 (String.length s / 2)
+  | Throw | Stall _ -> s
 
 let fire site ident action =
   note site ident action;
   match action with
   | Throw -> raise (Injected site)
   | Stall s -> Unix.sleepf s
-  | Corrupt -> ()
+  | Corrupt | Truncate -> ()
 
 let hit ?(ident = "") site =
   match Atomic.get armed_plan with
   | None -> ()
   | Some plan -> (
     let n = bump site ident in
-    match triggered plan site ident n with
-    | None | Some Corrupt -> ()
-    | Some (Throw | Stall _) as a -> fire site ident (Option.get a))
+    match fires plan ~ident site n with
+    | None | Some (Corrupt | Truncate) -> ()
+    | Some ((Throw | Stall _) as a) -> fire site ident a)
 
 let mangle ?(ident = "") site payload =
   match Atomic.get armed_plan with
   | None -> payload
   | Some plan -> (
-    let n = bump site ident in
-    match triggered plan site ident n with
+    match fires plan ~ident site (bump site ident) with
     | None -> payload
-    | Some Corrupt ->
-      note site ident Corrupt;
-      corrupt_bytes payload
-    | Some ((Throw | Stall _) as a) ->
+    | Some a ->
       fire site ident a;
-      payload)
+      damage a payload)

@@ -38,7 +38,5 @@ val by_ident : unit -> (string * event list) list
 val counts : unit -> int * int * int * int * int
 (** [(faults, retries, degraded, quarantined, restored)]. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val pp_summary : Format.formatter -> unit -> unit
 (** One-line counters followed by every degradation and quarantine. *)

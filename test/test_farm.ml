@@ -889,25 +889,6 @@ let test_server_drain_graceful () =
 
 (* ---------------- chaos proxy ---------------- *)
 
-let test_proxy_spec_parsing () =
-  let ok s =
-    match Chaos_proxy.parse_spec s with
-    | Ok tr -> Chaos_proxy.trigger_to_string tr
-    | Error e -> Alcotest.failf "spec %S rejected: %s" s e
-  in
-  check string "default direction and count" "down:drop#1" (ok "drop");
-  check string "explicit up" "up:corrupt-len#2" (ok "up:corrupt-len#2");
-  check string "stall with duration" "down:stall=0.5#2" (ok "stall=0.5#2");
-  check string "from-count" "down:delay=0.2+4" (ok "delay+4");
-  List.iter
-    (fun s ->
-      match Chaos_proxy.parse_spec s with
-      | Error _ -> ()
-      | Ok tr ->
-        Alcotest.failf "bad spec %S accepted as %s" s
-          (Chaos_proxy.trigger_to_string tr))
-    [ "warp"; "stall=x"; "down:drop#0"; "up:"; "delay=-1"; "truncate#" ]
-
 let with_proxy ~plan ~upstream f =
   (* The in-process daemon binds on its own thread, and the proxy dials
      upstream once per client without retrying: wait until the daemon
@@ -923,27 +904,31 @@ let with_proxy ~plan ~upstream f =
 let test_proxy_passthrough_byte_identical () =
   Runner.clear_cache ();
   with_server ~workers:2 @@ fun ~socket ~srv:_ ->
-  with_proxy ~plan:[] ~upstream:socket @@ fun ~proxy_socket ~px ->
+  with_proxy ~plan:(Resil.Fault_plan.make []) ~upstream:socket
+  @@ fun ~proxy_socket ~px ->
   let r = run_one proxy_socket grid_a in
   check int "all cells through the proxy" 4
     r.Farm_client.summary.Farm_protocol.cells;
   check bool "no faults fired on an empty plan" true (Chaos_proxy.fired px = []);
   check bool "frames actually flowed through the proxy" true
-    (Chaos_proxy.frames px Chaos_proxy.Down > 0);
+    (Chaos_proxy.frames px "wire.down" > 0);
   Runner.clear_cache ();
   check_rows "proxied rows identical to sequential" (reference grid_a)
     r.Farm_client.rows
 
 (* The reconnect-and-resume e2e: a mid-stream disconnect (the proxy
-   drops the 3rd downstream frame) forces a retry; the converged rows
-   are byte-identical and no cell simulates twice. *)
-let test_proxy_drop_reconnect_exactly_once () =
+   severs at, tears, or corrupts the length prefix of the 3rd downstream
+   frame) forces a retry; the converged rows are byte-identical and no
+   cell simulates twice. *)
+let test_proxy_reconnect_exactly_once action () =
   Runner.clear_cache ();
   with_server ~workers:2 @@ fun ~socket ~srv ->
   let plan =
-    [ { Chaos_proxy.direction = Chaos_proxy.Down;
-        count = Resil.Fault_plan.Nth 3;
-        action = Chaos_proxy.Drop } ]
+    Resil.Fault_plan.make
+      [ { Resil.Fault_plan.site = "wire.down";
+          selector = Any;
+          count = Nth 3;
+          action } ]
   in
   with_proxy ~plan ~upstream:socket @@ fun ~proxy_socket ~px ->
   let retry =
@@ -953,7 +938,7 @@ let test_proxy_drop_reconnect_exactly_once () =
     Farm_client.run_grid_retrying ~socket:proxy_socket ~retry ~spec:grid_b
       ~eval_instrs:small_eval ~train_instrs:small_train ()
   in
-  check bool "the drop actually fired" true (Chaos_proxy.fired px <> []);
+  check bool "the fault actually fired" true (Chaos_proxy.fired px <> []);
   check bool "client had to reconnect" true (attempts >= 2);
   check int "every unique cell simulated exactly once across retries" 3
     (Farm_server.stats srv).Farm_protocol.memo.Exec.Memo.misses;
@@ -1012,9 +997,13 @@ let () =
             test_server_evicts_dead_reader;
           Alcotest.test_case "graceful drain" `Quick test_server_drain_graceful ] );
       ( "proxy",
-        [ Alcotest.test_case "wire-fault specs parse" `Quick
-            test_proxy_spec_parsing;
-          Alcotest.test_case "empty plan is a transparent wire" `Quick
+        [ Alcotest.test_case "empty plan is a transparent wire" `Quick
             test_proxy_passthrough_byte_identical;
           Alcotest.test_case "drop mid-stream, reconnect, exactly once" `Quick
-            test_proxy_drop_reconnect_exactly_once ] ) ]
+            (test_proxy_reconnect_exactly_once Resil.Fault_plan.Throw);
+          Alcotest.test_case "truncate mid-stream, reconnect, exactly once"
+            `Quick
+            (test_proxy_reconnect_exactly_once Resil.Fault_plan.Truncate);
+          Alcotest.test_case "corrupt mid-stream, reconnect, exactly once"
+            `Quick
+            (test_proxy_reconnect_exactly_once Resil.Fault_plan.Corrupt) ] ) ]

@@ -60,8 +60,11 @@ let test_backoff_sleep () =
 
 (* ---------------- Fault_plan ---------------- *)
 
-let parse_ok spec =
-  match Resil.Fault_plan.parse_spec spec with
+let compute = Resil.Fault_plan.compute_sites
+let wire = Resil.Fault_plan.wire_sites
+
+let parse_ok ?(sites = compute) spec =
+  match Resil.Fault_plan.parse_spec ~sites spec with
   | Ok t -> t
   | Error msg -> Alcotest.failf "spec %S rejected: %s" spec msg
 
@@ -87,8 +90,18 @@ let test_parse_spec () =
   (match parse_ok "pool.job:stall" with
   | { action = Stall s; _ } -> check floats "bare stall is 1s" 1.0 s
   | _ -> Alcotest.fail "bare stall misparsed");
-  let rejected spec =
-    match Resil.Fault_plan.parse_spec spec with
+  (match parse_ok ~sites:wire "wire.down:crash#2" with
+  | { site = "wire.down"; selector = Any; count = Nth 2; action = Throw } -> ()
+  | _ -> Alcotest.fail "wire.down:crash#2 misparsed");
+  (match parse_ok ~sites:wire "wire.up:corrupt#5" with
+  | { site = "wire.up"; selector = Any; count = Nth 5; action = Corrupt } -> ()
+  | _ -> Alcotest.fail "wire.up:corrupt#5 misparsed");
+  (match parse_ok ~sites:wire "wire.down:stall=0.4#2" with
+  | { site = "wire.down"; count = Nth 2; action = Stall s; _ } ->
+    check floats "wire stall seconds" 0.4 s
+  | _ -> Alcotest.fail "wire.down:stall=0.4#2 misparsed");
+  let rejected ?(sites = compute) spec =
+    match Resil.Fault_plan.parse_spec ~sites spec with
     | Ok _ -> Alcotest.failf "spec %S wrongly accepted" spec
     | Error _ -> ()
   in
@@ -102,7 +115,54 @@ let test_parse_spec () =
      vacuous chaos pass *)
   rejected "memo.store:corrupt";
   rejected "farm.send:crash";
-  rejected "runer.run:crash"
+  rejected "runer.run:crash";
+  (* frames carry no ident, so a wire selector could never match *)
+  rejected ~sites:wire "wire.down:crash@mcf";
+  rejected ~sites:wire "wire.up:stall=x";
+  rejected ~sites:wire "wire.down:crash#0";
+  (* the proxy's retired grammar *)
+  rejected ~sites:wire "down:drop#2";
+  rejected ~sites:wire "up:corrupt-len";
+  rejected ~sites:wire "wire.down:drop#2";
+  (* each harness accepts only the family it exercises *)
+  rejected "wire.down:crash#1";
+  rejected ~sites:wire "runner.run:crash"
+
+(* Every trigger a spec can express prints as a spec that parses back to
+   it: any site, Any/Substring selectors (Substring on compute sites
+   only), every action and both count forms. *)
+let prop_spec_roundtrip =
+  let open Resil.Fault_plan in
+  let open QCheck.Gen in
+  let gen =
+    let* site = oneofl (compute @ wire) in
+    let* selector =
+      if List.mem site wire then return Any
+      else
+        oneof
+          [ return Any;
+            map
+              (fun s -> Substring s)
+              (string_size ~gen:(oneofl [ 'a'; 'm'; 'z'; '0'; '/'; '_'; '.' ])
+                 (int_range 1 8)) ]
+    in
+    let* count =
+      oneof
+        [ map (fun n -> Nth n) (int_range 1 99);
+          map (fun n -> From n) (int_range 1 99) ]
+    in
+    let* action =
+      oneof
+        [ return Throw;
+          return Corrupt;
+          return Truncate;
+          map (fun k -> Stall (Float.of_int k /. 100.)) (int_range 0 999) ]
+    in
+    return { site; selector; count; action }
+  in
+  QCheck.Test.make ~count:500 ~name:"parse_spec (trigger_to_string t) = Ok t"
+    (QCheck.make ~print:trigger_to_string gen)
+    (fun t -> parse_spec ~sites:(compute @ wire) (trigger_to_string t) = Ok t)
 
 let test_fault_plan_firing () =
   let open Resil.Fault_plan in
@@ -158,17 +218,26 @@ let test_mangle_deterministic () =
   check Alcotest.string "disarmed mangle is identity" payload
     (mangle ~ident:"k" "journal.write" payload)
 
-(* Seeded random plans draw only from the registered sites, so every
-   trigger they arm can fire. *)
+(* Seeded random plans draw only from their harness's sites, so every
+   trigger they arm can fire; wire plans are all [Nth], so a retrying
+   client always converges. *)
 let test_random_plan_sites () =
   let open Resil.Fault_plan in
   for seed = 0 to 19 do
     List.iter
       (fun tr ->
-        if not (List.mem tr.site standard_sites) then
+        if not (List.mem tr.site compute) then
           Alcotest.failf "random plan (seed %d) targets unregistered site %s"
             seed tr.site)
-      (triggers (random ~seed ()))
+      (triggers (random ~seed ()));
+    List.iter
+      (fun tr ->
+        match tr with
+        | { site = "wire.down"; selector = Any; count = Nth _; _ } -> ()
+        | _ ->
+          Alcotest.failf "wire plan (seed %d) has trigger %s" seed
+            (trigger_to_string tr))
+      (triggers (random_wire ~seed))
   done
 
 (* ---------------- Supervise ---------------- *)
@@ -744,7 +813,8 @@ let () =
           Alcotest.test_case "mangle-deterministic" `Quick
             (isolated test_mangle_deterministic);
           Alcotest.test_case "random-plan-sites" `Quick
-            (isolated test_random_plan_sites) ] );
+            (isolated test_random_plan_sites);
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip ] );
       ( "supervise",
         [ Alcotest.test_case "ok-and-crash" `Quick
             (isolated test_supervise_ok_and_crash);
