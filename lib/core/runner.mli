@@ -1,14 +1,30 @@
 (** Experiment runner: builds workloads, runs the FDO flow on the train
-    input, evaluates on the ref input, and memoises results so figures
-    sharing a baseline simulate it once.
+    input, evaluates on the ref input, and memoises each layer so figures
+    sharing a baseline, a train input or an eval trace pay for it once.
 
-    The memo table is an {!Exec.Memo}: it is safe to call {!evaluate} from
-    several domains at once (the parallel experiment suite does), and
-    concurrent requests for the same (name, sizes, config, variant) cell
-    deduplicate in flight — the simulation runs exactly once and every
-    caller receives the same outcome.  Entries are stored as computed:
-    an in-process value cannot rot, and the persistence boundary that
-    can (the cell journal) is digest-checked by {!Resil.Journal}. *)
+    Three memos, all safe to use from several domains at once (the
+    parallel experiment suite does), and all deduplicating in flight:
+    concurrent requests for one key run the computation exactly once
+    and every caller receives the same value.
+
+    - {b Outcomes}, keyed by (name, sizes, config, variant, sample): an
+      {!Exec.Memo} that grows until {!clear_cache}.  Entries are stored
+      as computed: an in-process value cannot rot, and the persistence
+      boundary that can (the cell journal) is digest-checked by
+      {!Resil.Journal}.
+    - {b FDO tag maps}, keyed by exactly what tagging reads (name,
+      [train_instrs], thresholds, tagger options, [cfg.mem]): an
+      {!Exec.Memo} of {!Tagger.t}.  The train trace is built inside the
+      computation and dropped; each entry is the tag map an outcome
+      already holds, so the memo adds no heap of its own (only a
+      {!traced} run, which caches no outcome, leaves one tag map).
+      {!Cpu_config.with_window} leaves [mem] alone, so every RS/ROB
+      window of one app shares one entry.
+    - {b Eval traces}, keyed by (name, [eval_instrs]) on the [Ref] input:
+      only the most recently completed trace is kept.  Grids submit
+      their cells one app row at a time ({!Grid.row_order}), so one
+      trace serves a row; a larger bound would pin one trace per fresh
+      budget the farm is asked for.  Every timing run only reads it. *)
 
 (** What runs on the core.
 
@@ -46,7 +62,8 @@ val evaluate :
   variant ->
   outcome
 (** [evaluate ~name variant] returns the evaluation-run statistics for the
-    named workload.  Results are cached on (name, sizes, config, variant).
+    named workload.  Results are cached on (name, sizes, config, variant);
+    the tag map and eval trace come from the layer memos above.
     The CRISP variants profile on the [Train] input and evaluate on [Ref]
     (Section 5.1); IBDA learns online during the evaluation run itself.
 
@@ -74,12 +91,22 @@ val traced :
     evaluation run emits pipeline events into the returned tracer (a
     fresh one unless [tracer] is supplied).  Never memoised — tracers are
     not plain data — and statistics are identical to the untraced run on
-    the same inputs. *)
+    the same inputs.  It shares the tag-map and eval-trace memos. *)
 
 val clear_cache : unit -> unit
-(** Drop completed memo entries (in-flight simulations still publish). *)
+(** Drop the completed entries of all three memos: outcomes, tag maps
+    and the retained eval trace.  In-flight computations still publish. *)
 
 val cache_stats : unit -> Exec.Memo.stats
-(** Lifetime hit/miss/dedup counters of the simulation memo — how often a
-    requested (name, sizes, config, variant, sample) cell was served
+(** Lifetime hit/miss/dedup counters of the outcome memo only — how often
+    a requested (name, sizes, config, variant, sample) cell was served
     without rerunning the simulator. *)
+
+type layer_stats = {
+  fdo : Exec.Memo.stats;  (** the tag-map memo; [misses] counts FDO runs *)
+  eval_traces : Exec.Memo.stats;
+      (** the eval-trace memo; [misses] counts builds, [entries] is 0 or 1 *)
+}
+
+val layer_stats : unit -> layer_stats
+(** Counters of the two layer memos under the outcome memo. *)

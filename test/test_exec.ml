@@ -319,39 +319,76 @@ let test_memo_failure_not_poisoning () =
    Runner memo) must produce identical statistics through pools of 1, 2
    and 8 workers as through the sequential path — i.e. neither Cpu_core
    nor Workload.trace hides shared mutable state that parallel execution
-   could perturb. *)
+   could perturb.  Each app runs at two RS/ROB windows, so one row's six
+   cells request one eval trace and its two CRISP cells one tag map at
+   the same time: Runner's layer memos must build each exactly once and
+   keep at most one eval trace. *)
 let test_grid_determinism_across_worker_counts () =
   let ctx =
     { Experiments.default with
       Experiments.sizes = { Experiments.eval_instrs = 8_000; train_instrs = 6_000 } }
   in
   let names = [ "mcf"; "namd"; "fotonik" ] in
+  let cfgs =
+    List.map
+      (fun (rs, rob) -> Cpu_config.with_window ~rs ~rob Cpu_config.skylake)
+      [ (64, 180); (144, 336) ]
+  in
   let variants = [ Runner.Ooo; Runner.crisp_default; Runner.Ibda Ibda.ist_8k ] in
+  let cells = List.concat_map (fun cfg -> List.map (fun v -> (cfg, v)) variants) cfgs in
   let grid { Experiments.sizes; pool; _ } =
     List.map
       (fun name ->
         Pool.map_list pool
-          (fun v ->
-            Runner.evaluate ~eval_instrs:sizes.Experiments.eval_instrs
+          (fun (cfg, v) ->
+            Runner.evaluate ~cfg ~eval_instrs:sizes.Experiments.eval_instrs
               ~train_instrs:sizes.Experiments.train_instrs ~name v)
-          variants)
+          cells)
       names
   in
+  let check_empty what =
+    let { Runner.fdo; eval_traces } = Runner.layer_stats () in
+    check int (what ^ ": outcome memo empty") 0 (Runner.cache_stats ()).Exec.Memo.entries;
+    check int (what ^ ": tag-map memo empty") 0 fdo.Exec.Memo.entries;
+    check int (what ^ ": eval-trace memo empty") 0 eval_traces.Exec.Memo.entries
+  in
   Runner.clear_cache ();
+  check_empty "before the grids";
   let reference = grid ctx in
   let stats_of rows = List.map (List.map (fun o -> o.Runner.stats)) rows in
   List.iter
     (fun workers ->
       let pool = Pool.create ~workers () in
       Runner.clear_cache ();
+      let before = Runner.layer_stats () in
       let parallel = grid { ctx with Experiments.pool } in
+      let after = Runner.layer_stats () in
       Pool.shutdown pool;
-      check bool
-        (Printf.sprintf "stats identical with %d workers" workers)
-        true
-        (stats_of parallel = stats_of reference))
+      let label = Printf.sprintf "%d workers" workers in
+      check bool ("stats identical with " ^ label) true
+        (stats_of parallel = stats_of reference);
+      check int ("one FDO run per distinct train input, " ^ label) (List.length names)
+        (after.Runner.fdo.Exec.Memo.misses - before.Runner.fdo.Exec.Memo.misses);
+      check int ("one eval-trace build per row, " ^ label) (List.length names)
+        (after.Runner.eval_traces.Exec.Memo.misses
+        - before.Runner.eval_traces.Exec.Memo.misses);
+      check bool ("at most one eval trace kept, " ^ label) true
+        (after.Runner.eval_traces.Exec.Memo.entries <= 1))
     [ 1; 2; 8 ];
-  Runner.clear_cache ()
+  (* The farm's fresh-cell pattern: a stream of never-repeated budgets
+     must not leave a trace behind per budget. *)
+  let pool = Pool.create ~workers:2 () in
+  ignore
+    (Pool.map_list pool
+       (fun i ->
+         Runner.evaluate ~eval_instrs:(2_000 + (37 * i)) ~train_instrs:2_000 ~name:"nab"
+           Runner.Ooo)
+       (List.init 40 Fun.id));
+  Pool.shutdown pool;
+  check bool "at most one eval trace kept after 40 fresh nab budgets" true
+    ((Runner.layer_stats ()).Runner.eval_traces.Exec.Memo.entries <= 1);
+  Runner.clear_cache ();
+  check_empty "after clear_cache"
 
 let () =
   Alcotest.run "exec"

@@ -119,6 +119,74 @@ let test_ooo_runs_config_policy () =
   check (Alcotest.float 0.) "random-ready = direct Cpu_core.run"
     (Cpu_stats.ipc direct) (ooo_ipc random)
 
+(* Runner's layer memos are invisible: cells evaluated in a shuffled
+   order, with the tag-map and eval-trace memos already warm, give the
+   stats of the pipeline run by hand without Runner.  The warm-up tags
+   every app with other tagger options first, so a tag-map key that
+   forgot the options would serve the wrong tags. *)
+let test_layer_memos_invisible () =
+  let eval_instrs = 8_000 and train_instrs = 6_000 in
+  let names = [ "mcf"; "moses"; "pointer_chase" ] in
+  let cfgs =
+    List.map
+      (fun (rs, rob) -> Cpu_config.with_window ~rs ~rob Cpu_config.skylake)
+      [ (64, 180); (192, 448) ]
+  in
+  let variants = [ Runner.Ooo; Runner.crisp_default; Runner.Ibda Ibda.ist_8k ] in
+  let oracle name =
+    let trace input instrs = Workload.trace (Catalog.make ~input ~instrs name) in
+    let eval = trace Workload.Ref eval_instrs in
+    let train = trace Workload.Train train_instrs in
+    fun cfg variant ->
+      let crisp = Cpu_config.with_policy Scheduler.Crisp cfg in
+      match variant with
+      | Runner.Ooo -> Cpu_core.run cfg eval
+      | Runner.Crisp (thresholds, options) ->
+        let tagging =
+          Tagger.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train
+        in
+        Cpu_core.run
+          ~criticality:(Cpu_core.Static_tags (Tagger.is_critical tagging))
+          crisp eval
+      | Runner.Ibda ibda_cfg ->
+        let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval in
+        Cpu_core.run
+          ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
+          crisp eval
+  in
+  let cells =
+    List.concat_map
+      (fun name ->
+        let oracle = oracle name in
+        List.concat_map
+          (fun cfg -> List.map (fun v -> (name, cfg, v, oracle cfg v)) variants)
+          cfgs)
+      names
+  in
+  let rng = Random.State.make [| 24 |] in
+  let shuffled =
+    List.map snd
+      (List.sort compare (List.map (fun c -> (Random.State.bits rng, c)) cells))
+  in
+  Runner.clear_cache ();
+  List.iter
+    (fun name ->
+      ignore
+        (Runner.evaluate ~eval_instrs ~train_instrs ~name
+           (Runner.Crisp (Classifier.default, Tagger.branch_slices_only))))
+    names;
+  List.iter
+    (fun (name, (cfg : Cpu_config.t), variant, expected) ->
+      let got =
+        (Runner.evaluate ~cfg ~eval_instrs ~train_instrs ~name variant).Runner.stats
+      in
+      if got <> expected then
+        Alcotest.failf "%s rs=%d rob=%d: Runner %d cycles, pipeline %d" name
+          cfg.Cpu_config.rs_size cfg.Cpu_config.rob_size got.Cpu_stats.cycles
+          expected.Cpu_stats.cycles)
+    shuffled;
+  Runner.clear_cache ()
+
 let test_fig1_series () =
   let ooo, crisp = Experiments.fig1 ctx in
   check bool "OOO series non-empty" true (Array.length ooo > 0);
@@ -158,4 +226,5 @@ let () =
             test_ooo_runs_config_policy;
           Alcotest.test_case "memo entries do not pin traces" `Quick
             test_outcome_does_not_pin_trace;
+          Alcotest.test_case "layer memos are invisible" `Quick test_layer_memos_invisible;
           Alcotest.test_case "fig1 UPC series" `Slow test_fig1_series ] ) ]
