@@ -1,105 +1,34 @@
-(* Backward-collect one dynamic slice instance with per-instance static
-   termination (as in the slicer) and record in-slice producer edges. *)
-let collect dyns (deps : Deps.t) ~follow_memory root_idx =
-  let seen_pc = Hashtbl.create 64 in
-  Hashtbl.add seen_pc dyns.(root_idx).Executor.pc ();
-  let producers = Hashtbl.create 64 in
-  let nodes = ref [ root_idx ] in
-  let frontier = Stack.create () in
-  Stack.push root_idx frontier;
-  while not (Stack.is_empty frontier) do
-    let i = Stack.pop frontier in
-    let prods = ref [] in
-    let explore p =
-      if p >= 0 then begin
-        prods := p :: !prods;
-        let ppc = dyns.(p).Executor.pc in
-        if not (Hashtbl.mem seen_pc ppc) then begin
-          Hashtbl.add seen_pc ppc ();
-          nodes := p :: !nodes;
-          Stack.push p frontier
-        end
-      end
-    in
-    explore deps.Deps.prod1.(i);
-    explore deps.Deps.prod2.(i);
-    if follow_memory then explore deps.Deps.prod_mem.(i);
-    Hashtbl.replace producers i !prods
-  done;
-  (List.sort_uniq compare !nodes, producers)
-
 (* Aggregated path latency through every node of one instance DAG:
    up = longest leaf-to-node path, down = longest node-to-root path;
-   through = up + down - latency(node). *)
-let through_scores dyns producers nodes ~latency_of ~root_idx =
-  ignore dyns;
-  let up = Hashtbl.create 64 in
-  let down = Hashtbl.create 64 in
-  let prods_of i = Option.value ~default:[] (Hashtbl.find_opt producers i) in
-  (* Ascending dynamic order is a topological order (producers precede). *)
-  List.iter
-    (fun i ->
-      let best =
-        List.fold_left
-          (fun acc p ->
-            match Hashtbl.find_opt up p with
-            | Some u -> max acc u
-            | None -> acc)
-          0 (prods_of i)
-      in
-      Hashtbl.replace up i (latency_of i + best))
-    nodes;
-  List.iter
-    (fun i ->
-      if not (Hashtbl.mem down i) then Hashtbl.replace down i (latency_of i))
-    (List.rev nodes);
-  List.iter
-    (fun i ->
-      let d = Hashtbl.find down i in
-      List.iter
-        (fun p ->
-          let candidate = latency_of p + d in
-          match Hashtbl.find_opt down p with
-          | Some existing when existing >= candidate -> ()
-          | Some _ | None -> Hashtbl.replace down p candidate)
-        (prods_of i))
-    (List.rev nodes);
-  let through i = Hashtbl.find up i + Hashtbl.find down i - latency_of i in
-  (through, Hashtbl.find up root_idx)
+   through = up + down - latency(node).  Returns the through scores by
+   node position and the longest path, which ends at the root. *)
+let through_scores ~latency_of (dag : Slicer.instance) =
+  let n = Array.length dag.Slicer.nodes in
+  let lat = Array.map latency_of dag.Slicer.nodes in
+  let prods = dag.Slicer.producers in
+  (* Node positions are a topological order: producers come first. *)
+  let up = Array.make n 0 in
+  for k = 0 to n - 1 do
+    up.(k) <- lat.(k) + Array.fold_left (fun acc p -> max acc up.(p)) 0 prods.(k)
+  done;
+  let down = Array.copy lat in
+  for k = n - 1 downto 0 do
+    Array.iter (fun p -> down.(p) <- max down.(p) (lat.(p) + down.(k))) prods.(k)
+  done;
+  (Array.init n (fun k -> up.(k) + down.(k) - lat.(k)), up.(n - 1))
 
-let sample_roots dyns pc n =
-  let all = ref [] in
-  Array.iteri
-    (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
-    dyns;
-  let all = Array.of_list (List.rev !all) in
-  let total = Array.length all in
-  if total <= n then Array.to_list all
-  else List.init n (fun k -> all.(k * total / n))
-
-let filter ?(max_instances = 32) ?(follow_memory = true) ?(theta = 0.6)
-    (trace : Executor.t) (deps : Deps.t) ~root_pc ~latency_of =
-  let dyns = trace.Executor.dyns in
-  let num_pcs = Array.length trace.Executor.prog.Program.code in
-  let keep = Array.make num_pcs false in
-  keep.(root_pc) <- true;
+let filter ~theta ~latency_of (slice : Slicer.t) =
+  let keep = Array.make (Array.length slice.Slicer.pcs) false in
+  keep.(slice.Slicer.root_pc) <- true;
   List.iter
-    (fun root_idx ->
-      let nodes, producers = collect dyns deps ~follow_memory root_idx in
-      let through, max_through =
-        through_scores dyns producers nodes ~latency_of ~root_idx
-      in
+    (fun (dag : Slicer.instance) ->
+      let through, max_through = through_scores ~latency_of dag in
       let cutoff = theta *. float_of_int max_through in
-      List.iter
-        (fun i ->
-          if float_of_int (through i) >= cutoff then keep.(dyns.(i).Executor.pc) <- true)
-        nodes)
-    (sample_roots dyns root_pc max_instances);
+      Array.iteri
+        (fun k score ->
+          if float_of_int score >= cutoff then keep.(dag.Slicer.node_pcs.(k)) <- true)
+        through)
+    slice.Slicer.dags;
   keep
 
-let longest_path ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t)
-    ~root_idx ~latency_of =
-  let dyns = trace.Executor.dyns in
-  let nodes, producers = collect dyns deps ~follow_memory root_idx in
-  let _, max_through = through_scores dyns producers nodes ~latency_of ~root_idx in
-  max_through
+let longest_path ~latency_of dag = snd (through_scores ~latency_of dag)

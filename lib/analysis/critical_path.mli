@@ -2,33 +2,22 @@
 
     A full load slice can exceed the reservation station, leaving the
     scheduler nothing to deprioritise, so CRISP promotes only the
-    instructions on (or near) the critical path.  Each dynamic slice
-    instance is a DAG rooted at the delinquent load; every node is weighted
-    by its execution latency (loads by their AMAT estimate), the aggregated
-    path latency through each node is computed, and only nodes whose best
-    path reaches at least [theta] of the instance's longest path are kept.
-    The kept static pcs of all instances are unioned. *)
+    instructions on (or near) the critical path.  The filter does not walk
+    the trace: it scores the per-instance DAGs that {!Slicer.extract}
+    recorded, each rooted at one sampled dynamic instance of the
+    delinquent load.  Every node is weighted by its execution latency
+    (loads by their AMAT estimate), the aggregated path latency through
+    each node is computed, and only nodes whose best path reaches at least
+    [theta] of the instance's longest path are kept.  The kept static pcs
+    of all instances are unioned. *)
 
-val filter :
-  ?max_instances:int ->
-  ?follow_memory:bool ->
-  ?theta:float ->
-  Executor.t ->
-  Deps.t ->
-  root_pc:int ->
-  latency_of:(int -> int) ->
-  bool array
-(** [filter trace deps ~root_pc ~latency_of] returns a static membership
-    map (indexed by pc) of the critical-path-filtered slice.  [latency_of]
-    maps a {e dynamic} instruction index to its latency weight.  [theta]
-    defaults to 0.6; the root is always kept. *)
+val filter : theta:float -> latency_of:(int -> int) -> Slicer.t -> bool array
+(** [filter ~theta ~latency_of slice] returns a static membership map (indexed
+    by pc) of the critical-path-filtered slice, a subset of
+    [slice.pcs].  [latency_of] maps a {e dynamic} instruction index to
+    its latency weight.  The root is always kept, and [theta = 0.] keeps
+    the whole slice. *)
 
-val longest_path :
-  ?follow_memory:bool ->
-  Executor.t ->
-  Deps.t ->
-  root_idx:int ->
-  latency_of:(int -> int) ->
-  int
-(** Longest latency-weighted dependency path ending at the given dynamic
-    root — exposed for tests and diagnostics. *)
+val longest_path : latency_of:(int -> int) -> Slicer.instance -> int
+(** Longest latency-weighted dependency path of one walked instance,
+    ending at its root — exposed for tests and diagnostics. *)

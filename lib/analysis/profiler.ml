@@ -23,6 +23,7 @@ type report = {
   total_llc_misses : int;
   total_branches : int;
   total_mispredicts : int;
+  mem_params : Memory_system.params;
 }
 
 (* Window (in dynamic instructions) for estimating how many other LLC
@@ -146,7 +147,8 @@ let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
     total_loads = !total_loads;
     total_llc_misses = !total_llc;
     total_branches = !total_branches;
-    total_mispredicts = !total_mispredicts }
+    total_mispredicts = !total_mispredicts;
+    mem_params }
 
 let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
 
@@ -158,7 +160,8 @@ let avg_mlp e = if e.llc_misses = 0 then 0. else ratio e.mlp_sum e.llc_misses
 
 let mispredict_ratio e = ratio e.b_mispredicts e.b_execs
 
-let amat_estimate (p : Memory_system.params) e =
+let amat_estimate report e =
+  let p = report.mem_params in
   let miss = miss_ratio e in
   let l1_miss = ratio e.l1_misses e.execs in
   if miss > 0.5 then

@@ -37,6 +37,7 @@ type report = {
   total_llc_misses : int;
   total_branches : int;
   total_mispredicts : int;
+  mem_params : Memory_system.params;  (** the hierarchy the trace was replayed on *)
 }
 
 val profile : ?mem_params:Memory_system.params -> Executor.t -> report
@@ -55,8 +56,9 @@ val avg_mlp : load_stats -> float
 
 val mispredict_ratio : branch_stats -> float
 
-val amat_estimate : Memory_system.params -> load_stats -> int
-(** Cycle-weight surrogate for this load in slice DAGs: DRAM-dominated
+val amat_estimate : report -> load_stats -> int
+(** Cycle-weight surrogate for this load in slice DAGs, under the
+    hierarchy [report] was profiled on: DRAM-dominated
     loads weigh a full miss latency, LLC-dominated loads the LLC latency,
     cache-resident loads the L1 latency (paper Section 3.5: "for loads we
     utilize the AMAT in cycles"). *)

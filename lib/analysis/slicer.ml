@@ -1,8 +1,14 @@
+type instance = {
+  nodes : int array;
+  node_pcs : int array;
+  producers : int array array;
+}
+
 type t = {
   root_pc : int;
   pcs : bool array;
   pc_list : int list;
-  instances : int;
+  dags : instance list;
   avg_dynamic_length : float;
   edges : (int * int) list;
 }
@@ -10,52 +16,66 @@ type t = {
 (* Indices of dynamic instances of [pc], sampled evenly, at most [n]. *)
 let sample_instances dyns pc n =
   let all = ref [] in
-  let count = ref 0 in
   Array.iteri
-    (fun i (d : Executor.dyn) ->
-      if d.Executor.pc = pc then begin
-        all := i :: !all;
-        incr count
-      end)
+    (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
     dyns;
   let all = Array.of_list (List.rev !all) in
   let total = Array.length all in
   if total <= n then Array.to_list all
   else List.init n (fun k -> all.(k * total / n))
 
-(* Walk one dynamic instance backward.  Per the paper an ancestor whose
-   static pc is already in this instance's slice is not expanded further
-   (recursive dependencies across loop iterations terminate).  Termination
-   is per instance so every instance reports its full dynamic slice length;
-   the static pcs of all instances are merged into [in_slice].  Returns the
-   number of dynamic instructions visited. *)
+(* Walk one dynamic instance backward, LIFO.  The first instance of a
+   static pc that the walk reaches is expanded; any later-reached instance
+   of a pc already in this instance's walk is not (the recursive-dependency
+   termination of Figure 3).  Every reached producer's pc is merged into
+   [in_slice].  Returns the instance's DAG: the expanded instructions and,
+   for each, its producers among them. *)
 let walk_instance dyns (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.add seen dyns.(root_idx).Executor.pc ();
+  (* pc -> the one dynamic instance of it this walk expands *)
+  let expanded = Hashtbl.create 64 in
+  Hashtbl.add expanded dyns.(root_idx).Executor.pc root_idx;
+  let walked = ref [] in
   let frontier = Stack.create () in
   Stack.push root_idx frontier;
-  let visited = ref 0 in
   while not (Stack.is_empty frontier) do
     let i = Stack.pop frontier in
-    incr visited;
     let consumer_pc = dyns.(i).Executor.pc in
+    let prods = ref [] in
     let explore p =
       if p >= 0 then begin
         let ppc = dyns.(p).Executor.pc in
         if not (Hashtbl.mem edges (ppc, consumer_pc)) then
           Hashtbl.add edges (ppc, consumer_pc) ();
         in_slice.(ppc) <- true;
-        if not (Hashtbl.mem seen ppc) then begin
-          Hashtbl.add seen ppc ();
-          Stack.push p frontier
-        end
+        match Hashtbl.find_opt expanded ppc with
+        | None ->
+          Hashtbl.add expanded ppc p;
+          Stack.push p frontier;
+          prods := p :: !prods
+        | Some q -> if q = p then prods := p :: !prods
       end
     in
     explore deps.Deps.prod1.(i);
     explore deps.Deps.prod2.(i);
-    if follow_memory then explore deps.Deps.prod_mem.(i)
+    if follow_memory then explore deps.Deps.prod_mem.(i);
+    walked := (i, !prods) :: !walked
   done;
-  !visited
+  (* Producers precede their consumers, so ascending dynamic order is a
+     topological order and the root comes last. *)
+  let walked = Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) !walked) in
+  let nodes = Array.map fst walked in
+  let node_pcs = Array.map (fun i -> dyns.(i).Executor.pc) nodes in
+  (* Each expanded instance has its own pc, so a pc names its position. *)
+  let position = Hashtbl.create (Array.length nodes) in
+  Array.iteri (fun k pc -> Hashtbl.add position pc k) node_pcs;
+  { nodes;
+    node_pcs;
+    producers =
+      Array.map
+        (fun (_, prods) ->
+          Array.of_list
+            (List.map (fun p -> Hashtbl.find position dyns.(p).Executor.pc) prods))
+        walked }
 
 let extract ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
     (deps : Deps.t) ~root_pc =
@@ -65,14 +85,13 @@ let extract ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
   let in_slice = Array.make num_pcs false in
   in_slice.(root_pc) <- true;
   let edges = Hashtbl.create 64 in
-  let roots = sample_instances dyns root_pc max_instances in
-  let total_len = ref 0 in
-  List.iter
-    (fun root_idx ->
-      total_len :=
-        !total_len + walk_instance dyns deps ~follow_memory ~in_slice ~edges root_idx)
-    roots;
-  let instances = List.length roots in
+  let dags =
+    List.map
+      (walk_instance dyns deps ~follow_memory ~in_slice ~edges)
+      (sample_instances dyns root_pc max_instances)
+  in
+  let instances = List.length dags in
+  let total_len = List.fold_left (fun n d -> n + Array.length d.nodes) 0 dags in
   let pc_list = ref [] in
   for pc = num_pcs - 1 downto 0 do
     if in_slice.(pc) then pc_list := pc :: !pc_list
@@ -80,15 +99,15 @@ let extract ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
   { root_pc;
     pcs = in_slice;
     pc_list = !pc_list;
-    instances;
+    dags;
     avg_dynamic_length =
-      (if instances = 0 then 0. else float_of_int !total_len /. float_of_int instances);
+      (if instances = 0 then 0. else float_of_int total_len /. float_of_int instances);
     edges = Hashtbl.fold (fun e () acc -> e :: acc) edges [] }
 
 let size t = List.length t.pc_list
 
 let pp fmt t =
   Format.fprintf fmt "slice root pc %d: %d static instructions (%.1f dynamic avg over %d instances)@."
-    t.root_pc (size t) t.avg_dynamic_length t.instances;
+    t.root_pc (size t) t.avg_dynamic_length (List.length t.dags);
   Format.fprintf fmt "  pcs: %s@."
     (String.concat ", " (List.map string_of_int t.pc_list))

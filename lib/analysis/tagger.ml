@@ -42,31 +42,27 @@ type t = {
 }
 
 (* Latency weight of a dynamic instruction for critical-path analysis:
-   fixed latencies from the instruction tables, AMAT for loads. *)
-let latency_of_dyn (report : Profiler.report) mem_params dyns i =
+   fixed latencies from the instruction tables, AMAT for loads under the
+   hierarchy the report was profiled on. *)
+let latency_of_dyn (report : Profiler.report) dyns i =
   let d : Executor.dyn = dyns.(i) in
   match d.Executor.op with
   | Isa.Load -> begin
     match Hashtbl.find_opt report.Profiler.loads d.Executor.pc with
-    | Some stats -> Profiler.amat_estimate mem_params stats
+    | Some stats -> Profiler.amat_estimate report stats
     | None -> Isa.exec_latency Isa.Load
   end
   | op -> Isa.exec_latency op
 
-let build_slice options trace deps report mem_params ~root_pc ~kind ~contribution =
+let build_slice options trace deps report ~root_pc ~kind ~contribution =
   let full =
     Slicer.extract ~max_instances:options.max_instances
       ~follow_memory:options.follow_memory trace deps ~root_pc
   in
   let kept_pcs =
     if options.critical_path_filter then begin
-      let dyns = trace.Executor.dyns in
-      let latency_of = latency_of_dyn report mem_params dyns in
-      let keep =
-        Critical_path.filter ~max_instances:options.max_instances
-          ~follow_memory:options.follow_memory ~theta:options.theta trace deps
-          ~root_pc ~latency_of
-      in
+      let latency_of = latency_of_dyn report trace.Executor.dyns in
+      let keep = Critical_path.filter ~theta:options.theta ~latency_of full in
       List.filter (fun pc -> keep.(pc)) full.Slicer.pc_list
     end
     else full.Slicer.pc_list
@@ -88,14 +84,13 @@ let dynamic_ratio_of (report : Profiler.report) critical =
 
 let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
     (report : Profiler.report) (classification : Classifier.result) =
-  let mem_params = Memory_system.skylake in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   let slices = ref [] in
   if options.use_load_slices then
     List.iter
       (fun (pc, (stats : Profiler.load_stats)) ->
         slices :=
-          build_slice options trace deps report mem_params ~root_pc:pc ~kind:`Load
+          build_slice options trace deps report ~root_pc:pc ~kind:`Load
             ~contribution:stats.Profiler.llc_misses
           :: !slices)
       classification.Classifier.delinquent_loads;
@@ -103,7 +98,7 @@ let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
     List.iter
       (fun (pc, (stats : Profiler.branch_stats)) ->
         slices :=
-          build_slice options trace deps report mem_params ~root_pc:pc ~kind:`Branch
+          build_slice options trace deps report ~root_pc:pc ~kind:`Branch
             ~contribution:stats.Profiler.b_mispredicts
           :: !slices)
       classification.Classifier.hard_branches;
@@ -111,7 +106,7 @@ let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
     List.iter
       (fun (pc, execs) ->
         slices :=
-          build_slice options trace deps report mem_params ~root_pc:pc ~kind:`Long_op
+          build_slice options trace deps report ~root_pc:pc ~kind:`Long_op
             ~contribution:execs
           :: !slices)
       classification.Classifier.long_ops;
@@ -151,8 +146,8 @@ let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
     dynamic_ratio = dynamic_ratio_of report critical }
 
 let analyze ?(thresholds = Classifier.default) ?options
-    ?(mem_params = Memory_system.skylake) train_trace =
-  let report = Profiler.profile ~mem_params train_trace in
+    ?mem_params train_trace =
+  let report = Profiler.profile ?mem_params train_trace in
   let classification = Classifier.classify report thresholds in
   let deps = Deps.compute train_trace in
   build ?options train_trace deps report classification

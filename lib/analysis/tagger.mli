@@ -52,6 +52,9 @@ val build :
   Profiler.report ->
   Classifier.result ->
   t
+(** Each root's slice is walked once ({!Slicer.extract}); the
+    critical-path filter scores the walked instances, weighting loads by
+    their AMAT under the hierarchy [report] was profiled on. *)
 
 val analyze :
   ?thresholds:Classifier.thresholds ->

@@ -44,8 +44,15 @@ let tag_entries (outcome : Runner.outcome) =
   match outcome.Runner.tagging with
   | None -> []
   | Some t ->
+    let slices = t.Tagger.slices in
     [ ("crisp.tag.static_count", f t.Tagger.static_count);
-      ("crisp.tag.dynamic_ratio", t.Tagger.dynamic_ratio) ]
+      ("crisp.tag.dynamic_ratio", t.Tagger.dynamic_ratio);
+      ("crisp.tag.slices", f (List.length slices));
+      ( "crisp.tag.dropped",
+        f (List.length (List.filter (fun s -> s.Tagger.dropped) slices)) );
+      ("crisp.tag.avg_load_slice_size", Tagger.avg_load_slice_size t);
+      ( "crisp.tag.kept_pcs",
+        f (List.fold_left (fun n s -> n + s.Tagger.static_size) 0 slices) ) ]
 
 let obs_entries tracer =
   let counters =

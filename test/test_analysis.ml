@@ -201,13 +201,112 @@ let test_critical_path_filters_cheap_side_chains () =
     | Isa.Load -> 150
     | op -> Isa.exec_latency op
   in
-  let keep = Critical_path.filter ~theta:0.8 trace deps ~root_pc:4 ~latency_of in
+  let slice = Slicer.extract trace deps ~root_pc:4 in
+  let keep = Critical_path.filter ~theta:0.8 ~latency_of slice in
   check bool "expensive producer kept" true keep.(0);
   check bool "join kept" true keep.(3);
   check bool "cheap chain dropped" false keep.(1);
   check bool "root always kept" true keep.(4);
-  let lp = Critical_path.longest_path trace deps ~root_idx:4 ~latency_of in
+  let dag = List.hd slice.Slicer.dags in
+  check (Alcotest.list int) "one instance, walked in dynamic order" [ 0; 1; 2; 3; 4 ]
+    (Array.to_list dag.Slicer.nodes);
+  let lp = Critical_path.longest_path ~latency_of dag in
   check int "longest path = load + join + root" (150 + 1 + 150) lp
+
+(* Loads weigh their AMAT under the hierarchy the report was profiled on.
+   The root (pc 9, an L1-resident table load) joins a DRAM-missing
+   pointer chase (pc 0) and a chain of four divisions fed by the loop
+   counter (pcs 1-4 and 10).  Under Skylake the chase path weighs
+   36 + 94 + 8 = 138 cycles and the division path 1 + 96 + 8 = 105, above
+   0.6 of it; a 1000-cycle LLC lifts the chase path to 1102 and the
+   division side falls below the cutoff. *)
+let test_critical_path_weighs_profiled_hierarchy () =
+  let rng = Prng.create 5 in
+  let nodes = 16_384 in
+  let mem = Mem_image.create () in
+  let order = Array.init nodes (fun i -> i) in
+  Prng.shuffle rng order;
+  for i = 0 to nodes - 1 do
+    Mem_image.set mem (0x400000 + (order.(i) * 128))
+      (0x400000 + (order.((i + 1) mod nodes) * 128))
+  done;
+  let open Program in
+  let insts =
+    [ Label "loop";
+      Ld (1, 1, 0);
+      Div (5, 10, 11);
+      Div (5, 5, 11);
+      Div (5, 5, 11);
+      Div (5, 5, 11);
+      Alu (Isa.Xor, 6, 1, Reg 5);
+      Alu (Isa.And, 6, 6, Imm 7);
+      Alu (Isa.Shl, 6, 6, Imm 3);
+      Alu (Isa.Add, 6, 6, Imm 0x8000);
+      Ld (7, 6, 0);
+      Alu (Isa.Add, 10, 10, Imm 1);
+      Jmp "loop" ]
+  in
+  let trace =
+    Executor.run ~reg_init:[ (1, 0x400000); (11, 3) ] ~mem_init:mem ~max_instrs:12_000
+      (assemble ~name:"amat" insts)
+  in
+  let deps = Deps.compute trace in
+  let kept mem_params =
+    let report = Profiler.profile ~mem_params trace in
+    let classification =
+      { Classifier.delinquent_loads = [ (9, Hashtbl.find report.Profiler.loads 9) ];
+        hard_branches = [];
+        long_ops = [] }
+    in
+    (List.hd (Tagger.build trace deps report classification).Tagger.slices).Tagger.pcs
+  in
+  check (Alcotest.list int) "Skylake keeps the division side"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (kept Memory_system.skylake);
+  check (Alcotest.list int) "a slow LLC keeps only the chase side" [ 0; 5; 6; 7; 8; 9 ]
+    (kept { Memory_system.skylake with Memory_system.llc_latency = 1000 })
+
+(* Property, on random loop programs: the filter keeps a subset of the
+   slice that holds the root, keeps all of it at theta 0, and keeps no
+   more as theta rises. *)
+let prop_filter_within_slice =
+  QCheck.Test.make ~name:"filter is a root-holding subset, shrinking in theta"
+    ~count:12 QCheck.small_int (fun seed ->
+      let trace = Random_loop.trace seed in
+      let deps = Deps.compute trace in
+      let dyns = trace.Executor.dyns in
+      let latency_of i =
+        match dyns.(i).Executor.op with
+        | Isa.Load -> [| 4; 36; 130 |].(dyns.(i).Executor.pc mod 3)
+        | op -> Isa.exec_latency op
+      in
+      let subset a b = Array.for_all2 (fun x y -> (not x) || y) a b in
+      List.for_all
+        (fun root_pc ->
+          List.for_all
+            (fun follow_memory ->
+              let slice = Slicer.extract ~follow_memory trace deps ~root_pc in
+              let keeps =
+                List.map
+                  (fun theta -> Critical_path.filter ~theta ~latency_of slice)
+                  [ 0.; 0.3; 0.6; 0.8; 1. ]
+              in
+              let fail what =
+                QCheck.Test.fail_reportf "root %d (follow_memory=%b): %s" root_pc
+                  follow_memory what
+              in
+              let rec shrinking = function
+                | a :: (b :: _ as rest) -> subset b a && shrinking rest
+                | _ -> true
+              in
+              if List.hd keeps <> slice.Slicer.pcs then fail "theta 0 is not the slice"
+              else if not (List.for_all (fun k -> subset k slice.Slicer.pcs) keeps)
+              then fail "kept a pc outside the slice"
+              else if not (List.for_all (fun k -> k.(root_pc)) keeps) then
+                fail "dropped the root"
+              else if not (shrinking keeps) then fail "kept more at a higher theta"
+              else true)
+            [ true; false ])
+        (Random_loop.roots trace))
 
 (* ---------------- Tagger ---------------- *)
 
@@ -353,7 +452,10 @@ let () =
           Alcotest.test_case "branch slices" `Quick test_slicer_branch_slice ] );
       ( "critical path",
         [ Alcotest.test_case "filters cheap side chains" `Quick
-            test_critical_path_filters_cheap_side_chains ] );
+            test_critical_path_filters_cheap_side_chains;
+          Alcotest.test_case "weighs loads on the profiled hierarchy" `Quick
+            test_critical_path_weighs_profiled_hierarchy;
+          QCheck_alcotest.to_alcotest prop_filter_within_slice ] );
       ( "tagger",
         [ Alcotest.test_case "end to end" `Quick test_tagger_end_to_end;
           Alcotest.test_case "ratio guardrail" `Quick test_tagger_ratio_guardrail;

@@ -432,77 +432,13 @@ let test_slice_order_dependent_finding () =
     (List.map (Format.asprintf "%a" Slice_check.pp_violation)
        (Slice_check.verify_slice trace deps slice))
 
-(* Satellite property: Slicer.extract output always verifies, on random
-   programs, with and without dependencies through memory. *)
-let random_trace seed =
-  let rng = Prng.create (1000 + seed) in
-  let words = 512 in
-  let base = 0x20000 in
-  let mem = Mem_image.create () in
-  for i = 0 to words - 1 do
-    Mem_image.set mem (base + (i * 8)) (Prng.int rng 1_000_000)
-  done;
-  let reg () = 1 + Prng.int rng 8 in
-  let alu_kinds = [| Isa.Add; Isa.Sub; Isa.Xor; Isa.And; Isa.Or; Isa.Shr |] in
-  let open Program in
-  let block b =
-    let body =
-      List.concat
-        (List.init
-           (2 + Prng.int rng 4)
-           (fun _ ->
-             match Prng.int rng 5 with
-             | 0 ->
-               (* random gather: mask into the image, then load *)
-               [ Alu (Isa.And, 9, reg (), Imm (words - 1));
-                 Alu (Isa.Shl, 9, 9, Imm 3);
-                 Alu (Isa.Add, 9, 9, Imm base);
-                 Ld (reg (), 9, 0) ]
-             | 1 ->
-               [ Alu (Isa.And, 9, reg (), Imm (words - 1));
-                 Alu (Isa.Shl, 9, 9, Imm 3);
-                 Alu (Isa.Add, 9, 9, Imm base);
-                 St (reg (), 9, 0) ]
-             | 2 -> [ Mul (reg (), reg (), reg ()) ]
-             | 3 -> [ Fadd (reg (), reg (), reg ()) ]
-             | _ ->
-               [ Alu
-                   ( alu_kinds.(Prng.int rng (Array.length alu_kinds)),
-                     reg (), reg (),
-                     if Prng.int rng 2 = 0 then Reg (reg ())
-                     else Imm (Prng.int rng 64) ) ]))
-    in
-    let skip = Printf.sprintf "skip%d" b in
-    body
-    @ [ Br ((if Prng.int rng 2 = 0 then Isa.Lt else Isa.Ge), reg (), Imm (Prng.int rng 128), skip);
-        Alu (Isa.Xor, reg (), reg (), Imm b);
-        Label skip ]
-  in
-  let blocks = 2 + Prng.int rng 3 in
-  let code =
-    [ Label "loop" ]
-    @ List.concat (List.init blocks block)
-    @ [ Alu (Isa.Add, 10, 10, Imm 1); Br (Isa.Lt, 10, Imm 1_000_000, "loop"); Halt ]
-  in
-  let reg_init = List.init 10 (fun r -> (r + 1, Prng.int rng 1_000)) in
-  Executor.run ~reg_init ~mem_init:mem ~max_instrs:6_000
-    (assemble ~name:(Printf.sprintf "random%d" seed) code)
-
+(* Property: Slicer.extract output always verifies, on random programs,
+   with and without dependencies through memory. *)
 let prop_extract_always_verifies =
   QCheck.Test.make ~name:"Slicer.extract output always passes the closure check"
     ~count:12 QCheck.small_int (fun seed ->
-      let trace = random_trace seed in
+      let trace = Random_loop.trace seed in
       let deps = Deps.compute trace in
-      let root_pcs =
-        let seen = Hashtbl.create 16 in
-        Array.iter
-          (fun (d : Executor.dyn) ->
-            match d.Executor.op with
-            | Isa.Load | Isa.Branch _ -> Hashtbl.replace seen d.Executor.pc ()
-            | _ -> ())
-          trace.Executor.dyns;
-        Hashtbl.fold (fun pc () acc -> pc :: acc) seen []
-      in
       List.for_all
         (fun root_pc ->
           List.for_all
@@ -514,7 +450,7 @@ let prop_extract_always_verifies =
                 QCheck.Test.fail_reportf "root %d (follow_memory=%b): %s" root_pc
                   follow_memory (violations_to_string vs))
             [ true; false ])
-        root_pcs)
+        (Random_loop.roots trace))
 
 (* ---------------- Tagging verifier ---------------- *)
 
