@@ -232,9 +232,7 @@ let profile workload instrs =
 let slices workload instrs threshold =
   require_workload workload;
   let w = Catalog.make ~input:Workload.Train ~instrs workload in
-  let thresholds =
-    Option.map (fun t -> Classifier.with_miss_contribution t Classifier.default) threshold
-  in
+  let thresholds = Option.map (fun t -> { Classifier.miss_contribution_min = t }) threshold in
   let t = Tagger.analyze ?thresholds (Workload.trace w) in
   Printf.printf "%s: %d slices, %d static critical pcs, %.1f%% dynamic ratio\n" workload
     (List.length t.Tagger.slices) t.Tagger.static_count

@@ -22,7 +22,7 @@ let () =
   Printf.printf "  delinquent loads   %d\n" (roots `Load);
   Printf.printf "  hard branches      %d\n" (roots `Branch);
   Printf.printf "  tagged static pcs  %d\n" tagging.Tagger.static_count;
-  Printf.printf "  dynamic tag ratio  %.1f%%  (guardrail: 5-40%%)\n"
+  Printf.printf "  dynamic tag ratio  %.1f%%  (guardrail: at most 40%%)\n"
     (100. *. tagging.Tagger.dynamic_ratio);
 
   (* 2. evaluate on the ref input *)

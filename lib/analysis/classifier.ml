@@ -1,27 +1,27 @@
-type thresholds = {
-  llc_miss_ratio_min : float;
-  exec_share_min : float;
-  mlp_max : float;
-  stride_ratio_max : float;
-  miss_contribution_min : float;
-  branch_mispredict_min : float;
-  branch_exec_share_min : float;
-  mix_scaling : bool;
-  long_op_exec_share_min : float;
-}
+type thresholds = { miss_contribution_min : float }
 
-let default =
-  { llc_miss_ratio_min = 0.20;
-    exec_share_min = 0.0;
-    mlp_max = 5.0;
-    stride_ratio_max = 0.75;
-    miss_contribution_min = 0.01;
-    branch_mispredict_min = 0.15;
-    branch_exec_share_min = 0.0;
-    mix_scaling = true;
-    long_op_exec_share_min = 0. }
+let default = { miss_contribution_min = 0.01 }
 
-let with_miss_contribution t thresholds = { thresholds with miss_contribution_min = t }
+(* The profiling heuristics of Section 3.2, fixed as in the paper. *)
+
+(* A delinquent load misses the LLC on at least this share of its
+   executions. *)
+let llc_miss_ratio_min = 0.20
+
+(* ... and misses in phases whose MLP is at most this, where its latency
+   is exposed. *)
+let mlp_max = 5.0
+
+(* ... and is not covered by the stride prefetcher: at most this share
+   of its address deltas repeat. *)
+let stride_ratio_max = 0.75
+
+(* Section 3.4: a hard branch mispredicts at least 15% of the time. *)
+let branch_mispredict_min = 0.15
+
+(* Section 6.1 extension: a division pc is a long op when it executes at
+   least this share of all instructions. *)
+let long_op_share_min = 0.015
 
 type result = {
   delinquent_loads : (int * Profiler.load_stats) list;
@@ -29,39 +29,19 @@ type result = {
   long_ops : (int * int) list;
 }
 
-let clamp lo hi v = Float.max lo (Float.min hi v)
-
 let classify (report : Profiler.report) thresholds =
-  (* Scale the execution-share floor linearly with the instruction mix
-     (paper Section 3.2): in a load-sparse program each hot load is a
-     smaller fraction of all loads, so the floor drops proportionally. *)
-  let load_fraction =
-    if report.Profiler.total_instrs = 0 then 0.25
-    else
-      float_of_int report.Profiler.total_loads
-      /. float_of_int report.Profiler.total_instrs
-  in
-  let exec_share_min =
-    if thresholds.mix_scaling && thresholds.exec_share_min > 0. then
-      clamp 0.005 0.2 (thresholds.exec_share_min *. (load_fraction /. 0.25))
-    else thresholds.exec_share_min
-  in
-  let total_loads = max 1 report.Profiler.total_loads in
   let total_misses = max 1 report.Profiler.total_llc_misses in
-  let total_branches = max 1 report.Profiler.total_branches in
   let loads =
     Hashtbl.fold
       (fun pc (e : Profiler.load_stats) acc ->
-        let exec_share = float_of_int e.Profiler.execs /. float_of_int total_loads in
         let miss_contribution =
           float_of_int e.Profiler.llc_misses /. float_of_int total_misses
         in
         let delinquent =
           miss_contribution >= thresholds.miss_contribution_min
-          && Profiler.miss_ratio e >= thresholds.llc_miss_ratio_min
-          && exec_share >= exec_share_min
-          && Profiler.stride_ratio e <= thresholds.stride_ratio_max
-          && (e.Profiler.llc_misses = 0 || Profiler.avg_mlp e <= thresholds.mlp_max)
+          && Profiler.miss_ratio e >= llc_miss_ratio_min
+          && Profiler.stride_ratio e <= stride_ratio_max
+          && (e.Profiler.llc_misses = 0 || Profiler.avg_mlp e <= mlp_max)
         in
         if delinquent then (pc, e) :: acc else acc)
       report.Profiler.loads []
@@ -74,13 +54,7 @@ let classify (report : Profiler.report) thresholds =
   let branches =
     Hashtbl.fold
       (fun pc (e : Profiler.branch_stats) acc ->
-        let exec_share =
-          float_of_int e.Profiler.b_execs /. float_of_int total_branches
-        in
-        if
-          Profiler.mispredict_ratio e >= thresholds.branch_mispredict_min
-          && exec_share >= thresholds.branch_exec_share_min
-        then (pc, e) :: acc
+        if Profiler.mispredict_ratio e >= branch_mispredict_min then (pc, e) :: acc
         else acc)
       report.Profiler.branch_table []
   in
@@ -90,17 +64,13 @@ let classify (report : Profiler.report) thresholds =
       branches
   in
   let long_ops =
-    if thresholds.long_op_exec_share_min <= 0. then []
-    else begin
-      let total = max 1 report.Profiler.total_instrs in
-      Hashtbl.fold
-        (fun pc execs acc ->
-          if float_of_int execs /. float_of_int total
-             >= thresholds.long_op_exec_share_min
-          then (pc, execs) :: acc
-          else acc)
-        report.Profiler.long_ops []
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
-    end
+    let total = max 1 report.Profiler.total_instrs in
+    Hashtbl.fold
+      (fun pc execs acc ->
+        if float_of_int execs /. float_of_int total >= long_op_share_min then
+          (pc, execs) :: acc
+        else acc)
+      report.Profiler.long_ops []
+    |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   { delinquent_loads = loads; hard_branches = branches; long_ops }

@@ -1,34 +1,22 @@
 (** Delinquent-load and hard-branch classification (paper Section 3.2).
 
-    A load is flagged delinquent when it (a) contributes a meaningful share
-    of the program's LLC misses, (b) misses often enough relative to its own
-    executions, (c) is not covered by the hardware prefetcher (irregular
-    address deltas), and (d) misses in low-MLP phases where its latency is
-    exposed.  A branch is flagged hard when its misprediction rate exceeds a
-    threshold (Section 3.4: > 15%).  Thresholds scale with the program's
-    instruction mix, mirroring the paper's application-specific linear
-    scaling. *)
+    A load is flagged delinquent when it (a) contributes at least
+    [miss_contribution_min] of the program's LLC misses, (b) misses the
+    LLC on at least 20% of its own executions, (c) is not covered by the
+    hardware prefetcher (at most 75% of its address deltas repeat), and
+    (d) misses in low-MLP phases (average MLP at most 5) where its
+    latency is exposed.  A branch is flagged hard when its misprediction
+    rate is at least 15% (Section 3.4).  Division pcs executing at least
+    1.5% of all instructions are reported as long ops for the Section
+    6.1 extension, which {!Tagger.options.use_long_op_slices} turns on. *)
 
 type thresholds = {
-  llc_miss_ratio_min : float;  (** per-load LLC miss ratio floor (0.20) *)
-  exec_share_min : float;  (** share of all executed loads; 0 disables — the evaluation uses the
-      miss-contribution knob T as the operative filter, as in Figure 10 *)
-  mlp_max : float;  (** flag only loads missing in phases with MLP below this (5.0) *)
-  stride_ratio_max : float;  (** drop loads the prefetcher covers (0.75) *)
   miss_contribution_min : float;
       (** share of the program's total LLC misses — the knob T of the
           Figure 10 sensitivity study (default 0.01) *)
-  branch_mispredict_min : float;  (** 0.15 *)
-  branch_exec_share_min : float;  (** share of all executed branches (0.01) *)
-  mix_scaling : bool;  (** scale exec-share thresholds by instruction mix *)
-  long_op_exec_share_min : float;
-      (** flag division pcs above this share of all instructions — the
-          Section 6.1 extension; 0 (the default) disables it *)
 }
 
 val default : thresholds
-
-val with_miss_contribution : float -> thresholds -> thresholds
 
 type result = {
   delinquent_loads : (int * Profiler.load_stats) list;

@@ -1,13 +1,15 @@
 type config = {
   ist_entries : int;
   ist_assoc : int;
-  dlt_entries : int;
 }
 
-let ist_1k = { ist_entries = 1024; ist_assoc = 4; dlt_entries = 32 }
-let ist_8k = { ist_entries = 8192; ist_assoc = 8; dlt_entries = 32 }
-let ist_64k = { ist_entries = 65536; ist_assoc = 16; dlt_entries = 32 }
-let ist_infinite = { ist_entries = 0; ist_assoc = 1; dlt_entries = 32 }
+let ist_1k = { ist_entries = 1024; ist_assoc = 4 }
+let ist_8k = { ist_entries = 8192; ist_assoc = 8 }
+let ist_64k = { ist_entries = 65536; ist_assoc = 16 }
+let ist_infinite = { ist_entries = 0; ist_assoc = 1 }
+
+(* Delinquent load table entries, as in the paper. *)
+let dlt_entries = 32
 
 type result = {
   critical : Bytes.t;
@@ -122,7 +124,7 @@ let analyze ?(mem_params = Memory_system.skylake) cfg (trace : Executor.t) =
   let n = Array.length dyns in
   let mem = Memory_system.create mem_params in
   let ist = Ist.create cfg in
-  let dlt = Dlt.create cfg.dlt_entries in
+  let dlt = Dlt.create dlt_entries in
   let critical = Bytes.make n '\000' in
   (* Register dependence table: architectural register -> pc of the most
      recent producer, exactly what the hardware RDT tracks. *)

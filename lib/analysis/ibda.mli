@@ -20,7 +20,6 @@
 type config = {
   ist_entries : int;  (** 0 = unbounded (the paper's "infinite IST") *)
   ist_assoc : int;
-  dlt_entries : int;  (** 32 in the paper *)
 }
 
 val ist_1k : config

@@ -77,8 +77,9 @@ let walk_instance dyns (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx 
             (List.map (fun p -> Hashtbl.find position dyns.(p).Executor.pc) prods))
         walked }
 
-let extract ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
-    (deps : Deps.t) ~root_pc =
+let max_instances = 32
+
+let extract ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t) ~root_pc =
   let dyns = trace.Executor.dyns in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   if root_pc < 0 || root_pc >= num_pcs then invalid_arg "Slicer.extract: bad root pc";
@@ -105,9 +106,3 @@ let extract ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
     edges = Hashtbl.fold (fun e () acc -> e :: acc) edges [] }
 
 let size t = List.length t.pc_list
-
-let pp fmt t =
-  Format.fprintf fmt "slice root pc %d: %d static instructions (%.1f dynamic avg over %d instances)@."
-    t.root_pc (size t) t.avg_dynamic_length (List.length t.dags);
-  Format.fprintf fmt "  pcs: %s@."
-    (String.concat ", " (List.map string_of_int t.pc_list))

@@ -13,9 +13,10 @@
     root's pc is reached first) is the one expanded, and every instance of
     that pc reached later only confirms the pc's membership and is not
     expanded (the recursive-dependency termination of Figure 3).
-    Expansion also stops when an operand has no producer in the trace.  When two instances of one pc have different
-    producers, the slice therefore depends on the traversal order; this is
-    the open finding pinned in [test_check].  Slices of the sampled
+    Expansion also stops when an operand has no producer in the trace.
+    When two instances of one pc have different producers, the slice
+    therefore depends on the traversal order; this is the open finding
+    pinned in [test_check].  Slices of the sampled
     instances of one root are merged, as the paper's tooling does. *)
 
 (** One walked dynamic instance of the root: a DAG over the dynamic
@@ -38,19 +39,14 @@ type t = {
   edges : (int * int) list;  (** static dependency edges producer -> consumer *)
 }
 
-val extract :
-  ?max_instances:int ->
-  ?follow_memory:bool ->
-  Executor.t ->
-  Deps.t ->
-  root_pc:int ->
-  t
-(** [max_instances] dynamic roots are sampled evenly over the trace
-    (default 32).  [follow_memory] (default [true]) enables the
+val max_instances : int
+(** Dynamic root instances sampled per slice (32). *)
+
+val extract : ?follow_memory:bool -> Executor.t -> Deps.t -> root_pc:int -> t
+(** [max_instances] dynamic roots are sampled evenly over the trace.
+    [follow_memory] (default [true]) enables the
     dependency-through-memory edges that distinguish CRISP from IBDA;
     disable it for the ablation. *)
 
 val size : t -> int
 (** Number of static instructions in the merged slice. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,11 +3,8 @@ type options = {
   use_branch_slices : bool;
   use_long_op_slices : bool;
   critical_path_filter : bool;
-  theta : float;
   follow_memory : bool;
-  ratio_min : float;
   ratio_max : float;
-  max_instances : int;
 }
 
 let default_options =
@@ -15,11 +12,8 @@ let default_options =
     use_branch_slices = true;
     use_long_op_slices = false;
     critical_path_filter = true;
-    theta = 0.6;
     follow_memory = true;
-    ratio_min = 0.05;
-    ratio_max = 0.40;
-    max_instances = 32 }
+    ratio_max = 0.40 }
 
 let load_slices_only = { default_options with use_branch_slices = false }
 let branch_slices_only = { default_options with use_load_slices = false }
@@ -54,15 +48,16 @@ let latency_of_dyn (report : Profiler.report) dyns i =
   end
   | op -> Isa.exec_latency op
 
+(* Critical-path cutoff (Section 3.5): keep the slice nodes whose best
+   path reaches 60% of their instance's longest path. *)
+let theta = 0.6
+
 let build_slice options trace deps report ~root_pc ~kind ~contribution =
-  let full =
-    Slicer.extract ~max_instances:options.max_instances
-      ~follow_memory:options.follow_memory trace deps ~root_pc
-  in
+  let full = Slicer.extract ~follow_memory:options.follow_memory trace deps ~root_pc in
   let kept_pcs =
     if options.critical_path_filter then begin
       let latency_of = latency_of_dyn report trace.Executor.dyns in
-      let keep = Critical_path.filter ~theta:options.theta ~latency_of full in
+      let keep = Critical_path.filter ~theta ~latency_of full in
       List.filter (fun pc -> keep.(pc)) full.Slicer.pc_list
     end
     else full.Slicer.pc_list
@@ -124,7 +119,7 @@ let build ?(options = default_options) (trace : Executor.t) (deps : Deps.t)
       let ratio = dynamic_ratio_of report critical in
       if ratio > options.ratio_max then begin
         (* Revert this slice to keep critical instructions a minority the
-           scheduler can actually prioritise (Section 3.2's 5-40% rule);
+           scheduler can actually prioritise (Section 3.4's 40% cap);
            pcs shared with admitted slices stay tagged, and the delinquent
            root itself keeps its prefix. *)
         List.iter

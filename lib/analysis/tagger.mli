@@ -4,9 +4,12 @@
     Builds load slices for every delinquent load and branch slices for
     every hard branch, applies critical-path filtering, merges them, and
     enforces the empirically determined guardrail that critical
-    instructions should be 5%–40% of the dynamic stream: with too many
-    critical instructions the scheduler has nothing to deprioritise, so the
-    least-contributing slices are dropped until the ratio fits. *)
+    instructions should be at most 40% of the dynamic stream: with too
+    many critical instructions the scheduler has nothing to deprioritise,
+    so the least-contributing slices are dropped until the ratio fits.
+    The critical-path cutoff is fixed at 60% of each instance's longest
+    path, and {!Slicer.max_instances} root instances are walked per
+    slice. *)
 
 (** Tagging policy knobs. *)
 type options = {
@@ -16,11 +19,8 @@ type options = {
       (** also prioritise frequent long-latency arithmetic (division) and
           its slices — the Section 6.1 extension; off by default *)
   critical_path_filter : bool;  (** promote only near-critical-path slice nodes *)
-  theta : float;  (** critical-path cutoff fraction (0.6) *)
   follow_memory : bool;  (** observe dependencies through memory *)
-  ratio_min : float;  (** 0.05 *)
-  ratio_max : float;  (** 0.40 *)
-  max_instances : int;  (** dynamic root instances sampled per slice *)
+  ratio_max : float;  (** cap on the tagged dynamic share (0.40) *)
 }
 
 val default_options : options

@@ -10,8 +10,6 @@ type t = {
   lrus : int array;  (* higher = more recently used *)
   set_mask : int;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(entries = 8192) ?(assoc = 4) () =
@@ -24,9 +22,7 @@ let create ?(entries = 8192) ?(assoc = 4) () =
     targets = Array.make entries (-1);
     lrus = Array.make entries 0;
     set_mask = num_sets - 1;
-    clock = 0;
-    hits = 0;
-    misses = 0 }
+    clock = 0 }
 
 let base_of t pc = (pc land t.set_mask) * t.assoc
 
@@ -39,13 +35,9 @@ let find_target t ~pc =
   let i = find_way t.pcs pc base (base + t.assoc) in
   if i >= 0 then begin
     t.lrus.(i) <- t.clock;
-    t.hits <- t.hits + 1;
     t.targets.(i)
   end
-  else begin
-    t.misses <- t.misses + 1;
-    -1
-  end
+  else -1
 
 let lookup t ~pc =
   match find_target t ~pc with -1 -> None | target -> Some target
@@ -61,6 +53,3 @@ let update t ~pc ~target =
   t.pcs.(w) <- pc;
   t.targets.(w) <- target;
   t.lrus.(w) <- t.clock
-
-let hits t = t.hits
-let misses t = t.misses

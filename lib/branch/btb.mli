@@ -13,10 +13,7 @@ val lookup : t -> pc:int -> int option
 val find_target : t -> pc:int -> int
 (** Same as {!lookup} but returns [-1] on a miss instead of boxing the
     target in an option — the variant the fetch stage uses.  Identical
-    hit/miss/LRU accounting. *)
+    LRU accounting. *)
 
 val update : t -> pc:int -> target:int -> unit
 (** Install or refresh the mapping after the transfer resolves. *)
-
-val hits : t -> int
-val misses : t -> int

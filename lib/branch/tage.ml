@@ -137,11 +137,6 @@ let lookup t pc =
 
 let table_pred t bank idx = t.tables.(bank).ctrs.(idx) >= ctr_mid t
 
-let predict t ~pc =
-  lookup t pc;
-  if t.lk_provider >= 0 then table_pred t t.lk_provider t.lk_pidx
-  else Bimodal.predict t.base ~pc
-
 let push_history t taken =
   (* Advance every table's folded registers before the buffer moves: the
      outgoing bit of a length-[len] window is the current index len - 1. *)

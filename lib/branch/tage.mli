@@ -21,9 +21,6 @@ val create : ?config:config -> ?seed:int -> unit -> t
     3-bit counters, history lengths 5..130 and a 4K-entry base — a
     compact TAGE in the spirit of the original paper. *)
 
-val predict : t -> pc:int -> bool
-(** Current prediction for [pc]; does not modify any state. *)
-
 val predict_and_update : t -> pc:int -> taken:bool -> bool
 (** Predict [pc], then immediately train with the actual outcome and shift
     it into the global history.  Returns the prediction made {e before}

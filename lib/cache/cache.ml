@@ -5,7 +5,6 @@ type params = {
 }
 
 type t = {
-  name : string;
   params : params;
   line_bits : int;
   num_sets : int;
@@ -25,14 +24,13 @@ let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
-let create ~name params =
+let create params =
   if params.line_bytes land (params.line_bytes - 1) <> 0 then
     invalid_arg "Cache.create: line_bytes not a power of two";
   let num_sets = params.size_bytes / (params.assoc * params.line_bytes) in
   if num_sets <= 0 then invalid_arg "Cache.create: fewer than one set";
   let slots = num_sets * params.assoc in
-  { name;
-    params;
+  { params;
     line_bits = log2 params.line_bytes;
     num_sets;
     set_mask = (if num_sets land (num_sets - 1) = 0 then num_sets - 1 else -1);
@@ -46,7 +44,6 @@ let create ~name params =
     prefetch_fills = 0;
     prefetch_hits = 0 }
 
-let name t = t.name
 let params t = t.params
 
 let line_of t addr = addr lsr t.line_bits

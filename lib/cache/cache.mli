@@ -12,9 +12,8 @@ type params = {
   line_bytes : int;  (** power of two *)
 }
 
-val create : name:string -> params -> t
+val create : params -> t
 
-val name : t -> string
 val params : t -> params
 
 val line_of : t -> int -> int

@@ -79,14 +79,8 @@ let check_workload ?(instrs = 60_000) ?(train_instrs = 40_000) ?(scoreboard = fa
       (fun (root_pc, kind) ->
         List.map
           (fun follow_memory ->
-            let slice =
-              Slicer.extract ~max_instances:options.Tagger.max_instances
-                ~follow_memory trace deps ~root_pc
-            in
-            let violations =
-              Slice_check.verify_slice ~max_instances:options.Tagger.max_instances
-                ~follow_memory trace deps slice
-            in
+            let slice = Slicer.extract ~follow_memory trace deps ~root_pc in
+            let violations = Slice_check.verify_slice ~follow_memory trace deps slice in
             { root_pc; kind; follow_memory; violations })
           [ true; false ])
       roots

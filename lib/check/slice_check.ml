@@ -27,13 +27,12 @@ let sample_instances dyns pc n =
    expansion of an ancestor stopping once its static pc was seen in this
    instance (the paper's recursive-dependency termination), memberships
    merged across instances. *)
-let expected_closure (trace : Executor.t) (deps : Deps.t) ~max_instances ~follow_memory
-    ~root_pc =
+let expected_closure (trace : Executor.t) (deps : Deps.t) ~follow_memory ~root_pc =
   let dyns = trace.Executor.dyns in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   let members = Array.make num_pcs false in
   members.(root_pc) <- true;
-  let roots = sample_instances dyns root_pc max_instances in
+  let roots = sample_instances dyns root_pc Slicer.max_instances in
   List.iter
     (fun root_idx ->
       let seen = Hashtbl.create 64 in
@@ -74,8 +73,8 @@ let dependency_pairs (trace : Executor.t) (deps : Deps.t) ~follow_memory =
     dyns;
   pairs
 
-let verify_slice ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
-    (deps : Deps.t) (slice : Slicer.t) =
+let verify_slice ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t)
+    (slice : Slicer.t) =
   let violations = ref [] in
   let fail pc fmt =
     Format.kasprintf (fun reason -> violations := { pc; reason } :: !violations) fmt
@@ -126,7 +125,7 @@ let verify_slice ?(max_instances = 32) ?(follow_memory = true) (trace : Executor
       slice.Slicer.pc_list;
     (* Closure: the independently recomputed backward closure must match
        the slice's membership set exactly. *)
-    let expected = expected_closure trace deps ~max_instances ~follow_memory ~root_pc:root in
+    let expected = expected_closure trace deps ~follow_memory ~root_pc:root in
     for pc = 0 to num_pcs - 1 do
       if expected.(pc) && not slice.Slicer.pcs.(pc) then
         fail pc "backward closure member missing from the slice (not closed)";

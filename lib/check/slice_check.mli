@@ -29,15 +29,11 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 val verify_slice :
-  ?max_instances:int ->
-  ?follow_memory:bool ->
-  Executor.t ->
-  Deps.t ->
-  Slicer.t ->
-  violation list
-(** Pass the same [max_instances] / [follow_memory] the slice was
-    extracted with (defaults mirror {!Slicer.extract}).  Empty list =
-    verified. *)
+  ?follow_memory:bool -> Executor.t -> Deps.t -> Slicer.t -> violation list
+(** Pass the same [follow_memory] the slice was extracted with (the
+    default mirrors {!Slicer.extract}); roots are sampled as
+    {!Slicer.extract} samples them, [Slicer.max_instances] per slice.
+    Empty list = verified. *)
 
 val verify_tagging :
   options:Tagger.options -> Profiler.report -> Tagger.t -> violation list

@@ -308,18 +308,14 @@ let division { sizes; _ } =
       max_instrs = instrs }
   in
   let train = build ~input:Workload.Train ~instrs:sizes.train_instrs in
-  let thresholds =
-    { Classifier.default with
-      Classifier.long_op_exec_share_min = 0.015;
-      miss_contribution_min = 1.1 (* ignore loads: isolate the extension *) }
-  in
+  (* Long-op slices only: isolate the extension. *)
   let options =
     { Tagger.default_options with
       Tagger.use_long_op_slices = true;
       use_load_slices = false;
       use_branch_slices = false }
   in
-  let tagging = Tagger.analyze ~thresholds ~options (Workload.trace train) in
+  let tagging = Tagger.analyze ~options (Workload.trace train) in
   let trace =
     Workload.trace (build ~input:Workload.Ref ~instrs:sizes.eval_instrs)
   in

@@ -104,9 +104,7 @@ let variant_of_column c =
   | "ooo", None -> Ok Runner.Ooo
   | "crisp", None -> Ok Runner.crisp_default
   | "crisp", Some t ->
-    Ok
-      (Runner.Crisp
-         (Classifier.with_miss_contribution t Classifier.default, Tagger.default_options))
+    Ok (Runner.Crisp ({ Classifier.miss_contribution_min = t }, Tagger.default_options))
   | "crisp-load", None -> Ok (Runner.Crisp (Classifier.default, Tagger.load_slices_only))
   | "crisp-branch", None ->
     Ok (Runner.Crisp (Classifier.default, Tagger.branch_slices_only))

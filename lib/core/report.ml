@@ -89,13 +89,6 @@ let windowed_mean ~window series =
       done;
       (lo, float_of_int !sum /. float_of_int (hi - lo)))
 
-let geomean values =
-  match values with
-  | [] -> 1.0
-  | _ ->
-    let log_sum = List.fold_left (fun acc v -> acc +. log (Float.max v 1e-9)) 0. values in
-    exp (log_sum /. float_of_int (List.length values))
-
 let mean values =
   match values with
   | [] -> 0.

@@ -22,7 +22,4 @@ val windowed_mean : window:int -> int array -> (int * float) array
     counts.
     @raise Invalid_argument if [window <= 0]. *)
 
-val geomean : float list -> float
-(** Geometric mean; returns 1.0 for the empty list. *)
-
 val mean : float list -> float

@@ -7,7 +7,6 @@ type t = {
 
 let create bits = { bits; words = Array.make ((bits + bits_per_word - 1) / bits_per_word) 0 }
 
-let width t = t.bits
 
 let check t i = if i < 0 || i >= t.bits then invalid_arg "Bitset: index out of range"
 

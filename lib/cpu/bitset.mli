@@ -8,7 +8,6 @@ type t
 val create : int -> t
 (** All-zero bitset of the given width. *)
 
-val width : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool

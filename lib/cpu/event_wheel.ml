@@ -37,7 +37,6 @@ let create ?(slot_capacity = default_slot_capacity) ~horizon () =
     ov_len = 0;
     pending = 0 }
 
-let horizon t = t.horizon
 
 let pending t = t.pending
 

@@ -32,7 +32,5 @@ val pop : t -> cycle:int -> int
 val pending : t -> int
 (** Events scheduled and not yet popped. *)
 
-val horizon : t -> int
-
 val overflow_length : t -> int
 (** Events currently parked in the overflow bucket (diagnostics). *)

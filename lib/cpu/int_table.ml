@@ -35,8 +35,6 @@ let find t key =
   let i = probe t key (hash t key) in
   if t.keys.(i) = key then t.vals.(i) else -1
 
-let mem t key = find t key >= 0
-
 let replace t key value =
   if key < 0 || value < 0 then invalid_arg "Int_table.replace: negative key or value";
   let i = probe t key (hash t key) in
@@ -70,7 +68,3 @@ let remove t key =
     t.count <- t.count - 1;
     backshift t i ((i + 1) land t.mask)
   end
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) (-1);
-  t.count <- 0

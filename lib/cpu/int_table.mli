@@ -12,8 +12,6 @@ val create : int -> t
 val find : t -> int -> int
 (** Value bound to the key, or [-1] when absent. *)
 
-val mem : t -> int -> bool
-
 val replace : t -> int -> int -> unit
 (** Insert or overwrite.  Raises [Failure] if the fixed capacity is
     exhausted — the caller bounds the live population (e.g. by store-queue
@@ -23,5 +21,3 @@ val remove : t -> int -> unit
 (** Remove the binding if present. *)
 
 val length : t -> int
-
-val clear : t -> unit

@@ -17,7 +17,6 @@ type t = {
 let create n =
   { head = Array.make n (-1); next = Array.make (n * links_per_node) (-1) }
 
-let capacity t = Array.length t.head
 
 let push t ~producer ~consumer ~link =
   if link < 0 || link >= links_per_node then invalid_arg "Wakeup.push: bad link";

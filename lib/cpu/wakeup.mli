@@ -11,8 +11,6 @@ type t
 val create : int -> t
 (** Lists over [n] slots; all initially empty. *)
 
-val capacity : t -> int
-
 val push : t -> producer:int -> consumer:int -> link:int -> unit
 (** Thread [consumer] onto [producer]'s list via the consumer's operand
     [link] (0 <= link < 3: src1, src2, store-to-load forward).  A given

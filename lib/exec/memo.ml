@@ -58,16 +58,6 @@ let find_or_run t key f =
       Future.fail fut exn bt;
       Printexc.raise_with_backtrace exn bt)
 
-let find_opt t key =
-  Mutex.lock t.mutex;
-  let r =
-    match Hashtbl.find_opt t.table key with
-    | Some (Ready v) -> Some v
-    | Some (In_flight _) | None -> None
-  in
-  Mutex.unlock t.mutex;
-  r
-
 let remove t key =
   Mutex.lock t.mutex;
   (match Hashtbl.find_opt t.table key with

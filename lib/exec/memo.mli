@@ -17,9 +17,6 @@ val find_or_run : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Return the cached value for the key, await the in-flight computation
     for it, or compute it on the calling domain and publish the result. *)
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Completed entries only; never blocks on an in-flight computation. *)
-
 val remove : ('k, 'v) t -> 'k -> unit
 (** Evict a completed entry (e.g. a grid cell whose supervised run
     degraded) so the next request recomputes it.  An in-flight entry is left alone:

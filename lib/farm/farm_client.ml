@@ -207,7 +207,6 @@ let run_grid t ?id ?sample ~(spec : Grid.spec) ~eval_instrs ~train_instrs () =
 
 type retry = {
   attempts : int;
-  backoff : Resil.Backoff.params;
   seed : int;
   connect_timeout : float;
   io_timeout : float option;
@@ -215,7 +214,6 @@ type retry = {
 
 let default_retry =
   { attempts = 5;
-    backoff = Resil.Backoff.default;
     seed = 0;
     connect_timeout = 10.;
     io_timeout = None }
@@ -259,10 +257,7 @@ let run_grid_retrying ~socket ?(retry = default_retry) ?id ?sample
         fail "grid %s (%s) failed after %d attempt(s): %s" spec.tag id (k + 1)
           (cause_of e)
       else begin
-        let nominal =
-          Resil.Backoff.delay retry.backoff ~seed:retry.seed ~ident:id
-            ~attempt:k
-        in
+        let nominal = Resil.Backoff.delay ~seed:retry.seed ~ident:id ~attempt:k in
         (* Respect the server's shed hint when it outlasts our own
            schedule. *)
         let delay =

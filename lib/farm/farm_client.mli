@@ -78,15 +78,13 @@ val run_grid :
 (** Retry policy for {!run_grid_retrying}. *)
 type retry = {
   attempts : int;  (** total attempts, including the first *)
-  backoff : Resil.Backoff.params;  (** deterministic seeded schedule *)
-  seed : int;
+  seed : int;  (** seed of the {!Resil.Backoff} jitter *)
   connect_timeout : float;
   io_timeout : float option;  (** per-frame deadline on each attempt *)
 }
 
 val default_retry : retry
-(** 5 attempts, {!Resil.Backoff.default}, seed 0, 10s connect timeout,
-    no per-frame deadline. *)
+(** 5 attempts, seed 0, 10s connect timeout, no per-frame deadline. *)
 
 val run_grid_retrying :
   socket:string -> ?retry:retry -> ?id:string -> ?sample:Sample_config.t ->

@@ -72,9 +72,9 @@ type t = {
 let create p =
   let stream = Stream_prefetcher.create () in
   { p;
-    l1i = Cache.create ~name:"L1I" p.l1i;
-    l1d = Cache.create ~name:"L1D" p.l1d;
-    llc = Cache.create ~name:"LLC" p.llc;
+    l1i = Cache.create p.l1i;
+    l1d = Cache.create p.l1d;
+    llc = Cache.create p.llc;
     dram = Dram.create p.dram;
     bop = Bop.create ();
     stream;

@@ -35,7 +35,6 @@ let sum t = t.sum
 
 let max_value t = t.max_v
 
-let mean t = if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
 
 let lower_bound i = if i = 0 then 0 else 1 lsl (i - 1)
 

@@ -17,9 +17,6 @@ val sum : t -> int
 val max_value : t -> int
 (** Largest sample seen; 0 when empty. *)
 
-val mean : t -> float
-(** 0.0 when empty. *)
-
 val buckets : t -> (int * int) list
 (** [(bucket_lower_bound, samples)] for every non-empty bucket, in
     increasing bound order. *)

@@ -10,7 +10,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Obs_ring.create: capacity must be positive";
   { buf = Array.make (capacity * 4) 0; cap = capacity; start = 0; len = 0; total = 0 }
 
-let capacity t = t.cap
 
 let record t ~cycle ~kind ~a ~b =
   let slot = (t.start + t.len) mod t.cap in

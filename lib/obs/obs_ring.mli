@@ -11,8 +11,6 @@ type t
 val create : capacity:int -> t
 (** Ring holding up to [capacity] events ([capacity >= 1]). *)
 
-val capacity : t -> int
-
 val record : t -> cycle:int -> kind:int -> a:int -> b:int -> unit
 
 val length : t -> int

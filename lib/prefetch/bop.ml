@@ -16,7 +16,6 @@ type t = {
   mutable next_candidate : int;  (* index into offsets, round-robin *)
   mutable round : int;
   mutable active_offset : int;  (* 0 = disabled *)
-  mutable issued : int;
 }
 
 let create ?(rr_entries = 256) ?(score_max = 31) ?(round_max = 100) ?(bad_score = 1) () =
@@ -31,8 +30,7 @@ let create ?(rr_entries = 256) ?(score_max = 31) ?(round_max = 100) ?(bad_score 
     bad_score;
     next_candidate = 0;
     round = 0;
-    active_offset = 1;
-    issued = 0 }
+    active_offset = 1 }
 
 let rr_index t line = (line lxor (line lsr 8)) land t.rr_mask
 
@@ -62,16 +60,9 @@ let train t ~line =
     if t.round >= t.round_max then end_learning_phase t
   end
 
-let query_line t ~line =
-  if t.active_offset = 0 then -1
-  else begin
-    t.issued <- t.issued + 1;
-    line + t.active_offset
-  end
+let query_line t ~line = if t.active_offset = 0 then -1 else line + t.active_offset
 
 let query t ~line =
   match query_line t ~line with -1 -> None | l -> Some l
 
 let best_offset t = if t.active_offset = 0 then None else Some t.active_offset
-
-let issued t = t.issued

@@ -37,10 +37,7 @@ val query : t -> line:int -> int option
 
 val query_line : t -> line:int -> int
 (** Same as {!query} but returns [-1] when prefetching is disabled — the
-    unboxed variant the memory system's miss path uses.  Same [issued]
-    accounting. *)
+    unboxed variant the memory system's miss path uses. *)
 
 val best_offset : t -> int option
 (** Currently selected offset, [None] while disabled. *)
-
-val issued : t -> int

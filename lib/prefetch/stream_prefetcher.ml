@@ -10,7 +10,6 @@ type t = {
   degree : int;
   min_confidence : int;
   mutable clock : int;
-  mutable issued : int;
 }
 
 let create ?(streams = 16) ?(degree = 4) ?(min_confidence = 2) () =
@@ -19,8 +18,7 @@ let create ?(streams = 16) ?(degree = 4) ?(min_confidence = 2) () =
           { last_line = min_int; direction = 0; confidence = 0; lru = 0 });
     degree;
     min_confidence;
-    clock = 0;
-    issued = 0 }
+    clock = 0 }
 
 let degree t = t.degree
 
@@ -54,7 +52,6 @@ let access_into t ~line ~into =
       for k = 0 to t.degree - 1 do
         into.(k) <- line + (dir * (k + 1))
       done;
-      t.issued <- t.issued + t.degree;
       t.degree
     end
     else 0
@@ -73,5 +70,3 @@ let access t ~line =
   let into = Array.make t.degree 0 in
   let n = access_into t ~line ~into in
   List.init n (fun k -> into.(k))
-
-let issued t = t.issued

@@ -21,5 +21,3 @@ val access_into : t -> line:int -> into:int array -> int
 
 val degree : t -> int
 (** Lines prefetched ahead per confident access. *)
-
-val issued : t -> int

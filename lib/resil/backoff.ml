@@ -1,23 +1,12 @@
-type params = {
-  base : float;
-  factor : float;
-  max_delay : float;
-  jitter : float;
-}
+(* The one schedule in use: 50 ms doubling per attempt, capped at 1 s,
+   spread by +/-12.5% of jitter. *)
+let base = 0.05
+let factor = 2.0
+let max_delay = 1.0
+let jitter = 0.25
 
-let default = { base = 0.05; factor = 2.0; max_delay = 1.0; jitter = 0.25 }
-
-let delay params ~seed ~ident ~attempt =
-  let nominal =
-    Float.min (params.base *. (params.factor ** float_of_int attempt)) params.max_delay
-  in
+let delay ~seed ~ident ~attempt =
+  let nominal = Float.min (base *. (factor ** float_of_int attempt)) max_delay in
   let st = Random.State.make [| 0x6ba0; seed; Hashtbl.hash ident; attempt |] in
   let u = Random.State.float st 1.0 in
-  Float.max 0. (nominal *. (1. +. (params.jitter *. (u -. 0.5))))
-
-let schedule params ~seed ~ident ~attempts =
-  List.init attempts (fun attempt -> delay params ~seed ~ident ~attempt)
-
-let sleep params ~seed ~ident ~attempt =
-  let d = delay params ~seed ~ident ~attempt in
-  if d > 0. then Unix.sleepf d
+  Float.max 0. (nominal *. (1. +. (jitter *. (u -. 0.5))))

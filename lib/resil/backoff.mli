@@ -1,29 +1,14 @@
 (** Deterministic exponential backoff with seeded jitter.
 
-    The delay before retry attempt [k] is
-    [min (base * factor^k) max_delay], scaled by a jitter factor drawn
-    from a PRNG seeded by [(seed, ident, k)] — a pure function of its
-    inputs.  Two runs with the same seed therefore sleep the exact same
-    schedule for the same job, no matter how many worker domains are
-    racing, which is what makes fault-injection runs reproducible. *)
+    The delay before retry attempt [k] is [min (0.05 * 2^k) 1.0]
+    seconds, scaled by [1 + 0.25 * (u - 0.5)] for a [u] in [\[0, 1)]
+    drawn from a PRNG seeded by [(seed, ident, k)] — a pure function of
+    its inputs.  Two runs with the same seed therefore sleep the exact
+    same schedule for the same job, no matter how many worker domains
+    are racing, which is what makes fault-injection runs
+    reproducible. *)
 
-type params = {
-  base : float;  (** first delay, seconds *)
-  factor : float;  (** exponential growth per attempt *)
-  max_delay : float;  (** cap on the nominal delay *)
-  jitter : float;  (** fraction of the nominal delay spread by the PRNG *)
-}
-
-val default : params
-(** [{ base = 0.05; factor = 2.0; max_delay = 1.0; jitter = 0.25 }] *)
-
-val delay : params -> seed:int -> ident:string -> attempt:int -> float
+val delay : seed:int -> ident:string -> attempt:int -> float
 (** Delay in seconds before retry [attempt] (0-based) of the job
-    identified by [ident].  Pure and deterministic; always [>= 0]. *)
-
-val schedule : params -> seed:int -> ident:string -> attempts:int -> float list
-(** The first [attempts] delays, i.e. [delay ~attempt:0 .. attempts-1]. *)
-
-val sleep : params -> seed:int -> ident:string -> attempt:int -> unit
-(** Sleep exactly [delay ~attempt] seconds — the convenience retry
-    loops reach for when they have no server-supplied hint to fold in. *)
+    identified by [ident].  Pure and deterministic; always in
+    [\[0, 1.125\]]. *)

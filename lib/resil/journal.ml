@@ -8,7 +8,6 @@ type entry = {
 
 type t = {
   path : string;
-  signature : string;
   sig_digest : string;
   mutex : Mutex.t;
   entries : (string, entry) Hashtbl.t;
@@ -16,7 +15,6 @@ type t = {
 }
 
 let path t = t.path
-let signature t = t.signature
 
 let bad_path path = path ^ ".bad"
 
@@ -111,13 +109,19 @@ let load_entry t line =
     match hex_decode payload_hex with
     | None ->
       quarantine_lines t [ line ] key "journal entry payload is not hex; quarantined"
-    | Some raw ->
-      let payload = Fault_plan.mangle ~ident:key "journal.read" raw in
-      if entry_digest t.sig_digest payload = digest_hex then
-        Hashtbl.replace t.entries key { payload; stored = payload }
-      else
+    | Some raw -> (
+      (* A read that crashes loses only its entry, as a checksum failure
+         does: the cell is recomputed instead of failing the whole load. *)
+      match Fault_plan.mangle ~ident:key "journal.read" raw with
+      | exception Fault_plan.Injected _ ->
         quarantine_lines t [ line ] key
-          "journal entry failed its checksum; quarantined and recomputed")
+          "journal entry read crashed; quarantined and recomputed"
+      | payload ->
+        if entry_digest t.sig_digest payload = digest_hex then
+          Hashtbl.replace t.entries key { payload; stored = payload }
+        else
+          quarantine_lines t [ line ] key
+            "journal entry failed its checksum; quarantined and recomputed"))
   | _ ->
     if String.trim line <> "" then
       quarantine_lines t [ line ] "journal" "unparsable journal line; quarantined"
@@ -126,7 +130,6 @@ let load ~path ~signature =
   let sig_digest = Digest.to_hex (Digest.string signature) in
   let t =
     { path;
-      signature;
       sig_digest;
       mutex = Mutex.create ();
       entries = Hashtbl.create 64;

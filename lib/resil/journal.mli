@@ -57,7 +57,6 @@ val in_dir : dir:string -> name:string -> signature:string -> t
     @raise Invalid_argument on an empty [name]. *)
 
 val path : t -> string
-val signature : t -> string
 
 val find : t -> string -> string option
 (** The validated payload recorded for a key, if any. *)

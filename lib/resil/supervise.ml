@@ -97,7 +97,7 @@ let join h =
           if policy.retries = 0 then Error (Crashed exn) else Error (Gave_up exn)
         else begin
           let delay =
-            Backoff.delay Backoff.default ~seed:policy.seed ~ident:h.ident
+            Backoff.delay ~seed:policy.seed ~ident:h.ident
               ~attempt:h.attempt_no
           in
           Log.record

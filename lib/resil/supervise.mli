@@ -39,7 +39,7 @@ type policy = {
 
 val default_policy : policy
 (** No deadline, no retries, seed 0.  Retries always sleep the
-    {!Backoff.default} schedule, and the watchdog polls every 2ms. *)
+    {!Backoff} schedule, and the watchdog polls every 2ms. *)
 
 type 'a handle
 

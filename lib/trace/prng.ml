@@ -24,8 +24,6 @@ let create seed =
   (* [Int64.of_int] sign-extends 63-bit ints; mirror that on the halves. *)
   { hi = (seed asr 32) land mask32; lo = seed land mask32; mhi = 0; mlo = 0 }
 
-let copy t = { hi = t.hi; lo = t.lo; mhi = 0; mlo = 0 }
-
 (* (ahi:alo) * (bhi:blo) mod 2^64 into (t.mhi, t.mlo).  The low 32x32
    product is built from 16-bit limbs so every intermediate stays below
    2^50, well inside the native-int range. *)
@@ -72,8 +70,6 @@ let int t bound =
   next t mod bound
 
 let bool t = next t land 1 = 1
-
-let float t = float_of_int (next t) /. 4611686018427387904.0
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator. *)
 
-val copy : t -> t
-
 val next : t -> int
 (** Next 62-bit non-negative pseudo-random integer. *)
 
@@ -19,9 +17,6 @@ val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). [bound] must be > 0. *)
 
 val bool : t -> bool
-
-val float : t -> float
-(** Uniform in [0, 1). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -141,16 +141,3 @@ let pp_decoded fmt d =
     else Format.fprintf fmt "%s %a, %d, @%d" name pp_reg d.src1 d.imm d.target
   | Isa.Jump | Isa.Call -> Format.fprintf fmt "%s @%d" name d.target
   | Isa.Ret | Isa.Nop | Isa.Halt -> Format.pp_print_string fmt name
-
-let pp fmt t =
-  Format.fprintf fmt "program %s (%d micro-ops)@." t.name (Array.length t.code);
-  Array.iteri
-    (fun pc d ->
-      let label =
-        List.find_map (fun (n, p) -> if p = pc then Some n else None) t.labels
-      in
-      (match label with
-      | Some n -> Format.fprintf fmt "%s:@." n
-      | None -> ());
-      Format.fprintf fmt "  %4d: %a@." pc pp_decoded d)
-    t.code

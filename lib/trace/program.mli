@@ -58,6 +58,3 @@ val assemble : name:string -> inst list -> t
 
 val pp_decoded : Format.formatter -> decoded -> unit
 (** Disassemble one micro-op, e.g. [ld r3, 8(r5)]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Disassemble a whole program with pc annotations. *)

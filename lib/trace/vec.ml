@@ -30,9 +30,4 @@ let set t i x =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let clear t = t.len <- 0

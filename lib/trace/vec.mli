@@ -10,5 +10,4 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val to_array : 'a t -> 'a array
-val iter : ('a -> unit) -> 'a t -> unit
 val clear : 'a t -> unit

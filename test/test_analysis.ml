@@ -113,19 +113,51 @@ let test_classifier_finds_delinquents () =
   let branch_pcs = List.map fst c.Classifier.hard_branches in
   check bool "hard branch flagged" true (List.mem 6 branch_pcs)
 
+(* A counted loop around a branch on random data taken about 5% of the
+   time: the data branch mispredicts near 9% of the time, under the 15%
+   hard-branch threshold, and the loop branch almost never.
+     loop:  and/shl/add r2 <- &table[r1 & 4095]   ; pcs 0-2
+            ld r3, 0(r2)                         ; pc 3
+            blt r3, 5, skip                      ; pc 4: biased data branch
+            add r4, r4, 1                        ; pc 5
+     skip:  add r1, r1, 1                        ; pc 6
+            blt r1, 1000000, loop                ; pc 7: loop branch
+*)
+let biased_branch_workload () =
+  let rng = Prng.create 5 in
+  let mem = Mem_image.create () in
+  for i = 0 to 4095 do
+    Mem_image.set mem (0x500000 + (i * 8)) (Prng.int rng 100)
+  done;
+  let open Program in
+  let insts =
+    [ Label "loop";
+      Alu (Isa.And, 2, 1, Imm 4095);
+      Alu (Isa.Shl, 2, 2, Imm 3);
+      Alu (Isa.Add, 2, 2, Imm 0x500000);
+      Ld (3, 2, 0);
+      Br (Isa.Lt, 3, Imm 5, "skip");
+      Alu (Isa.Add, 4, 4, Imm 1);
+      Label "skip";
+      Alu (Isa.Add, 1, 1, Imm 1);
+      Br (Isa.Lt, 1, Imm 1_000_000, "loop");
+      Halt ]
+  in
+  Executor.run ~mem_init:mem ~max_instrs:40_000 (assemble ~name:"biased" insts)
+
 let test_classifier_thresholds () =
   let trace = spill_chase_workload () in
   let r = Profiler.profile trace in
-  let strict =
-    Classifier.classify r (Classifier.with_miss_contribution 0.99 Classifier.default)
-  in
+  let strict = Classifier.classify r { Classifier.miss_contribution_min = 0.99 } in
   check int "an impossible threshold flags nothing" 0
     (List.length strict.Classifier.delinquent_loads);
-  let no_branches =
-    Classifier.classify r { Classifier.default with Classifier.branch_mispredict_min = 1.1 }
-  in
-  check int "branch threshold respected" 0
-    (List.length no_branches.Classifier.hard_branches)
+  let r = Profiler.profile (biased_branch_workload ()) in
+  let ratio pc = Profiler.mispredict_ratio (Hashtbl.find r.Profiler.branch_table pc) in
+  check bool "data branch mispredicts, but under 15%" true
+    (ratio 4 > 0.03 && ratio 4 < 0.15);
+  check bool "loop branch well predicted" true (ratio 7 < 0.01);
+  check (Alcotest.list int) "branch threshold respected" []
+    (List.map fst (Classifier.classify r Classifier.default).Classifier.hard_branches)
 
 let test_classifier_mlp_filter () =
   (* bwaves-like high-MLP gathers must be rejected by the MLP criterion *)
@@ -361,6 +393,48 @@ let prop_tagged_pcs_exist =
       Array.length tagging.Tagger.critical
       = Array.length trace.Executor.prog.Program.code)
 
+(* A loop whose division (pc 0) is a quarter of the dynamic stream. *)
+let division_loop () =
+  let open Program in
+  let insts =
+    [ Label "loop"; Div (1, 1, 2); Fadd (3, 3, 1); Alu (Isa.Add, 4, 4, Imm 1);
+      Br (Isa.Lt, 4, Imm 10_000, "loop"); Halt ]
+  in
+  let prog = assemble ~name:"div" insts in
+  Executor.run ~reg_init:[ (1, 1_000_000); (2, 1) ] ~max_instrs:20_000 prog
+
+(* Every setting left in [Classifier.thresholds] and [Tagger.options] is
+   live: flipped from its default, it changes the tag map [Tagger.analyze]
+   builds for at least one catalog app.  No catalog app divides, so the
+   Section 6.1 switch is checked on a division loop instead. *)
+let test_fdo_settings_live () =
+  let traces =
+    List.map
+      (fun name ->
+        (name, Workload.trace (Catalog.make ~input:Workload.Train ~instrs:6_000 name)))
+      Catalog.names
+  in
+  let tags ?thresholds ?options trace =
+    (Tagger.analyze ?thresholds ?options trace).Tagger.critical
+  in
+  let defaults = List.map (fun (name, trace) -> (name, tags trace)) traces in
+  let moves what ?thresholds ?options () =
+    check bool (what ^ " changes some tag map") true
+      (List.exists
+         (fun (name, trace) -> tags ?thresholds ?options trace <> List.assoc name defaults)
+         traces)
+  in
+  let d = Tagger.default_options in
+  moves "miss_contribution_min" ~thresholds:{ Classifier.miss_contribution_min = 0.05 } ();
+  moves "use_load_slices" ~options:{ d with Tagger.use_load_slices = false } ();
+  moves "use_branch_slices" ~options:{ d with Tagger.use_branch_slices = false } ();
+  moves "critical_path_filter" ~options:{ d with Tagger.critical_path_filter = false } ();
+  moves "follow_memory" ~options:{ d with Tagger.follow_memory = false } ();
+  moves "ratio_max" ~options:{ d with Tagger.ratio_max = 1.0 } ();
+  let divisions = division_loop () in
+  check bool "use_long_op_slices changes the division loop's tag map" true
+    (tags ~options:{ d with Tagger.use_long_op_slices = true } divisions <> tags divisions)
+
 (* ---------------- IBDA ---------------- *)
 
 let test_ibda_marks_chain () =
@@ -389,7 +463,7 @@ let test_ibda_misses_memory_deps () =
 let test_ibda_capacity_matters () =
   let w = Catalog.make ~input:Workload.Train ~instrs:60_000 "moses" in
   let trace = Workload.trace w in
-  let tiny = { Ibda.ist_entries = 128; ist_assoc = 4; dlt_entries = 32 } in
+  let tiny = { Ibda.ist_entries = 128; ist_assoc = 4 } in
   let small = Ibda.analyze tiny trace in
   let big = Ibda.analyze Ibda.ist_infinite trace in
   check bool "small IST evicts" true (small.Ibda.ist_evictions > 0);
@@ -400,28 +474,18 @@ let test_ibda_capacity_matters () =
 (* ---------------- Section 6.1 extension ---------------- *)
 
 let test_long_op_classification () =
-  let open Program in
-  let insts =
-    [ Label "loop"; Div (1, 1, 2); Fadd (3, 3, 1); Alu (Isa.Add, 4, 4, Imm 1);
-      Br (Isa.Lt, 4, Imm 10_000, "loop"); Halt ]
-  in
-  let prog = assemble ~name:"div" insts in
-  let trace = Executor.run ~reg_init:[ (1, 1_000_000); (2, 1) ] ~max_instrs:20_000 prog in
+  let trace = division_loop () in
   let r = Profiler.profile trace in
   check bool "divisions counted" true (Hashtbl.mem r.Profiler.long_ops 0);
-  let off = Classifier.classify r Classifier.default in
-  check int "extension off by default" 0 (List.length off.Classifier.long_ops);
-  let on =
-    Classifier.classify r
-      { Classifier.default with Classifier.long_op_exec_share_min = 0.05 }
-  in
-  check bool "division pc flagged when enabled" true
-    (List.mem_assoc 0 on.Classifier.long_ops);
+  let c = Classifier.classify r Classifier.default in
+  check bool "division pc flagged" true (List.mem_assoc 0 c.Classifier.long_ops);
   let deps = Deps.compute trace in
+  let off = Tagger.build trace deps r c in
+  check bool "extension off by default" false (Tagger.is_critical off 0);
   let tagging =
     Tagger.build
       ~options:{ Tagger.default_options with Tagger.use_long_op_slices = true } trace
-      deps r on
+      deps r c
   in
   check bool "division tagged" true (Tagger.is_critical tagging 0)
 
@@ -460,6 +524,7 @@ let () =
         [ Alcotest.test_case "end to end" `Quick test_tagger_end_to_end;
           Alcotest.test_case "ratio guardrail" `Quick test_tagger_ratio_guardrail;
           Alcotest.test_case "slice-kind selection" `Quick test_tagger_kind_selection;
+          Alcotest.test_case "every FDO setting is live" `Quick test_fdo_settings_live;
           QCheck_alcotest.to_alcotest prop_tagged_pcs_exist ] );
       ( "ibda",
         [ Alcotest.test_case "marks slices online" `Quick test_ibda_marks_chain;

@@ -8,7 +8,7 @@ let small_params = { Cache.size_bytes = 1024; assoc = 2; line_bytes = 64 }
 (* 1024 / (2 * 64) = 8 sets *)
 
 let test_hit_after_miss () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   check bool "cold miss" false (Cache.access c ~addr:0);
   check bool "then hit" true (Cache.access c ~addr:0);
   check bool "same line hits" true (Cache.access c ~addr:63);
@@ -17,7 +17,7 @@ let test_hit_after_miss () =
   check int "two hits" 2 (Cache.hits c)
 
 let test_lru_eviction_order () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   (* three lines mapping to set 0 in a 2-way cache: 8 sets * 64B stride *)
   let a = 0 and b = 8 * 64 and d = 16 * 64 in
   ignore (Cache.access c ~addr:a);
@@ -30,13 +30,13 @@ let test_lru_eviction_order () =
   check bool "new line resident" true (Cache.probe c ~addr:d)
 
 let test_probe_is_pure () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   check bool "probe misses" false (Cache.probe c ~addr:0);
   check int "probe does not count" 0 (Cache.misses c);
   check bool "still absent" false (Cache.probe c ~addr:0)
 
 let test_prefetch_bit () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   Cache.fill_prefetch c ~addr:128;
   check int "prefetch fill counted" 1 (Cache.prefetch_fills c);
   check bool "first demand access reports prefetched" true
@@ -46,14 +46,14 @@ let test_prefetch_bit () =
   check int "one useful prefetch" 1 (Cache.prefetch_hits c)
 
 let test_prefetch_existing_is_noop () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   ignore (Cache.access c ~addr:256);
   Cache.fill_prefetch c ~addr:256;
   check int "no duplicate fill" 0 (Cache.prefetch_fills c);
   check bool "demand hit, not prefetched" true (Cache.access_info c ~addr:256 = `Hit)
 
 let test_invalidate () =
-  let c = Cache.create ~name:"t" small_params in
+  let c = Cache.create small_params in
   ignore (Cache.access c ~addr:0);
   Cache.invalidate c ~addr:0;
   check bool "line gone" false (Cache.probe c ~addr:0)
@@ -61,7 +61,7 @@ let test_invalidate () =
 let test_non_power_of_two_sets () =
   (* 20-way 1 MiB LLC: 819 sets, exercising modulo indexing *)
   let c =
-    Cache.create ~name:"llc" { Cache.size_bytes = 1024 * 1024; assoc = 20; line_bytes = 64 }
+    Cache.create { Cache.size_bytes = 1024 * 1024; assoc = 20; line_bytes = 64 }
   in
   for i = 0 to 999 do
     ignore (Cache.access c ~addr:(i * 64))
@@ -75,7 +75,7 @@ let prop_residency_subset_of_accesses =
   QCheck.Test.make ~name:"resident lines were accessed or prefetched" ~count:30
     QCheck.(small_int)
     (fun seed ->
-      let c = Cache.create ~name:"q" small_params in
+      let c = Cache.create small_params in
       let rng = Prng.create (seed + 5) in
       let touched = Hashtbl.create 64 in
       for _ = 1 to 500 do
@@ -95,7 +95,7 @@ let prop_residency_subset_of_accesses =
 let prop_capacity_bound =
   QCheck.Test.make ~name:"residency never exceeds capacity" ~count:20
     QCheck.small_int (fun seed ->
-      let c = Cache.create ~name:"q" small_params in
+      let c = Cache.create small_params in
       let rng = Prng.create (seed + 11) in
       for _ = 1 to 2000 do
         ignore (Cache.access c ~addr:(Prng.int rng (1 lsl 20)))

@@ -31,32 +31,22 @@ let test_clock_monotone () =
   go 1000 (Resil.Clock.now ())
 
 let test_backoff_deterministic () =
-  let p = Resil.Backoff.default in
-  let d1 = Resil.Backoff.delay p ~seed:7 ~ident:"fig7/mcf/0" ~attempt:2 in
-  let d2 = Resil.Backoff.delay p ~seed:7 ~ident:"fig7/mcf/0" ~attempt:2 in
+  let d1 = Resil.Backoff.delay ~seed:7 ~ident:"fig7/mcf/0" ~attempt:2 in
+  let d2 = Resil.Backoff.delay ~seed:7 ~ident:"fig7/mcf/0" ~attempt:2 in
   check floats "same inputs, same delay" d1 d2;
-  let other = Resil.Backoff.delay p ~seed:8 ~ident:"fig7/mcf/0" ~attempt:2 in
+  let other = Resil.Backoff.delay ~seed:8 ~ident:"fig7/mcf/0" ~attempt:2 in
   check bool "seed changes the jitter" true (Float.abs (d1 -. other) > 1e-9);
-  let sched = Resil.Backoff.schedule p ~seed:7 ~ident:"x" ~attempts:12 in
-  check int "schedule length" 12 (List.length sched);
-  let bound = p.Resil.Backoff.max_delay *. (1. +. p.Resil.Backoff.jitter) in
+  let sched =
+    List.init 12 (fun attempt -> Resil.Backoff.delay ~seed:7 ~ident:"x" ~attempt)
+  in
+  (* the 1 s cap, jittered *)
+  let bound = 1.0 *. (1. +. 0.25) in
   List.iter
     (fun d -> check bool "0 <= delay <= jittered cap" true (d >= 0. && d <= bound))
     sched;
   (* the nominal component grows until the cap *)
   check bool "later attempts back off more" true
     (List.nth sched 3 > List.nth sched 0)
-
-let test_backoff_sleep () =
-  (* A tiny schedule so the test stays fast: sleep must last (at least)
-     the deterministic delay it is documented to equal. *)
-  let p = { Resil.Backoff.base = 0.02; factor = 1.0; max_delay = 0.02; jitter = 0. } in
-  let d = Resil.Backoff.delay p ~seed:3 ~ident:"sleepy" ~attempt:1 in
-  check floats "jitter-free delay is the base" 0.02 d;
-  let t0 = Unix.gettimeofday () in
-  Resil.Backoff.sleep p ~seed:3 ~ident:"sleepy" ~attempt:1;
-  let dt = Unix.gettimeofday () -. t0 in
-  check bool "sleep lasts the scheduled delay" true (dt >= 0.015 && dt < 2.)
 
 (* ---------------- Fault_plan ---------------- *)
 
@@ -277,8 +267,7 @@ let test_supervise_retry_schedule () =
       (Resil.Log.events ())
   in
   let expected k =
-    Resil.Backoff.delay Resil.Backoff.default ~seed:11 ~ident:"flaky"
-      ~attempt:k
+    Resil.Backoff.delay ~seed:11 ~ident:"flaky" ~attempt:k
   in
   (match retries with
   | [ (1, d0); (2, d1) ] ->
@@ -431,6 +420,25 @@ let test_journal_write_corruption_detected_on_load () =
   let j2 = Resil.Journal.load ~path ~signature:"s" in
   check (Alcotest.option Alcotest.string) "corrupt checkpoint never trusted"
     None (Resil.Journal.find j2 "c");
+  check int "quarantined on load" 1 (Resil.Journal.quarantined j2)
+
+let test_journal_read_crash_quarantined () =
+  with_temp_journal @@ fun path ->
+  let j = Resil.Journal.load ~path ~signature:"s" in
+  Resil.Journal.record j ~key:"good" ~payload:"intact";
+  Resil.Journal.record j ~key:"lost" ~payload:"unreadable";
+  Resil.Fault_plan.arm
+    (Resil.Fault_plan.make
+       [ { Resil.Fault_plan.site = "journal.read";
+           selector = Resil.Fault_plan.Substring "lost";
+           count = Resil.Fault_plan.Nth 1;
+           action = Resil.Fault_plan.Throw } ]);
+  let j2 = Resil.Journal.load ~path ~signature:"s" in
+  Resil.Fault_plan.disarm ();
+  check (Alcotest.option Alcotest.string) "other entries survive" (Some "intact")
+    (Resil.Journal.find j2 "good");
+  check (Alcotest.option Alcotest.string) "crashed entry dropped" None
+    (Resil.Journal.find j2 "lost");
   check int "quarantined on load" 1 (Resil.Journal.quarantined j2)
 
 (* Several named journals in one process (the farm daemon's layout):
@@ -805,8 +813,7 @@ let () =
     [ ( "clock+backoff",
         [ Alcotest.test_case "clock-monotone" `Quick (isolated test_clock_monotone);
           Alcotest.test_case "backoff-deterministic" `Quick
-            (isolated test_backoff_deterministic);
-          Alcotest.test_case "backoff-sleep" `Quick (isolated test_backoff_sleep) ] );
+            (isolated test_backoff_deterministic) ] );
       ( "fault_plan",
         [ Alcotest.test_case "parse-spec" `Quick (isolated test_parse_spec);
           Alcotest.test_case "firing" `Quick (isolated test_fault_plan_firing);
@@ -830,6 +837,8 @@ let () =
             (isolated test_journal_corrupt_entry_quarantined);
           Alcotest.test_case "write-corruption-detected" `Quick
             (isolated test_journal_write_corruption_detected_on_load);
+          Alcotest.test_case "read-crash-quarantined" `Quick
+            (isolated test_journal_read_crash_quarantined);
           Alcotest.test_case "named-journals-in-dir" `Quick
             (isolated test_journal_named_in_dir);
           Alcotest.test_case "same-path-two-instances" `Quick
