@@ -63,12 +63,6 @@ let rob_arg =
   let doc = "Reorder-buffer entries." in
   Arg.(value & opt int 224 & info [ "rob" ] ~docv:"N" ~doc)
 
-let issue_width_arg =
-  let doc =
-    "Select/issue slots per cycle (defaults to the front-end fetch width)."
-  in
-  Arg.(value & opt (some int) None & info [ "issue-width" ] ~docv:"N" ~doc)
-
 let threshold_arg =
   let doc =
     "Miss-contribution threshold T for delinquent-load selection (CRISP \
@@ -77,19 +71,7 @@ let threshold_arg =
   let none = Classifier.default.Classifier.miss_contribution_min in
   Arg.(value & opt (some' ~none float) None & info [ "t"; "threshold" ] ~docv:"T" ~doc)
 
-let base_config ~rs ~rob ~issue_width =
-  let cfg =
-    if rs = 96 && rob = 224 then Cpu_config.skylake
-    else Cpu_config.with_window ~rs ~rob Cpu_config.skylake
-  in
-  match issue_width with
-  | None -> cfg
-  | Some w ->
-    if w < 1 then begin
-      Printf.eprintf "crisp_sim: --issue-width must be at least 1\n";
-      exit 2
-    end;
-    Cpu_config.with_issue_width w cfg
+let base_config ~rs ~rob = Cpu_config.with_window ~rs ~rob Cpu_config.skylake
 
 (* Resolve [-s] the way a grid column resolves: one scheduler
    vocabulary, with [-t] a column threshold.  [random] is the one name
@@ -109,11 +91,10 @@ let resolve_scheduler sched threshold cfg =
     Printf.eprintf "crisp_sim: -s %s: %s\n" sched msg;
     exit 2
 
-let simulate workload instrs train_instrs sched rs rob issue_width threshold =
+let simulate workload instrs train_instrs sched rs rob threshold =
   require_workload workload;
-  let variant, cfg =
-    resolve_scheduler sched threshold (base_config ~rs ~rob ~issue_width)
-  in
+  let base_cfg = base_config ~rs ~rob in
+  let variant, cfg = resolve_scheduler sched threshold base_cfg in
   let outcome =
     Runner.evaluate ~cfg ~eval_instrs:instrs ~train_instrs ~name:workload variant
   in
@@ -125,8 +106,10 @@ let simulate workload instrs train_instrs sched rs rob issue_width threshold =
       t.Tagger.static_count (100. *. t.Tagger.dynamic_ratio)
   | None -> ());
   if sched <> "ooo" then begin
+    (* The baseline is OOO under oldest-ready select, also for [-s random]. *)
     let base =
-      Runner.evaluate ~cfg ~eval_instrs:instrs ~train_instrs ~name:workload Runner.Ooo
+      Runner.evaluate ~cfg:base_cfg ~eval_instrs:instrs ~train_instrs ~name:workload
+        Runner.Ooo
     in
     Printf.printf "speedup over OOO: %+.1f%%\n"
       (100.
@@ -144,17 +127,10 @@ let trace_format_arg =
   in
   Arg.(value & opt string "chrome" & info [ "f"; "format" ] ~docv:"FMT" ~doc)
 
-let trace_ring_arg =
-  let doc = "Event-ring capacity: how many recent events the exporters see." in
-  Arg.(value & opt int 65_536 & info [ "ring" ] ~docv:"N" ~doc)
-
-let trace workload instrs train_instrs sched rs rob issue_width threshold output
-    format ring =
+let trace workload instrs train_instrs sched rs rob threshold output format =
   require_workload workload;
-  let variant, cfg =
-    resolve_scheduler sched threshold (base_config ~rs ~rob ~issue_width)
-  in
-  let tracer = Obs_tracer.create ~ring_capacity:ring () in
+  let variant, cfg = resolve_scheduler sched threshold (base_config ~rs ~rob) in
+  let tracer = Obs_tracer.create () in
   let outcome, tracer =
     Runner.traced ~cfg ~eval_instrs:instrs ~train_instrs ~tracer ~name:workload
       variant
@@ -352,9 +328,8 @@ let sample_arg =
      full-fidelity runs: functional fast-forward between short detailed \
      windows, reported as a confidence-bounded estimate.  $(docv) is a \
      comma-separated k=v list over $(b,units) (measured intervals), \
-     $(b,unit) (instructions per interval), $(b,warmup) (warm-up \
-     instructions before each interval) and optional $(b,ci) (target \
-     relative half-width; units double until it is met).  $(docv) = \
+     $(b,unit) (instructions per interval) and $(b,warmup) (warm-up \
+     instructions before each interval).  $(docv) = \
      $(b,default) uses units=30,unit=1000,warmup=2000.  Sampled cells \
      are memoised and journalled under their own keys, never mixed \
      with full-fidelity results."
@@ -449,8 +424,7 @@ let print_plan plan =
     (fun tr -> Printf.printf "  %s\n" (Resil.Fault_plan.trigger_to_string tr))
     (Resil.Fault_plan.triggers plan)
 
-let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
-    journal_path keep_journal =
+let chaos figure seed fault_specs instrs train_instrs jobs deadline retries =
   validate_figures [ figure ];
   let plan =
     fault_plan ~sites:Resil.Fault_plan.compute_sites
@@ -464,11 +438,7 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
       pool;
       policy = policy_of ~deadline ~retries ~seed }
   in
-  let jpath =
-    match journal_path with
-    | Some p -> p
-    | None -> Filename.temp_file "crisp_chaos" ".journal"
-  in
+  let jpath = Filename.temp_file "crisp_chaos" ".journal" in
   let signature =
     Printf.sprintf "crisp chaos %s eval=%d train=%d %s" figure instrs train_instrs
       Cell_store.payload_format
@@ -518,10 +488,9 @@ let chaos figure seed fault_specs instrs train_instrs jobs deadline retries
   let summary_c = Format.asprintf "%a" Resil.Log.pp_summary () in
   Resil.Fault_plan.disarm ();
   Runner.clear_cache ();
-  if not keep_journal then
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ jpath; jpath ^ ".bad"; jpath ^ ".tmp" ];
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ jpath; jpath ^ ".bad"; jpath ^ ".tmp" ];
   let describe tag out faults retries degraded quarantined restored summary =
     Printf.printf
       "%s: output %s (%d bytes); %d fault(s) fired, %d retry(ies), %d \
@@ -566,7 +535,7 @@ let simulate_cmd =
   Cmd.v info
     Term.(
       const simulate $ workload_arg $ instrs_arg $ train_arg $ sched_arg $ rs_arg
-      $ rob_arg $ issue_width_arg $ threshold_arg)
+      $ rob_arg $ threshold_arg)
 
 let trace_cmd =
   let info =
@@ -578,8 +547,7 @@ let trace_cmd =
   Cmd.v info
     Term.(
       const trace $ workload_arg $ instrs_arg $ train_arg $ sched_arg $ rs_arg
-      $ rob_arg $ issue_width_arg $ threshold_arg $ trace_output_arg
-      $ trace_format_arg $ trace_ring_arg)
+      $ rob_arg $ threshold_arg $ trace_output_arg $ trace_format_arg)
 
 let profile_cmd =
   let info = Cmd.info "profile" ~doc:"Print the software profiling report." in
@@ -591,8 +559,9 @@ let slices_cmd =
 
 let journal_arg =
   let doc =
-    "Checkpoint completed grid cells to $(docv) (atomic write-rename, \
-     checksummed).  Without $(b,--resume) an existing file is discarded."
+    "Checkpoint completed grid cells to $(docv), an append-only log of \
+     checksummed lines written with one O_APPEND write per cell.  Without \
+     $(b,--resume) an existing file is discarded."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
@@ -663,10 +632,6 @@ let chaos_train_arg =
   let doc = "Dynamic micro-ops profiled on the train input." in
   Arg.(value & opt int 15_000 & info [ "train-instrs" ] ~docv:"N" ~doc)
 
-let keep_journal_arg =
-  let doc = "Keep the chaos journal (and any .bad quarantine file) on disk." in
-  Arg.(value & flag & info [ "keep-journal" ] ~doc)
-
 let chaos_cmd =
   let info =
     Cmd.info "chaos"
@@ -683,7 +648,7 @@ let chaos_cmd =
       $ fault_arg ~sites:Resil.Fault_plan.compute_sites
           ~detail:"@SUBSTR restricts to cell idents containing SUBSTR."
       $ chaos_instrs_arg $ chaos_train_arg $ jobs_arg $ deadline_arg
-      $ retries_arg $ journal_arg $ keep_journal_arg)
+      $ retries_arg)
 
 let check_instrs_arg =
   let doc = "Dynamic micro-ops for the ref-input lint/scoreboard context." in
@@ -1055,11 +1020,10 @@ let farm_chaos_train_arg =
   let doc = "Dynamic micro-ops for the profiling (training) run." in
   Arg.(value & opt int 3000 & info [ "train-instrs" ] ~docv:"N" ~doc)
 
-let farm_chaos_attempts_arg =
-  let doc = "Client attempts per grid before giving up." in
-  Arg.(value & opt int 8 & info [ "attempts" ] ~docv:"N" ~doc)
+(* Client attempts per grid before farm-chaos gives up. *)
+let farm_chaos_attempts = 8
 
-let farm_chaos seed fault_specs grids instrs train_instrs jobs attempts verbose =
+let farm_chaos seed fault_specs grids instrs train_instrs jobs verbose =
   let specs = find_grids (if grids = [] then [ "fig8" ] else grids) in
   let plan =
     fault_plan ~sites:Resil.Fault_plan.wire_sites
@@ -1133,7 +1097,7 @@ let farm_chaos seed fault_specs grids instrs train_instrs jobs attempts verbose 
     proxy := Some p;
     let retry =
       { Farm_client.default_retry with
-        Farm_client.attempts;
+        Farm_client.attempts = farm_chaos_attempts;
         seed;
         connect_timeout = 5. }
     in
@@ -1230,7 +1194,7 @@ let farm_chaos_cmd =
             "A hit is one frame in that direction, counted globally across \
              reconnects; frames carry no ident, so @SUBSTR is rejected."
       $ farm_chaos_grids_arg $ farm_chaos_instrs_arg $ farm_chaos_train_arg
-      $ jobs_arg $ farm_chaos_attempts_arg $ verbose_arg)
+      $ jobs_arg $ verbose_arg)
 
 let () =
   let info =

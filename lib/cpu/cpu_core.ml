@@ -44,6 +44,8 @@ type state = {
   rename : int array;  (* architectural reg -> rob index of producer, -1 *)
   rs_owner : int array;  (* rs slot -> rob index *)
   store_map : Int_table.t;  (* address -> rob index of youngest in-flight store *)
+  lq_size : int;  (* Cpu_config.lq_size/sq_size, computed once *)
+  sq_size : int;
   mutable lq_count : int;
   mutable sq_count : int;
   wheel : Event_wheel.t;  (* completion calendar *)
@@ -111,7 +113,7 @@ let rec process_completions s =
     if s.rob_dyn.(rob_idx) = s.waiting_dyn then begin
       (* The mispredicted branch resolved: redirect the frontend. *)
       s.waiting_dyn <- -1;
-      let until = s.cycle + s.cfg.Cpu_config.redirect_penalty in
+      let until = s.cycle + Cpu_config.redirect_penalty in
       if until > s.fetch_blocked_until then s.fetch_blocked_until <- until
     end;
     process_completions s
@@ -140,7 +142,7 @@ let attribute_head_stall s head =
   | _ -> s.stall_other <- s.stall_other + 1
 
 let rec retire s retired_now =
-  if retired_now < s.cfg.Cpu_config.retire_width && s.rob_count > 0
+  if retired_now < Cpu_config.retire_width && s.rob_count > 0
      && s.retired < s.retire_stop
   then begin
     let head = s.rob_head in
@@ -215,7 +217,7 @@ let execute s rob_idx =
    policy a burst of older ready instructions starves younger critical
    ones, which is precisely what CRISP's PRIO vector repairs. *)
 let rec issue_loop s picks alu ld st =
-  if picks < s.cfg.Cpu_config.issue_width then begin
+  if picks < Cpu_config.issue_width then begin
     let slot = Scheduler.select s.sched in
     if slot >= 0 then begin
       (* Selection-time introspection (scoreboard checks, tracer events)
@@ -262,8 +264,7 @@ let rec issue_loop s picks alu ld st =
 
 let issue s =
   Scheduler.begin_cycle s.sched;
-  issue_loop s 0 s.cfg.Cpu_config.alu_ports s.cfg.Cpu_config.load_ports
-    s.cfg.Cpu_config.store_ports
+  issue_loop s 0 Cpu_config.alu_ports Cpu_config.load_ports Cpu_config.store_ports
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch: rename, allocate ROB/RS/LQ/SQ, build dependency edges.    *)
@@ -283,8 +284,8 @@ let dispatch_one s dyn_idx =
   let is_load = op = Isa.Load in
   let is_store = op = Isa.Store in
   if rob_full s then false
-  else if is_load && s.lq_count >= s.cfg.Cpu_config.lq_size then false
-  else if is_store && s.sq_count >= s.cfg.Cpu_config.sq_size then false
+  else if is_load && s.lq_count >= s.lq_size then false
+  else if is_store && s.sq_count >= s.sq_size then false
   else begin
     let critical = s.critical_of dyn_idx in
     let slot = Scheduler.allocate_slot s.sched ~critical in
@@ -338,7 +339,7 @@ let dispatch_one s dyn_idx =
   end
 
 let rec dispatch_loop s dispatched =
-  if dispatched < s.cfg.Cpu_config.fetch_width && s.fq_len > 0
+  if dispatched < Cpu_config.fetch_width && s.fq_len > 0
      && s.fq_ready.(s.fq_head) <= s.cycle
      && dispatch_one s s.fq_dyn.(s.fq_head)
   then begin
@@ -380,7 +381,7 @@ let fetch_control s dyn_idx (d : Executor.dyn) =
       else begin
         s.btb_misses <- s.btb_misses + 1;
         obs_redirect s dyn_idx `Btb_miss;
-        s.fetch_blocked_until <- s.cycle + s.cfg.Cpu_config.btb_miss_penalty;
+        s.fetch_blocked_until <- s.cycle + Cpu_config.btb_miss_penalty;
         `Blocked
       end
     end
@@ -400,7 +401,7 @@ let fetch_control s dyn_idx (d : Executor.dyn) =
   | _ -> `Continue
 
 let rec fetch_loop s n fetched =
-  if fetched < s.cfg.Cpu_config.fetch_width && s.fetch_idx < n
+  if fetched < Cpu_config.fetch_width && s.fetch_idx < n
      && s.fq_len < s.fq_cap
   then begin
     let dyn_idx = s.fetch_idx in
@@ -423,7 +424,7 @@ let rec fetch_loop s n fetched =
 and fetch_one s n fetched dyn_idx d =
   let tail = (s.fq_head + s.fq_len) mod s.fq_cap in
   s.fq_dyn.(tail) <- dyn_idx;
-  s.fq_ready.(tail) <- s.cycle + s.cfg.Cpu_config.frontend_depth;
+  s.fq_ready.(tail) <- s.cycle + Cpu_config.frontend_depth;
   s.fq_len <- s.fq_len + 1;
   (match s.obs with
   | Some tr -> Obs_tracer.on_fetch tr ~cycle:s.cycle ~dyn:dyn_idx ~pc:d.Executor.pc
@@ -461,7 +462,7 @@ let fdip s =
   let limit_dyn =
     if s.waiting_dyn >= 0 then s.waiting_dyn + 1
     else
-      let ftq_end = s.fetch_idx + s.cfg.Cpu_config.ftq_entries in
+      let ftq_end = s.fetch_idx + Cpu_config.ftq_entries in
       if ftq_end < n then ftq_end else n
   in
   if s.fdip_idx < s.fetch_idx then s.fdip_idx <- s.fetch_idx;
@@ -497,8 +498,8 @@ type warm = {
 let warm_create cfg =
   { wmem = Memory_system.create cfg.Cpu_config.mem;
     wtage = Tage.create ();
-    wbtb = Btb.create ~entries:cfg.Cpu_config.btb_entries ();
-    wras = Ras.create ~depth:cfg.Cpu_config.ras_depth ();
+    wbtb = Btb.create ~entries:Cpu_config.btb_entries ();
+    wras = Ras.create ~depth:Cpu_config.ras_depth ();
     wpos = 0;
     wline = -1 }
 
@@ -550,7 +551,8 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
     | Dynamic_tags f -> f
   in
   let rob_size = cfg.Cpu_config.rob_size in
-  let fq_cap = max 32 (cfg.Cpu_config.fetch_width * (cfg.Cpu_config.frontend_depth + 3)) in
+  let sq_size = Cpu_config.sq_size cfg in
+  let fq_cap = max 32 (Cpu_config.fetch_width * (Cpu_config.frontend_depth + 3)) in
   let mem_params = Memory_system.params warm.wmem in
   let s =
     { cfg;
@@ -562,7 +564,7 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
       btb = warm.wbtb;
       ras = warm.wras;
       sched =
-        Scheduler.create ~seed:cfg.Cpu_config.seed ~slots:cfg.Cpu_config.rs_size
+        Scheduler.create ~seed:Cpu_config.seed ~slots:cfg.Cpu_config.rs_size
           cfg.Cpu_config.policy;
       rob_dyn = Array.make rob_size (-1);
       rob_state = Array.make rob_size st_empty;
@@ -576,7 +578,9 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
       rob_count = 0;
       rename = Array.make Isa.num_regs (-1);
       rs_owner = Array.make cfg.Cpu_config.rs_size (-1);
-      store_map = Int_table.create cfg.Cpu_config.sq_size;
+      store_map = Int_table.create sq_size;
+      lq_size = Cpu_config.lq_size cfg;
+      sq_size;
       lq_count = 0;
       sq_count = 0;
       wheel = Event_wheel.create ~horizon:wheel_horizon ();

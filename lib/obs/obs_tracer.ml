@@ -33,7 +33,10 @@ type t = {
 
 let initial_dyns = 4096
 
-let create ?(ring_capacity = 65536) () =
+(* How many recent events the exporters see. *)
+let ring_capacity = 65536
+
+let create () =
   { ring = Obs_ring.create ~capacity:ring_capacity;
     pc_of = Array.make initial_dyns (-1);
     fetch_c = Array.make initial_dyns (-1);

@@ -19,8 +19,8 @@
 
 type t
 
-val create : ?ring_capacity:int -> unit -> t
-(** Default ring capacity: 65536 events. *)
+val create : unit -> t
+(** The event ring keeps the most recent 65536 events. *)
 
 (** {2 Emission — instruction lifecycle} *)
 

@@ -1,16 +1,10 @@
 let version = 2
 
-type entry = {
-  payload : string;  (* the validated truth, served by [find] *)
-  stored : string;  (* what goes to disk: payload after the journal.write
-                       mangle point — normally identical *)
-}
-
 type t = {
   path : string;
   sig_digest : string;
   mutex : Mutex.t;
-  entries : (string, entry) Hashtbl.t;
+  entries : (string, string) Hashtbl.t;  (* key -> validated payload *)
   mutable quarantined : int;
 }
 
@@ -118,7 +112,7 @@ let load_entry t line =
           "journal entry read crashed; quarantined and recomputed"
       | payload ->
         if entry_digest t.sig_digest payload = digest_hex then
-          Hashtbl.replace t.entries key { payload; stored = payload }
+          Hashtbl.replace t.entries key payload
         else
           quarantine_lines t [ line ] key
             "journal entry failed its checksum; quarantined and recomputed"))
@@ -175,7 +169,7 @@ let record t ~key ~payload =
       (* The digest is taken on the true payload *before* the write-site
          mangle point, so an injected corruption is detectable on load. *)
       let stored = Fault_plan.mangle ~ident:key "journal.write" payload in
-      Hashtbl.replace t.entries key { payload; stored };
+      Hashtbl.replace t.entries key payload;
       let line =
         Printf.sprintf "%s %s %s\n" key
           (entry_digest t.sig_digest payload)
@@ -195,8 +189,7 @@ let record t ~key ~payload =
 
 let find t key =
   let key = sanitize_key key in
-  locked t (fun () ->
-      Option.map (fun e -> e.payload) (Hashtbl.find_opt t.entries key))
+  locked t (fun () -> Hashtbl.find_opt t.entries key)
 
 let size t = locked t (fun () -> Hashtbl.length t.entries)
 let quarantined t = t.quarantined

@@ -2,28 +2,18 @@ type t = {
   unit_len : int;
   warmup_len : int;
   units : int;
-  target_ci : float option;
 }
 
-let default = { unit_len = 1_000; warmup_len = 2_000; units = 30; target_ci = None }
+let default = { unit_len = 1_000; warmup_len = 2_000; units = 30 }
 
 let validate t =
   if t.unit_len <= 0 then Error "sample unit length must be positive"
   else if t.warmup_len < 0 then Error "sample warmup length must be non-negative"
   else if t.units <= 0 then Error "sample unit count must be positive"
-  else
-    match t.target_ci with
-    | Some ci when not (ci > 0. && ci < 1.) ->
-      Error "sample target CI must be a relative width in (0, 1)"
-    | _ -> Ok ()
+  else Ok ()
 
 let to_string t =
-  let base =
-    Printf.sprintf "units=%d,unit=%d,warmup=%d" t.units t.unit_len t.warmup_len
-  in
-  match t.target_ci with
-  | None -> base
-  | Some ci -> Printf.sprintf "%s,ci=%.12g" base ci
+  Printf.sprintf "units=%d,unit=%d,warmup=%d" t.units t.unit_len t.warmup_len
 
 let of_string s =
   let s = String.trim s in
@@ -47,10 +37,6 @@ let of_string s =
           | "units" -> Result.map (fun v -> { t with units = v }) (int_of ())
           | "unit" -> Result.map (fun v -> { t with unit_len = v }) (int_of ())
           | "warmup" -> Result.map (fun v -> { t with warmup_len = v }) (int_of ())
-          | "ci" -> (
-            match float_of_string_opt value with
-            | Some v -> Ok { t with target_ci = Some v }
-            | None -> Error (Printf.sprintf "sample config ci=%S is not a number" value))
           | _ -> Error (Printf.sprintf "unknown sample config key %S" key)))
     in
     let fields = String.split_on_char ',' s in

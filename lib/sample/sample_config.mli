@@ -11,9 +11,6 @@ type t = {
   unit_len : int;  (** measured instructions per sampling unit *)
   warmup_len : int;  (** detailed warmup instructions before each unit *)
   units : int;  (** sampling units (equal strides across the trace) *)
-  target_ci : float option;
-      (** when set, double [units] (bounded) until the 95% confidence
-          interval is at most this fraction of the CPI estimate *)
 }
 
 val default : t

@@ -13,20 +13,36 @@ type result = {
   total_instrs : int;
 }
 
-(* One systematic pass with a fixed unit count.  Unit [k] measures the
-   [unit_len] instructions at the start of stride [k], with detailed
-   warmup drawn from the tail of the previous stride; unit 0 therefore
-   starts truly cold, exactly like the full run — measuring at stride
-   starts keeps every instruction (including the cold prologue, which
-   end-of-stride placement would systematically exclude) in the sampled
-   population.  The warm state (caches, predictors, prefetcher training)
-   is threaded through fast-forward and detail windows alike. *)
-let run_units ?criticality ~layout ~(sample : Sample_config.t) ~units cfg
-    (trace : Executor.t) =
+let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
+
+let ci95 xs m =
+  let u = Array.length xs in
+  if u < 2 then 0.
+  else begin
+    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
+    let variance = ss /. float_of_int (u - 1) in
+    1.96 *. sqrt (variance /. float_of_int u)
+  end
+
+(* One systematic pass.  Unit [k] measures the [unit_len] instructions
+   at the start of stride [k], with detailed warmup drawn from the tail
+   of the previous stride; unit 0 therefore starts truly cold, exactly
+   like the full run — measuring at stride starts keeps every
+   instruction (including the cold prologue, which end-of-stride
+   placement would systematically exclude) in the sampled population.
+   The warm state (caches, predictors, prefetcher training) is threaded
+   through fast-forward and detail windows alike. *)
+let run ?criticality ~(sample : Sample_config.t) cfg (trace : Executor.t) =
+  (match Sample_config.validate sample with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Sampler.run: " ^ msg));
+  (* Fast-forward warming fetches through the same layout as the
+     detail windows. *)
+  let layout = Cpu_core.layout_for ?criticality trace in
   let dyns = trace.Executor.dyns in
   let n = Array.length dyns in
   let span = sample.unit_len + sample.warmup_len in
-  let units = max 1 (min units (max 1 (n / span))) in
+  let units = max 1 (min sample.units (max 1 (n / span))) in
   let stride = n / units in
   let warm = Cpu_core.warm_create cfg in
   let unit_cpis = Array.make units 0. in
@@ -46,48 +62,11 @@ let run_units ?criticality ~layout ~(sample : Sample_config.t) ~units cfg
        else float_of_int st.Cpu_stats.cycles /. float_of_int st.Cpu_stats.retired);
     stats := Cpu_stats.add !stats st
   done;
-  (units, unit_cpis, !stats)
-
-let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
-
-let ci95 xs m =
-  let u = Array.length xs in
-  if u < 2 then 0.
-  else begin
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
-    let variance = ss /. float_of_int (u - 1) in
-    1.96 *. sqrt (variance /. float_of_int u)
-  end
-
-let run ?criticality ~(sample : Sample_config.t) cfg (trace : Executor.t) =
-  (match Sample_config.validate sample with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Sampler.run: " ^ msg));
-  (* Fast-forward warming fetches through the same layout as the
-     detail windows. *)
-  let layout = Cpu_core.layout_for ?criticality trace in
-  let total_instrs = Array.length trace.Executor.dyns in
-  let rec go units attempts =
-    let used, unit_cpis, stats =
-      run_units ?criticality ~layout ~sample ~units cfg trace
-    in
-    let m = mean unit_cpis in
-    let ci = ci95 unit_cpis m in
-    let converged =
-      match sample.target_ci with
-      | None -> true
-      | Some rel -> m <= 0. || ci /. m <= rel
-    in
-    (* [used < units] means the trace cannot hold more units; doubling
-       again would be a no-op.  Four doublings bound the retry cost. *)
-    if converged || attempts >= 4 || used < units then
-      { config = { sample with units = used };
-        cpi_mean = m;
-        cpi_ci95 = ci;
-        unit_cpis;
-        stats;
-        measured_instrs = stats.Cpu_stats.retired;
-        total_instrs }
-    else go (units * 2) (attempts + 1)
-  in
-  go sample.units 0
+  let m = mean unit_cpis in
+  { config = { sample with units };
+    cpi_mean = m;
+    cpi_ci95 = ci95 unit_cpis m;
+    unit_cpis;
+    stats = !stats;
+    measured_instrs = !stats.Cpu_stats.retired;
+    total_instrs = n }

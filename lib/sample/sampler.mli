@@ -1,8 +1,8 @@
 (** Statistical (interval) sampling of a detailed simulation.
 
-    The trace is split into [units] equal strides; each stride's tail is
-    detail-simulated (warmup + measured window, see {!Sample_config.t})
-    and everything else is fast-forwarded functionally while warming the
+    The trace is split into [units] equal strides; the start of each
+    stride is measured after detailed warmup drawn from the tail of the
+    previous one (see {!Sample_config.t}), and everything else is fast-forwarded functionally while warming the
     caches, prefetchers and branch predictors through
     {!Cpu_core.warm_touch}.  CPI is reported as the mean over per-unit
     CPIs with a 95% confidence interval, the SMARTS estimator. *)
@@ -10,7 +10,7 @@
 type result = {
   config : Sample_config.t;
       (** the requested config with [units] replaced by the count
-          actually simulated (after clamping and target-CI doubling) *)
+          actually simulated (clamped to what the trace can hold) *)
   cpi_mean : float;
   cpi_ci95 : float;  (** half-width of the 95% confidence interval *)
   unit_cpis : float array;
@@ -27,8 +27,6 @@ val run :
   Executor.t ->
   result
 (** Deterministic: unit placement is systematic (no random offsets), so
-    identical inputs give identical results.  With [target_ci] set the
-    whole pass restarts with doubled [units] (at most four times, and
-    never beyond what the trace can hold) until the relative CI
-    converges.
+    identical inputs give identical results.  One pass over the trace:
+    there is no restart to narrow the confidence interval.
     @raise Invalid_argument if [sample] fails {!Sample_config.validate}. *)

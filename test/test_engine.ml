@@ -1,7 +1,7 @@
 (* Tests for the allocation-free cycle engine's data structures — event
    wheel, intrusive wakeup lists, flat int table, bitset scan/argmin
    primitives, incremental TAGE folds — plus the engine-level GC budget
-   and the issue-width knob. *)
+   and the random-ready picker. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -274,36 +274,6 @@ let test_gc_budget () =
        allocation-free engine invariant is broken"
       per_cycle
 
-(* ---------------- Engine-level: issue width ---------------- *)
-
-let run_with cfg =
-  let instrs = 30_000 in
-  let w = Catalog.make ~input:Workload.Ref ~instrs "gcc" in
-  let trace = Workload.trace w in
-  Cpu_core.run cfg trace
-
-let test_issue_width_default () =
-  let base = run_with Cpu_config.skylake in
-  let explicit =
-    run_with
-      (Cpu_config.with_issue_width Cpu_config.skylake.Cpu_config.fetch_width
-         Cpu_config.skylake)
-  in
-  check int "default issue width = fetch width (cycles)" base.Cpu_stats.cycles
-    explicit.Cpu_stats.cycles;
-  check int "retired equal" base.Cpu_stats.retired explicit.Cpu_stats.retired
-
-let test_issue_width_narrow () =
-  let base = run_with Cpu_config.skylake in
-  let narrow = run_with (Cpu_config.with_issue_width 1 Cpu_config.skylake) in
-  check int "same instructions retired" base.Cpu_stats.retired
-    narrow.Cpu_stats.retired;
-  check bool
-    (Printf.sprintf "single-issue is slower (%d vs %d cycles)"
-       narrow.Cpu_stats.cycles base.Cpu_stats.cycles)
-    true
-    (narrow.Cpu_stats.cycles > base.Cpu_stats.cycles)
-
 (* ---------------- Random-ready picker ---------------- *)
 
 (* pick_random now stops at the winner via nth_set; the draw and the
@@ -350,8 +320,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_argmin_matches_scan ] );
       ("tage", [ Alcotest.test_case "incremental folds" `Quick test_tage_incremental_folds ]);
       ("gc_budget", [ Alcotest.test_case "steady state allocation-free" `Quick test_gc_budget ]);
-      ( "issue_width",
-        [ Alcotest.test_case "default equals fetch width" `Quick test_issue_width_default;
-          Alcotest.test_case "narrow issue is slower" `Quick test_issue_width_narrow;
-          Alcotest.test_case "random picker deterministic" `Quick
+      ( "random_picker",
+        [ Alcotest.test_case "random picker deterministic" `Quick
             test_pick_random_deterministic ] ) ]

@@ -237,8 +237,7 @@ let gen_column =
    configs as {!Sample_config.to_string} prints them. *)
 let gen_sample =
   QCheck.Gen.oneofl
-    [ ""; "units=30,unit=1000,warmup=2000";
-      "units=8,unit=500,warmup=1000,ci=0.01" ]
+    [ ""; "units=30,unit=1000,warmup=2000"; "units=8,unit=500,warmup=1000" ]
 
 let gen_request =
   let open QCheck.Gen in
@@ -639,6 +638,28 @@ let test_daemon_rejects_inadmissible_grids () =
   in
   expect_rejection "off-catalog workload" ~spec:bad_spec ~eval_instrs:small_eval
     ~needle:"malformed grid spec";
+  (* Sample config: [ci=] is not a key.  [Farm_client] only sends a
+     parsed [Sample_config.t], so this request goes out as a raw frame. *)
+  (let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+   Fun.protect
+     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+     (fun () ->
+       Unix.connect fd (Unix.ADDR_UNIX socket);
+       Farm_frame.write_fd fd
+         (Farm_protocol.encode_request
+            (Farm_protocol.Run_grid
+               { id = "ci"; tag = grid_a.Grid.tag; metric = grid_a.Grid.metric;
+                 eval_instrs = small_eval; train_instrs = small_train;
+                 names = grid_a.Grid.names; columns = grid_a.Grid.columns;
+                 sample = "units=30,unit=1000,warmup=2000,ci=0.01" }));
+       match Farm_frame.read_fd ~idle_timeout:10. ~io_timeout:10. fd with
+       | `Frame p -> (
+         match Farm_protocol.decode_response p with
+         | Ok (Farm_protocol.Invalid_request { reason; _ }) ->
+           if not (contains reason "malformed sample config") then
+             Alcotest.failf "ci= sample: rejection %S names the wrong cause" reason
+         | _ -> Alcotest.fail "ci= sample: expected Invalid_request")
+       | _ -> Alcotest.fail "ci= sample: no reply"));
   (* Nothing was scheduled, and the same connection still serves. *)
   check int "no request reached the runner" 0
     (Farm_server.stats srv).Farm_protocol.requests_served;

@@ -123,14 +123,23 @@ let test_ooo_runs_config_policy () =
    order, with the tag-map and eval-trace memos already warm, give the
    stats of the pipeline run by hand without Runner.  The warm-up tags
    every app with other tagger options first, so a tag-map key that
-   forgot the options would serve the wrong tags. *)
+   forgot the options would serve the wrong tags.  The cells run on
+   fig9's four RS/ROB windows, each listed with the LQ/SQ sizes that
+   follow from its ROB (Table 1's 64/128 at the 224-entry ROB). *)
 let test_layer_memos_invisible () =
   let eval_instrs = 8_000 and train_instrs = 6_000 in
   let names = [ "mcf"; "moses"; "pointer_chase" ] in
+  let queues cfg = (Cpu_config.lq_size cfg, Cpu_config.sq_size cfg) in
+  let pair = Alcotest.(pair int int) in
+  check pair "skylake LQ/SQ" (64, 128) (queues Cpu_config.skylake);
   let cfgs =
     List.map
-      (fun (rs, rob) -> Cpu_config.with_window ~rs ~rob Cpu_config.skylake)
-      [ (64, 180); (192, 448) ]
+      (fun (rs, rob, lq, sq) ->
+        let cfg = Cpu_config.with_window ~rs ~rob Cpu_config.skylake in
+        check pair (Printf.sprintf "%d/%d LQ/SQ" rs rob) (lq, sq) (queues cfg);
+        cfg)
+      [ (64, 180, 51, 102); (96, 224, 64, 128); (144, 336, 96, 192);
+        (192, 448, 128, 256) ]
   in
   let variants = [ Runner.Ooo; Runner.crisp_default; Runner.Ibda Ibda.ist_8k ] in
   let oracle name =
