@@ -24,7 +24,12 @@ let mem t i =
   check t i;
   t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+(* A top-level recursion, not [Array.for_all]: its local loop is a
+   closure allocated on every call, and the cycle loop asks this once
+   per stepped cycle. *)
+let rec all_zero words i = i < 0 || (words.(i) = 0 && all_zero words (i - 1))
+
+let is_empty t = all_zero t.words (Array.length t.words - 1)
 
 let same_width a b = if a.bits <> b.bits then invalid_arg "Bitset: width mismatch"
 
@@ -121,28 +126,11 @@ let rec nth_word words nwords wi n =
 (* Index of the [n]-th (0-based) set bit in increasing order, or -1. *)
 let nth_set t n = if n < 0 then -1 else nth_word t.words (Array.length t.words) 0 n
 
-(* Argmin over set bits keyed by an external array: the select path's
-   inner loop.  Scanning the words directly (one Kernighan step per set
-   bit) replaces a [next_set] call per candidate — each of which redid
-   the bounds check, word split, and trailing-zero search from scratch.
-   Ties keep the earlier index, matching a left-to-right linear scan. *)
-let rec argmin_in_word keys w base best =
-  if w = 0 then best
-  else
-    let bit = w land -w in
-    let i = base + bit_index bit in
-    argmin_in_word keys
-      (w land (w - 1))
-      base
-      (if best = -1 || keys.(i) < keys.(best) then i else best)
-
-let rec argmin_words keys words nwords wi best =
-  if wi = nwords then best
-  else
-    argmin_words keys words nwords (wi + 1)
-      (argmin_in_word keys words.(wi) (wi * bits_per_word) best)
-
-let argmin t keys = argmin_words keys t.words (Array.length t.words) 0 (-1)
+(* First set bit at index >= i, else the first one below i: a circular
+   scan starting at [i], the age-ordered picker's inner loop. *)
+let next_set_circular t i =
+  let j = next_set t i in
+  if j >= 0 || i = 0 then j else next_set t 0
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 

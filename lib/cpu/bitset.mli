@@ -34,10 +34,10 @@ val nth_set : t -> int -> int
 (** Index of the [n]-th (0-based) set bit in increasing order, or [-1]
     when fewer than [n+1] bits are set. *)
 
-val argmin : t -> int array -> int
-(** [argmin t keys] is the set index minimising [keys.(i)], or [-1] when
-    the set is empty; ties keep the lowest index.  Word-wise scan — the
-    allocation-free inner loop of the oldest-first picker. *)
+val next_set_circular : t -> int -> int
+(** [next_set_circular t i] is the first set index met scanning from [i]
+    upwards and wrapping past the last index to [0], or [-1] when the set
+    is empty.  [0 <= i <= width t]. *)
 
 val clear_all : t -> unit
 

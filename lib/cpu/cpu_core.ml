@@ -26,6 +26,7 @@ type state = {
   dyns : Executor.dyn array;
   layout : Layout.t;
   critical_of : int -> bool;  (* by dynamic index *)
+  start : int;  (* dynamic index of the window's first instruction *)
   mem : Memory_system.t;
   tage : Tage.t;
   btb : Btb.t;
@@ -131,15 +132,17 @@ let process_mshr_retries s =
 (* Retirement (in order).                                              *)
 (* ------------------------------------------------------------------ *)
 
-let attribute_head_stall s head =
+(* Charge [k] cycles of a stalled ROB head to its class ([k > 1] when
+   quiet cycles are skipped in bulk). *)
+let attribute_head_stall s head k =
   match s.dyns.(s.rob_dyn.(head)).Executor.op with
   | Isa.Load ->
     let lvl = s.rob_level.(head) in
-    if lvl = Memory_system.code_mem then s.stall_dram <- s.stall_dram + 1
-    else if lvl = Memory_system.code_llc then s.stall_llc <- s.stall_llc + 1
-    else s.stall_other_load <- s.stall_other_load + 1
-  | Isa.Div | Isa.Fp_div -> s.stall_long_op <- s.stall_long_op + 1
-  | _ -> s.stall_other <- s.stall_other + 1
+    if lvl = Memory_system.code_mem then s.stall_dram <- s.stall_dram + k
+    else if lvl = Memory_system.code_llc then s.stall_llc <- s.stall_llc + k
+    else s.stall_other_load <- s.stall_other_load + k
+  | Isa.Div | Isa.Fp_div -> s.stall_long_op <- s.stall_long_op + k
+  | _ -> s.stall_other <- s.stall_other + k
 
 let rec retire s retired_now =
   if retired_now < Cpu_config.retire_width && s.rob_count > 0
@@ -147,13 +150,13 @@ let rec retire s retired_now =
   then begin
     let head = s.rob_head in
     if s.rob_state.(head) <> st_done then begin
-      if retired_now = 0 then attribute_head_stall s head
+      if retired_now = 0 then attribute_head_stall s head 1
     end
     else begin
       (match s.sb with
       | Some sb ->
         Scoreboard.check_retire sb ~cycle:s.cycle ~dyn:s.rob_dyn.(head)
-          ~expected:s.retired
+          ~expected:(s.start + s.retired)
       | None -> ());
       (match s.obs with
       | Some tr ->
@@ -457,16 +460,16 @@ let rec fdip_loop s limit budget scanned =
     fdip_loop s limit budget (scanned + 1)
   end
 
+let fdip_limit s =
+  if s.waiting_dyn >= 0 then s.waiting_dyn + 1
+  else
+    let n = Array.length s.dyns in
+    let ftq_end = s.fetch_idx + Cpu_config.ftq_entries in
+    if ftq_end < n then ftq_end else n
+
 let fdip s =
-  let n = Array.length s.dyns in
-  let limit_dyn =
-    if s.waiting_dyn >= 0 then s.waiting_dyn + 1
-    else
-      let ftq_end = s.fetch_idx + Cpu_config.ftq_entries in
-      if ftq_end < n then ftq_end else n
-  in
   if s.fdip_idx < s.fetch_idx then s.fdip_idx <- s.fetch_idx;
-  fdip_loop s limit_dyn 2 0
+  fdip_loop s (fdip_limit s) 2 0
 
 (* ------------------------------------------------------------------ *)
 (* Top level.                                                          *)
@@ -559,13 +562,14 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
       dyns;
       layout;
       critical_of;
+      start;
       mem = warm.wmem;
       tage = warm.wtage;
       btb = warm.wbtb;
       ras = warm.wras;
       sched =
         Scheduler.create ~seed:Cpu_config.seed ~slots:cfg.Cpu_config.rs_size
-          cfg.Cpu_config.policy;
+          ~span:rob_size cfg.Cpu_config.policy;
       rob_dyn = Array.make rob_size (-1);
       rob_state = Array.make rob_size st_empty;
       rob_deps_left = Array.make rob_size 0;
@@ -641,9 +645,72 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
   | None -> ());
   s
 
+(* ------------------------------------------------------------------ *)
+(* Quiet-cycle skip.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether the fetch-queue head has the ROB, LQ/SQ and RS space to
+   dispatch.  Only retirement and issue free that space. *)
+let fq_head_fits s =
+  s.fq_len > 0 && (not (rob_full s)) && Scheduler.free_slots s.sched > 0
+  &&
+  match s.dyns.(s.fq_dyn.(s.fq_head)).Executor.op with
+  | Isa.Load -> s.lq_count < s.lq_size
+  | Isa.Store -> s.sq_count < s.sq_size
+  | _ -> true
+
+(* Called with [s.cycle] the next cycle to step.  A stage can act at
+   cycle c only if an MSHR retry is queued, an RS slot is ready, the ROB
+   head is done, FDIP has lines left, the fetch-queue head fits and is
+   due by c, or fetch is free to run by c.  None of that changes without
+   a completion (a wheel event), so when nothing can act now nothing can
+   before the earliest of: the next due event, the head's or fetch's own
+   ready cycle, and the next demand fill (which keeps [outstanding_misses]
+   constant over the jump).  Those cycles would each charge the stalled
+   head's class and observe the same MLP; charge them in bulk and jump.
+   The cycle budget caps the jump, so the no-progress check fires at the
+   cycle it would have fired at when stepping. *)
+let skip_quiet s ~cycle_budget =
+  let c = s.cycle in
+  if s.mshr_retry_len = 0
+     && (not (Scheduler.any_ready s.sched))
+     && (s.rob_count = 0 || s.rob_state.(s.rob_head) <> st_done)
+     && s.fdip_idx >= fdip_limit s
+  then begin
+    let fits = fq_head_fits s in
+    let fetch_free =
+      s.waiting_dyn < 0 && s.fetch_idx < Array.length s.dyns && s.fq_len < s.fq_cap
+    in
+    let limit = cycle_budget + 1 in
+    let limit =
+      if fits && s.fq_ready.(s.fq_head) < limit then s.fq_ready.(s.fq_head) else limit
+    in
+    let limit =
+      if fetch_free && s.fetch_blocked_until < limit then s.fetch_blocked_until
+      else limit
+    in
+    let fill = Memory_system.next_fill s.mem ~cycle:c in
+    let limit = if fill < limit then fill else limit in
+    let until = Event_wheel.next_due s.wheel ~from:c ~limit in
+    if until > c then begin
+      let k = until - c in
+      if s.rob_count > 0 && s.retired < s.retire_stop then
+        attribute_head_stall s s.rob_head k;
+      let outstanding = Memory_system.outstanding_misses s.mem ~cycle:c in
+      if outstanding > 0 then begin
+        s.mlp_sum_units <- s.mlp_sum_units + (outstanding * k);
+        s.mlp_cycles <- s.mlp_cycles + k
+      end;
+      s.cycle <- until
+    end
+  end
+
 (* Advance the pipeline until [target] instructions (counted from state
-   creation) have retired. *)
+   creation) have retired.  Without a tracer or scoreboard, quiet cycles
+   are skipped in bulk ([skip_quiet]); observers see every cycle, and the
+   statistics are the same either way. *)
 let run_cycles s ~target ~cycle_budget =
+  let skip = Option.is_none s.obs && Option.is_none s.sb in
   while s.retired < target do
     if s.cycle > cycle_budget then
       failwith
@@ -672,7 +739,10 @@ let run_cycles s ~target ~cycle_budget =
       Scoreboard.check_cycle sb s.sched ~cycle:s.cycle
         ~rs_resident:(count_rs_resident s (s.cfg.Cpu_config.rob_size - 1) 0)
     | None -> ());
-    s.cycle <- s.cycle + 1
+    s.cycle <- s.cycle + 1;
+    (* After the last retirement the loop ends; a skip there would run
+       the counter to the budget. *)
+    if skip && s.retired < target then skip_quiet s ~cycle_budget
   done
 
 (* Loads/stores in the dynamic index range [lo, hi). *)
@@ -687,8 +757,8 @@ let rec count_ops dyns lo hi loads stores =
 (* The one place core state becomes a [Cpu_stats.t]: cumulative
    counters since state creation, with [loads]/[stores] over the retired
    dynamic range. *)
-let snapshot s ~start =
-  let loads, stores = count_ops s.dyns start (start + s.retired) 0 0 in
+let snapshot s =
+  let loads, stores = count_ops s.dyns s.start (s.start + s.retired) 0 0 in
   { Cpu_stats.cycles = s.cycle;
     retired = s.retired;
     loads;
@@ -734,12 +804,12 @@ let run_window ?criticality ?tracer ?warm ~start ~warmup ~measure cfg
      it was asked for. *)
   s.retire_stop <- warmup;
   run_cycles s ~target:warmup ~cycle_budget;
-  let before = snapshot s ~start in
+  let before = snapshot s in
   s.retire_stop <- target;
   run_cycles s ~target ~cycle_budget;
   warm.wpos <- start + s.retired;
   warm.wline <- -1;
-  Cpu_stats.sub (snapshot s ~start) before
+  Cpu_stats.sub (snapshot s) before
 
 let run ?criticality ?tracer cfg (trace : Executor.t) =
   let n = Array.length trace.Executor.dyns in

@@ -37,6 +37,13 @@ val run :
     tracer is a write-only sink, so the returned statistics are identical
     either way.
 
+    The cycle loop's cost follows pipeline events: when no stage can act
+    at the next cycle, it jumps to the next cycle at which one can (a due
+    completion, the fetch-queue head's or fetch's ready cycle, or a
+    demand fill) and charges the skipped cycles' head-stall and MLP
+    observations in bulk.  A tracer or the scoreboard turns the skip off,
+    so they see every cycle; the statistics are identical either way.
+
     @raise Failure if the pipeline fails to make progress within
     [400 * n + 100_000] cycles for an [n]-instruction trace (indicates a
     model bug, not a workload property). *)

@@ -107,3 +107,22 @@ let pop t ~cycle =
   end
   else -1
 
+(* Ring scan for the first non-empty slot in [[c, stop)]. *)
+let rec scan_ring t c stop =
+  if c >= stop || t.slot_len.(c land t.mask) > 0 then c else scan_ring t (c + 1) stop
+
+let rec overflow_min t i acc =
+  if i < 0 then acc
+  else overflow_min t (i - 1) (if t.ov_cycle.(i) < acc then t.ov_cycle.(i) else acc)
+
+(* A ring entry added at [now < from] is due before [now + horizon], so
+   the ring holds only cycles in [[from, from + horizon - 1)]: a scan of
+   that window meets no entry of a later lap.  Overflow entries already
+   overdue are delivered by the pop at [from]. *)
+let next_due t ~from ~limit =
+  let stop = if limit < from + t.horizon - 1 then limit else from + t.horizon - 1 in
+  let ring = if t.pending > t.ov_len then scan_ring t from stop else stop in
+  let due = if ring < stop then ring else limit in
+  let ov = overflow_min t (t.ov_len - 1) max_int in
+  let ov = if ov < from then from else ov in
+  if ov < due then ov else due

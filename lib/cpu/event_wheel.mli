@@ -34,3 +34,13 @@ val pending : t -> int
 
 val overflow_length : t -> int
 (** Events currently parked in the overflow bucket (diagnostics). *)
+
+val next_due : t -> from:int -> limit:int -> int
+(** [next_due t ~from ~limit] is the first cycle [c] in [[from, limit)] at
+    which [pop t ~cycle:c] would deliver an event, or [limit] when there
+    is none.  [from] is the next cycle the consumer will drain, so every
+    earlier cycle has been drained.  The ring scan is bounded by
+    [limit - from] slots.  This is how the cycle loop skips quiet cycles:
+    it jumps straight to the next due event instead of draining the empty
+    cycles in between.  With a tracer or the scoreboard attached the loop
+    does not skip, and the statistics are identical either way. *)

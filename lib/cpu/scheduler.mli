@@ -14,7 +14,16 @@
     - [Crisp]: the PRIO vector — ready-and-critical instructions are
       selected (oldest first) before any non-critical ready instruction,
       with a multiplexer falling back to the plain oldest pick (Figure 6);
-    - [Random_ready]: uniformly random selections (an ablation floor). *)
+    - [Random_ready]: uniformly random selections (an ablation floor).
+
+    Age order is kept without a matrix: each occupied slot holds an age
+    position, assigned in dispatch order modulo the span given to
+    {!create} (the ROB size: RS entries are a subset of the ROB, which is
+    in age order).  The oldest and PRIO picks are the first set bit of an
+    age-indexed vector scanned circularly from the position after the
+    newest, so a selection costs a few word operations whatever the
+    number of ready candidates.  The winner is the one the hardware
+    age-matrix reduction gives. *)
 
 type policy =
   | Oldest_ready
@@ -23,7 +32,10 @@ type policy =
 
 type t
 
-val create : ?seed:int -> slots:int -> policy -> t
+val create : ?seed:int -> slots:int -> span:int -> policy -> t
+(** [slots] RS entries whose live occupants always lie within [span]
+    consecutive dispatches (the ROB size for the core).
+    @raise Invalid_argument if [span <= 0]. *)
 
 val policy : t -> policy
 
@@ -32,14 +44,17 @@ val free_slots : t -> int
 val allocate_slot : t -> critical:bool -> int
 (** Claim a random free slot for a newly dispatched instruction; [-1]
     when the RS is full (no option box: the cycle loop calls this).  The
-    instruction starts not-ready. *)
+    instruction starts not-ready and takes the next age position.
+    @raise Invalid_argument if that position is still held by a live
+    slot (more than [span] dispatches are in flight). *)
 
 val mark_ready : t -> int -> unit
 (** Source operands became available: raise the slot's BID (and, when the
     instruction is critical, PRIO) bit. *)
 
 val begin_cycle : t -> unit
-(** Reset the per-cycle selection mask. *)
+(** Reset the per-cycle selection mask: slots selected last cycle that
+    did not issue and are still ready become candidates again. *)
 
 val select : t -> int
 (** Next selection of the current cycle, in policy order, among ready
@@ -56,6 +71,12 @@ val unready : t -> int -> unit
     retry); it keeps its age and RS slot. *)
 
 val occupancy : t -> int
+
+val any_ready : t -> bool
+(** Whether any slot's BID bit is set, selected this cycle or not.  The
+    cycle loop skips a quiet cycle only when none is (and never with a
+    tracer or the scoreboard attached, which see every cycle; the
+    statistics are identical either way). *)
 
 val set_on_select : t -> (slot:int -> prio_override:bool -> unit) option -> unit
 (** Install (or clear) the scheduler's single instrumentation hook.  It
@@ -87,10 +108,15 @@ val slot_selected : t -> int -> bool
 (** Whether the slot was already selected this cycle. *)
 
 val slot_older : t -> int -> int -> bool
-(** [slot_older t a b]: occupied slot [a] is strictly older than occupied
-    slot [b] in the age matrix. *)
+(** [slot_older t a b]: occupied slot [a] was allocated before occupied
+    slot [b].  Read from insertion stamps kept for this purpose, not from
+    the age positions the picker scans, so the scoreboard's reference is
+    independent of the mechanism it checks. *)
 
 val self_check : t -> string option
-(** Structural invariants: age-matrix soundness ({!Age_matrix.self_check})
-    plus BID/PRIO bits only ever set on occupied slots.  Returns the first
-    violation, [None] when sound. *)
+(** Structural invariants: BID/PRIO bits only ever set on occupied slots;
+    the slot/age-position maps are inverse; each age-indexed bit equals
+    BID (and PRIO) of its slot minus this cycle's selections; and the
+    circular walk from the position after the newest meets the occupants
+    in insertion order.  Returns the first violation, [None] when
+    sound. *)

@@ -18,8 +18,9 @@
       instruction while a critical one is ready);
     - RS occupancy conservation: the scheduler's occupied-slot count always
       equals the number of ROB entries still resident in the RS;
-    - age-matrix soundness: irreflexive, antisymmetric, total over occupied
-      slots ({!Age_matrix.self_check}).
+    - age-order soundness: the picker's age positions agree with
+      insertion order and with the BID/PRIO bits
+      ({!Scheduler.self_check}).
 
     Enable via {!Cpu_config.with_scoreboard}. *)
 
@@ -37,7 +38,8 @@ val check_select :
 
 val check_retire : t -> cycle:int -> dyn:int -> expected:int -> unit
 (** The ROB head retiring holds dynamic index [dyn]; in-order retirement
-    demands [dyn = expected] (the count of instructions retired so far). *)
+    demands [dyn = expected] (the window's first dynamic index plus the
+    count of instructions retired so far). *)
 
 val check_cycle : t -> Scheduler.t -> cycle:int -> rs_resident:int -> unit
 (** End-of-cycle conservation checks.  [rs_resident] is the number of ROB

@@ -111,6 +111,14 @@ let rec d_live_count t ~cycle i acc =
 
 let outstanding_misses t ~cycle = d_live_count t ~cycle 0 0
 
+let rec d_next_ready t ~cycle i acc =
+  if i = Array.length t.d_ready then acc
+  else
+    let r = t.d_ready.(i) in
+    d_next_ready t ~cycle (i + 1) (if r > cycle && r < acc then r else acc)
+
+let next_fill t ~cycle = d_next_ready t ~cycle 0 max_int
+
 (* Issue a prefetch fill for [line]: install in LLC (and L1D) and charge
    DRAM bandwidth when the line was not on chip. *)
 let prefetch_line t ~cycle line =

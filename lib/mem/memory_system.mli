@@ -89,6 +89,11 @@ val probe_inst : t -> addr:int -> bool
 val outstanding_misses : t -> cycle:int -> int
 (** Demand misses currently in flight (an MLP observation point). *)
 
+val next_fill : t -> cycle:int -> int
+(** The earliest cycle after [cycle] at which a demand-miss fill
+    completes, or [max_int] when none is in flight: {!outstanding_misses}
+    is constant from [cycle] up to the cycle before it. *)
+
 (** {1 Functional interface} *)
 
 val load_functional : t -> addr:int -> level

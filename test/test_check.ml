@@ -515,7 +515,7 @@ let test_scoreboard_catches_prio_bypass () =
      exists, then claim a younger non-critical slot was selected: the CRISP
      PRIO discipline is violated and the scoreboard must object. *)
   let cfg = Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake in
-  let sched = Scheduler.create ~slots:8 Scheduler.Crisp in
+  let sched = Scheduler.create ~slots:8 ~span:8 Scheduler.Crisp in
   let older = Scheduler.allocate_slot sched ~critical:true in
   let younger = Scheduler.allocate_slot sched ~critical:false in
   Scheduler.mark_ready sched older;
@@ -544,7 +544,7 @@ let test_scoreboard_catches_out_of_order_retire () =
     | exception Scoreboard.Violation _ -> true)
 
 let test_scheduler_self_check_clean () =
-  let sched = Scheduler.create ~slots:16 Scheduler.Oldest_ready in
+  let sched = Scheduler.create ~slots:16 ~span:16 Scheduler.Oldest_ready in
   let slots =
     List.init 10 (fun i ->
         let s = Scheduler.allocate_slot sched ~critical:(i mod 2 = 0) in

@@ -1,7 +1,7 @@
 (* Tests for the allocation-free cycle engine's data structures — event
-   wheel, intrusive wakeup lists, flat int table, bitset scan/argmin
-   primitives, incremental TAGE folds — plus the engine-level GC budget
-   and the random-ready picker. *)
+   wheel and its next-due query, intrusive wakeup lists, flat int table,
+   bitset scan primitives, incremental TAGE folds — plus the engine-level
+   GC budget and the random-ready picker. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -81,6 +81,64 @@ let test_wheel_overdue_after_jump () =
   check int "delivered once" (-1) (Event_wheel.pop w ~cycle:250);
   check int "bucket empty" 0 (Event_wheel.overflow_length w);
   check int "nothing pending" 0 (Event_wheel.pending w)
+
+let test_wheel_next_due () =
+  let w = Event_wheel.create ~horizon:8 () in
+  check int "empty wheel: the limit" 50 (Event_wheel.next_due w ~from:1 ~limit:50);
+  Event_wheel.add w ~now:0 ~cycle:5 1;
+  check int "ring event" 5 (Event_wheel.next_due w ~from:1 ~limit:50);
+  check int "capped by the limit" 4 (Event_wheel.next_due w ~from:1 ~limit:4);
+  check int "due at from" 5 (Event_wheel.next_due w ~from:5 ~limit:50);
+  Event_wheel.add w ~now:0 ~cycle:30 2;
+  check int "overflow bucket" 30 (Event_wheel.next_due w ~from:6 ~limit:50);
+  ignore (Event_wheel.pop w ~cycle:5);
+  (* Horizon wrap: at now 27 an event due at 33 sits in slot 1, which
+     the scan meets after wrapping past slot 7. *)
+  Event_wheel.add w ~now:27 ~cycle:33 3;
+  check int "overflow still first" 30 (Event_wheel.next_due w ~from:28 ~limit:50);
+  ignore (Event_wheel.pop w ~cycle:30);
+  check int "wrapped ring slot" 33 (Event_wheel.next_due w ~from:31 ~limit:50);
+  check int "overdue overflow entry is due at from" 40
+    (let w = Event_wheel.create ~horizon:8 () in
+     Event_wheel.add w ~now:0 ~cycle:20 4;
+     Event_wheel.next_due w ~from:40 ~limit:60)
+
+(* Property: [next_due] against a linear scan of a Hashtbl calendar,
+   with the consumer jumping to each answer as the cycle loop does. *)
+let prop_next_due_matches_scan =
+  QCheck.Test.make ~name:"next_due = linear-scan reference" ~count:50
+    QCheck.small_int (fun seed ->
+      let w = Event_wheel.create ~horizon:16 () in
+      let calendar : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+      let rng = Prng.create (seed + 29) in
+      let ok = ref true in
+      let now = ref 0 in
+      for _ = 0 to 300 do
+        for _ = 1 to Prng.int rng 3 do
+          let cycle = !now + 1 + Prng.int rng 40 in
+          Event_wheel.add w ~now:!now ~cycle 1;
+          Hashtbl.replace calendar cycle
+            (1 :: Option.value ~default:[] (Hashtbl.find_opt calendar cycle))
+        done;
+        let from = !now + 1 in
+        let limit = from + Prng.int rng 60 in
+        let expected =
+          Hashtbl.fold (fun c _ acc -> if c >= from && c < acc then c else acc) calendar limit
+        in
+        let got = Event_wheel.next_due w ~from ~limit in
+        if got <> expected then ok := false;
+        if got < limit then begin
+          let n = List.length (Hashtbl.find calendar got) in
+          Hashtbl.remove calendar got;
+          for _ = 1 to n do
+            if Event_wheel.pop w ~cycle:got < 0 then ok := false
+          done;
+          if Event_wheel.pop w ~cycle:got >= 0 then ok := false;
+          now := got
+        end
+        else now := limit - 1
+      done;
+      !ok)
 
 (* Property: against a (cycle -> payload list) Hashtbl calendar, over a
    random latency stream that regularly exceeds the horizon.  The
@@ -212,27 +270,29 @@ let test_bitset_nth_set () =
   check int "4th" 129 (Bitset.nth_set b 4);
   check int "out of range" (-1) (Bitset.nth_set b 5)
 
-(* Reference for argmin: linear scan via next_set. *)
-let argmin_reference b keys =
-  let rec go s best =
-    if s = -1 then best
+(* Reference for the circular scan: walk the indices from [i], wrapping. *)
+let circular_reference b n i =
+  let rec go k =
+    if k = n then -1
     else
-      go (Bitset.next_set b (s + 1))
-        (if best = -1 || keys.(s) < keys.(best) then s else best)
+      let j = (i + k) mod n in
+      if Bitset.mem b j then j else go (k + 1)
   in
-  go (Bitset.next_set b 0) (-1)
+  go 0
 
-let prop_bitset_argmin_matches_scan =
-  QCheck.Test.make ~name:"argmin = linear-scan reference" ~count:100
+let prop_bitset_circular_matches_scan =
+  QCheck.Test.make ~name:"next_set_circular = reference" ~count:100
     QCheck.small_int (fun seed ->
-      let n = 96 in
+      let n = 96 + (seed mod 64) in
       let rng = Prng.create (seed + 11) in
       let b = Bitset.create n in
-      let keys = Array.init n (fun _ -> Prng.int rng 1000) in
+      let density = 1 + Prng.int rng 8 in
       for i = 0 to n - 1 do
-        if Prng.int rng 3 = 0 then Bitset.set b i
+        if Prng.int rng (4 * density) = 0 then Bitset.set b i
       done;
-      Bitset.argmin b keys = argmin_reference b keys)
+      List.for_all
+        (fun i -> Bitset.next_set_circular b i = circular_reference b n (i mod n))
+        [ 0; 1; 62; 63; 64; n - 1; n; Prng.int rng n ])
 
 (* ---------------- Incremental TAGE folds ---------------- *)
 
@@ -252,27 +312,35 @@ let test_tage_incremental_folds () =
 
 (* ---------------- Engine-level: GC budget ---------------- *)
 
-(* The tentpole invariant: the steady-state cycle loop does not allocate
-   on the minor heap.  A single reintroduced closure or boxed temporary
-   in the per-cycle path costs >= 2 words per cycle; the budget of 0.5
-   leaves room only for one-time per-run setup. *)
+(* The steady-state cycle loop does not allocate on the minor heap.
+   Quiet cycles are skipped in bulk, so dividing by simulated cycles
+   would dilute a per-stepped-cycle leak by the share skipped (about
+   three quarters on mcf).  The budget is instead per retired
+   instruction, over the marginal words between a 50k and a 100k window
+   of one trace, which cancels every one-time per-run cost.  mcf steps
+   about 0.6 cycles per instruction, so one reintroduced 2-word block
+   per stepped cycle reads above 1 word per instruction; the budget of
+   0.25 leaves room only for noise. *)
 let test_gc_budget () =
-  let instrs = 50_000 in
-  let w = Catalog.make ~input:Workload.Ref ~instrs "mcf" in
+  let w = Catalog.make ~input:Workload.Ref ~instrs:100_000 "mcf" in
   let trace = Workload.trace w in
   let cfg = Cpu_config.skylake in
+  let words measure =
+    let m0 = Gc.minor_words () in
+    let stats = Cpu_core.run_window ~start:0 ~warmup:0 ~measure cfg trace in
+    let m1 = Gc.minor_words () in
+    check int "window retired in full" measure stats.Cpu_stats.retired;
+    m1 -. m0
+  in
   (* warm run settles one-time lazy setup *)
-  let stats = Cpu_core.run cfg trace in
-  let m0 = Gc.minor_words () in
-  let stats2 = Cpu_core.run cfg trace in
-  let m1 = Gc.minor_words () in
-  check int "deterministic rerun" stats.Cpu_stats.cycles stats2.Cpu_stats.cycles;
-  let per_cycle = (m1 -. m0) /. float_of_int stats2.Cpu_stats.cycles in
-  if per_cycle > 0.5 then
+  ignore (words 50_000);
+  let per_instr = (words 100_000 -. words 50_000) /. 50_000. in
+  Printf.printf "marginal minor words per instruction: %.4f\n" per_instr;
+  if per_instr > 0.25 then
     Alcotest.failf
-      "cycle loop allocates %.2f minor words per cycle (budget 0.5): the \
-       allocation-free engine invariant is broken"
-      per_cycle
+      "cycle loop allocates %.2f minor words per retired instruction (budget \
+       0.25): the allocation-free engine invariant is broken"
+      per_instr
 
 (* ---------------- Random-ready picker ---------------- *)
 
@@ -281,7 +349,7 @@ let test_gc_budget () =
    i.e. the n-th ready slot in index order under the same seeded draws. *)
 let test_pick_random_deterministic () =
   let mk () =
-    let s = Scheduler.create ~seed:42 ~slots:16 Scheduler.Random_ready in
+    let s = Scheduler.create ~seed:42 ~slots:16 ~span:16 Scheduler.Random_ready in
     for _ = 1 to 10 do
       ignore (Scheduler.allocate_slot s ~critical:false)
     done;
@@ -308,7 +376,9 @@ let () =
           Alcotest.test_case "rejects past cycles" `Quick test_wheel_rejects_past;
           Alcotest.test_case "overdue delivery after cycle jump" `Quick
             test_wheel_overdue_after_jump;
-          QCheck_alcotest.to_alcotest prop_wheel_matches_hashtbl_calendar ] );
+          QCheck_alcotest.to_alcotest prop_wheel_matches_hashtbl_calendar;
+          Alcotest.test_case "next_due" `Quick test_wheel_next_due;
+          QCheck_alcotest.to_alcotest prop_next_due_matches_scan ] );
       ( "wakeup",
         [ Alcotest.test_case "LIFO pop" `Quick test_wakeup_lifo;
           Alcotest.test_case "multi-producer links" `Quick test_wakeup_multi_producer;
@@ -317,7 +387,7 @@ let () =
       ( "bitset_scan",
         [ Alcotest.test_case "next_set" `Quick test_bitset_next_set;
           Alcotest.test_case "nth_set" `Quick test_bitset_nth_set;
-          QCheck_alcotest.to_alcotest prop_bitset_argmin_matches_scan ] );
+          QCheck_alcotest.to_alcotest prop_bitset_circular_matches_scan ] );
       ("tage", [ Alcotest.test_case "incremental folds" `Quick test_tage_incremental_folds ]);
       ("gc_budget", [ Alcotest.test_case "steady state allocation-free" `Quick test_gc_budget ]);
       ( "random_picker",

@@ -93,7 +93,7 @@ let test_golden_json_roundtrip () =
 (* ---------------- Shared scheduler hook ---------------- *)
 
 let test_hook_fires_once_per_select () =
-  let sched = Scheduler.create ~slots:8 Scheduler.Oldest_ready in
+  let sched = Scheduler.create ~slots:8 ~span:8 Scheduler.Oldest_ready in
   let fired = ref [] in
   Scheduler.set_on_select sched
     (Some (fun ~slot ~prio_override -> fired := (slot, prio_override) :: !fired));
@@ -116,7 +116,7 @@ let test_hook_fires_once_per_select () =
   check bool "no pick left" true (Scheduler.select sched < 0)
 
 let test_hook_reports_prio_override () =
-  let sched = Scheduler.create ~slots:8 Scheduler.Crisp in
+  let sched = Scheduler.create ~slots:8 ~span:8 Scheduler.Crisp in
   let older = Scheduler.allocate_slot sched ~critical:false in
   let younger = Scheduler.allocate_slot sched ~critical:true in
   Scheduler.mark_ready sched older;
@@ -166,6 +166,65 @@ let test_obs_off_stats_identical () =
     [ ("oldest_ready", Scheduler.Oldest_ready, Cpu_core.No_tags);
       ("crisp", Scheduler.Crisp, Cpu_core.Static_tags (fun pc -> pc mod 3 = 0));
       ("random", Scheduler.Random_ready, Cpu_core.No_tags) ]
+
+(* Without a tracer or scoreboard the cycle loop skips quiet cycles in
+   bulk; with either attached it steps every cycle.  So an observed run
+   is the stepping reference for the skipping one: every app, policy and
+   window must give the same statistics both ways. *)
+let test_skip_matches_stepping () =
+  let windows = [ (96, 224); (64, 180) ] in
+  (* A demand fill completes together with its load, but a software
+     prefetch's fill has no wheel event of its own: over lines no load
+     touches, the skip must stop at each such fill to keep the MLP sum
+     exact. *)
+  let prefetching =
+    let open Program in
+    Executor.run ~reg_init:[ (2, 0x400_0000); (4, 0x10_0000) ]
+      ~mem_init:(Mem_image.create ()) ~max_instrs:3_000
+      (assemble ~name:"unused_prefetch"
+         [ Label "loop";
+           Prefetch (2, 0);
+           Alu (Isa.Add, 2, 2, Imm 4096);
+           Ld (3, 4, 0);
+           Alu (Isa.Add, 4, 4, Imm 8192);
+           Mul (5, 3, 3);
+           Mul (5, 5, 3);
+           Alu (Isa.Add, 10, 10, Imm 1);
+           Br (Isa.Lt, 10, Imm 1_000_000, "loop");
+           Halt ])
+  in
+  List.iter
+    (fun (name, trace) ->
+      List.iter
+        (fun (label, policy, criticality) ->
+          List.iter
+            (fun (rs, rob) ->
+              let cfg =
+                Cpu_config.with_window ~rs ~rob
+                  (Cpu_config.with_policy policy Cpu_config.skylake)
+              in
+              let skipped = Cpu_core.run ~criticality cfg trace in
+              let stepped =
+                Cpu_core.run ~criticality ~tracer:(Obs_tracer.create ()) cfg trace
+              in
+              if skipped <> stepped then
+                Alcotest.failf "%s %s rs=%d rob=%d: skipping core differs from stepping"
+                  name label rs rob)
+            windows)
+        [ ("oldest_ready", Scheduler.Oldest_ready, Cpu_core.No_tags);
+          ("crisp", Scheduler.Crisp, Cpu_core.Static_tags (fun pc -> pc mod 3 = 0));
+          ("random", Scheduler.Random_ready, Cpu_core.No_tags) ])
+    (("unused_prefetch", prefetching)
+    :: List.map (fun n -> (n, Workload.trace (Catalog.make ~instrs:3_000 n))) Catalog.names);
+  (* The sampler's windows restart the clock on warmed state; the
+     scoreboard alone also turns the skip off. *)
+  let trace = Workload.trace (Catalog.make ~instrs:24_000 "mcf") in
+  let sample = { Sample_config.units = 4; unit_len = 1_500; warmup_len = 1_500 } in
+  let cfg = Cpu_config.with_policy Scheduler.Crisp Cpu_config.skylake in
+  let criticality = Cpu_core.Static_tags (fun pc -> pc mod 3 = 0) in
+  let run cfg = (Sampler.run ~criticality ~sample cfg trace).Sampler.stats in
+  check bool "Sampler.run: scoreboard on/off, stats identical" true
+    (run cfg = run (Cpu_config.with_scoreboard true cfg))
 
 (* ---------------- Trace self-consistency (property) ---------------- *)
 
@@ -409,6 +468,8 @@ let () =
       ( "pipeline",
         [ Alcotest.test_case "stats identical with obs off/on" `Slow
             test_obs_off_stats_identical;
+          Alcotest.test_case "skipping core = stepping core, all apps" `Slow
+            test_skip_matches_stepping;
           QCheck_alcotest.to_alcotest prop_trace_self_consistent ] );
       ("timeline", [ Alcotest.test_case "UPC timeline" `Quick test_retire_timeline ]);
       ( "export",
