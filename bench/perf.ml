@@ -19,14 +19,18 @@
      dune exec --profile release bench/perf.exe -- --gate --compare FILE
                                                                # exit 1 on >15%
                                                                # aggregate regression
+                                                               # or trace growth
 
    Per-workload comparisons stay advisory (wall-clock numbers depend on
    the runner, so individual swings are noisy); the gate fires only when
    the geometric-mean throughput over the whole catalog drops more than
    15%, which a hostile-runner blip cannot plausibly cause across 17
-   workloads at once.  Determinism of the *simulation* is separately
-   enforced by bench/regress.exe; this benchmark only tracks how fast
-   the engine gets through it. *)
+   workloads at once.  The gate also fires when the mean trace size per
+   instruction (every heap word reachable from a [Workload.trace]
+   result, by [Obj.reachable_words]) rises more than 15%: that count is
+   exact, so no host load can move it.  Determinism of the *simulation*
+   is separately enforced by bench/regress.exe; this benchmark only
+   tracks how fast the engine gets through it. *)
 
 let schema = "crisp-perf-2"
 let workloads = Catalog.names
@@ -41,6 +45,7 @@ type row = {
   seconds : float;
   instrs_per_sec : float;
   minor_words_per_cycle : float;
+  trace_bytes_per_instr : float;
 }
 
 (* Best-of-[repeat] timing: a shared runner means any individual timed
@@ -64,6 +69,7 @@ let rec timed_runs ~cfg ~trace n best_seconds best_minor =
 let measure ~instrs ~repeat name =
   let w = Catalog.make ~input:Workload.Ref ~instrs name in
   let trace = Workload.trace w in
+  let trace_bytes = Obj.reachable_words (Obj.repr trace) * (Sys.word_size / 8) in
   let cfg = Cpu_config.skylake in
   (* Warm run: caches the trace pages, JIT-free but branch predictors of
      the *host* settle; also triggers any one-time lazy setup. *)
@@ -75,7 +81,9 @@ let measure ~instrs ~repeat name =
     cycles;
     seconds;
     instrs_per_sec = float_of_int stats.Cpu_stats.retired /. seconds;
-    minor_words_per_cycle = minor /. float_of_int cycles }
+    minor_words_per_cycle = minor /. float_of_int cycles;
+    trace_bytes_per_instr =
+      float_of_int trace_bytes /. float_of_int (max 1 (Executor.length trace)) }
 
 let json_of_row r =
   Obs_json.Obj
@@ -83,11 +91,14 @@ let json_of_row r =
       ("cycles", Obs_json.num_int r.cycles);
       ("seconds", Obs_json.Num r.seconds);
       ("instrs_per_sec", Obs_json.Num r.instrs_per_sec);
-      ("minor_words_per_cycle", Obs_json.Num r.minor_words_per_cycle) ]
+      ("minor_words_per_cycle", Obs_json.Num r.minor_words_per_cycle);
+      ("trace_bytes_per_instr", Obs_json.Num r.trace_bytes_per_instr) ]
 
 (* Geometric mean of per-workload throughput: the catalog mixes 5x
    faster and slower engines, and an arithmetic mean would let the
-   fastest workloads mask a regression everywhere else. *)
+   fastest workloads mask a regression everywhere else.  Trace bytes
+   per instruction are averaged plainly: every workload traces the same
+   budget. *)
 let aggregate rows =
   let n = List.length rows in
   let log_sum =
@@ -100,7 +111,8 @@ let aggregate rows =
       0. rows
   in
   ( exp (log_sum /. float_of_int n),
-    total_minor /. float_of_int total_cycles )
+    total_minor /. float_of_int total_cycles,
+    List.fold_left (fun a r -> a +. r.trace_bytes_per_instr) 0. rows /. float_of_int n )
 
 (* ----- the sampled-vs-full headline ----- *)
 
@@ -157,7 +169,7 @@ let json_of_sampled s =
       ("cpi_rel_error", Obs_json.Num s.cpi_rel_error) ]
 
 let to_json ~instrs rows sampled =
-  let agg_ips, agg_words = aggregate rows in
+  let agg_ips, agg_words, agg_bytes = aggregate rows in
   Obs_json.Obj
     ([ ("schema", Obs_json.Str schema);
        ("instrs", Obs_json.num_int instrs);
@@ -166,7 +178,8 @@ let to_json ~instrs rows sampled =
        ( "aggregate",
          Obs_json.Obj
            [ ("instrs_per_sec", Obs_json.Num agg_ips);
-             ("minor_words_per_cycle", Obs_json.Num agg_words) ] ) ]
+             ("minor_words_per_cycle", Obs_json.Num agg_words);
+             ("trace_bytes_per_instr", Obs_json.Num agg_bytes) ] ) ]
     @ match sampled with
       | None -> []
       | Some s -> [ ("sampled", json_of_sampled s) ])
@@ -213,24 +226,46 @@ let compare_against ~file rows =
             Printf.printf "WARNING: %s regressed more than 20%% versus %s (%.2fx)\n"
               r.name file ratio)
       rows;
-    (match member_float [ "aggregate"; "instrs_per_sec" ] json with
-    | None ->
-      Printf.printf "compare: baseline has no aggregate entry\n";
-      0
-    | Some base ->
-      let agg_ips, _ = aggregate rows in
-      let ratio = agg_ips /. base in
-      Printf.printf "compare: %-14s %9.0f -> %9.0f instrs/s (%+.1f%%)\n"
-        "aggregate" base agg_ips
-        (100. *. (ratio -. 1.));
-      if ratio < 0.85 then begin
-        Printf.printf
-          "REGRESSION: aggregate throughput dropped more than 15%% versus %s \
-           (%.2fx)\n"
-          file ratio;
-        1
-      end
-      else 0)
+    let agg_ips, _, agg_bytes = aggregate rows in
+    let throughput =
+      match member_float [ "aggregate"; "instrs_per_sec" ] json with
+      | None ->
+        Printf.printf "compare: baseline has no aggregate entry\n";
+        0
+      | Some base ->
+        let ratio = agg_ips /. base in
+        Printf.printf "compare: %-14s %9.0f -> %9.0f instrs/s (%+.1f%%)\n"
+          "aggregate" base agg_ips
+          (100. *. (ratio -. 1.));
+        if ratio < 0.85 then begin
+          Printf.printf
+            "REGRESSION: aggregate throughput dropped more than 15%% versus %s \
+             (%.2fx)\n"
+            file ratio;
+          1
+        end
+        else 0
+    in
+    let trace_size =
+      match member_float [ "aggregate"; "trace_bytes_per_instr" ] json with
+      | None ->
+        Printf.printf "compare: baseline has no aggregate trace size\n";
+        0
+      | Some base ->
+        let ratio = agg_bytes /. base in
+        Printf.printf "compare: %-14s %9.1f -> %9.1f trace B/instr (%+.1f%%)\n"
+          "aggregate" base agg_bytes
+          (100. *. (ratio -. 1.));
+        if ratio > 1.15 then begin
+          Printf.printf
+            "REGRESSION: trace bytes per instruction rose more than 15%% versus %s \
+             (%.2fx)\n"
+            file ratio;
+          1
+        end
+        else 0
+    in
+    throughput + trace_size
   | Some (Obs_json.Str s) ->
     Printf.printf "compare: baseline schema %s != %s, skipping comparison\n" s
       schema;
@@ -253,7 +288,7 @@ let () =
         "FILE previous BENCH_perf.json to compare against" );
       ( "--gate",
         Arg.Set gate,
-        " exit 1 when the aggregate regresses more than 15%" );
+        " exit 1 when aggregate throughput drops or trace size grows more than 15%" );
       ("-n", Arg.Set_int instrs, "N dynamic micro-ops per workload");
       ( "--repeat",
         Arg.Set_int repeat,
@@ -269,12 +304,16 @@ let () =
   List.iter
     (fun r ->
       Printf.printf
-        "%-14s %8d instrs %9d cycles  %9.0f instrs/s  %6.2f minor words/cycle\n"
-        r.name r.instrs r.cycles r.instrs_per_sec r.minor_words_per_cycle)
+        "%-14s %8d instrs %9d cycles  %9.0f instrs/s  %6.2f minor words/cycle  \
+         %5.1f trace B/instr\n"
+        r.name r.instrs r.cycles r.instrs_per_sec r.minor_words_per_cycle
+        r.trace_bytes_per_instr)
     rows;
-  let agg_ips, agg_words = aggregate rows in
-  Printf.printf "%-14s %37s%9.0f instrs/s  %6.2f minor words/cycle  (geomean)\n"
-    "aggregate" "" agg_ips agg_words;
+  let agg_ips, agg_words, agg_bytes = aggregate rows in
+  Printf.printf
+    "%-14s %37s%9.0f instrs/s  %6.2f minor words/cycle  %5.1f trace B/instr  \
+     (geomean; trace size: mean)\n"
+    "aggregate" "" agg_ips agg_words agg_bytes;
   let sampled =
     if !sampled_instrs <= 0 then None
     else begin

@@ -39,7 +39,7 @@ let () =
       eval_trace
   in
   Printf.printf "\nEvaluation (ref input, %d micro-ops):\n"
-    (Array.length eval_trace.Executor.dyns);
+    (Executor.length eval_trace);
   Printf.printf "  OOO baseline  IPC %.3f  (LLC MPKI %.1f, br-mpki %.1f)\n"
     (Cpu_stats.ipc ooo) (Cpu_stats.mpki_llc ooo) (Cpu_stats.mispredicts_per_ki ooo);
   Printf.printf "  CRISP         IPC %.3f\n" (Cpu_stats.ipc crisp);

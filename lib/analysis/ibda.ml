@@ -120,8 +120,7 @@ module Dlt = struct
 end
 
 let analyze ?(mem_params = Memory_system.skylake) cfg (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
+  let n = Executor.length trace in
   let mem = Memory_system.create mem_params in
   let ist = Ist.create cfg in
   let dlt = Dlt.create dlt_entries in
@@ -132,29 +131,29 @@ let analyze ?(mem_params = Memory_system.skylake) cfg (trace : Executor.t) =
   let tagged_dynamic = ref 0 in
   let tagged_static = Hashtbl.create 256 in
   for i = 0 to n - 1 do
-    let d = dyns.(i) in
-    let pc = d.Executor.pc in
+    let pc = Executor.pc trace i in
+    let d = Executor.decoded trace i in
     (* Online DLT training from the cache hierarchy. *)
-    (match d.Executor.op with
+    (match d.Program.op with
     | Isa.Load ->
-      (match Memory_system.load_functional mem ~addr:d.Executor.addr with
+      (match Memory_system.load_functional mem ~addr:(Executor.addr trace i) with
       | Memory_system.Mem -> Dlt.record_miss dlt pc
       | Memory_system.L1 | Memory_system.Llc -> ())
-    | Isa.Store -> ignore (Memory_system.load_functional mem ~addr:d.Executor.addr)
+    | Isa.Store -> ignore (Memory_system.load_functional mem ~addr:(Executor.addr trace i))
     | _ -> ());
-    let marked = Ist.mem ist pc || (d.Executor.op = Isa.Load && Dlt.mem dlt pc) in
+    let marked = Ist.mem ist pc || (d.Program.op = Isa.Load && Dlt.mem dlt pc) in
     if marked then begin
       Bytes.set critical i '\001';
       incr tagged_dynamic;
       if not (Hashtbl.mem tagged_static pc) then Hashtbl.add tagged_static pc ();
       (* One backward level per execution: insert the register producers.
          Dependencies through memory are invisible to the hardware. *)
-      if d.Executor.src1 >= 0 && rdt.(d.Executor.src1) >= 0 then
-        Ist.insert ist rdt.(d.Executor.src1);
-      if d.Executor.src2 >= 0 && rdt.(d.Executor.src2) >= 0 then
-        Ist.insert ist rdt.(d.Executor.src2)
+      if d.Program.src1 >= 0 && rdt.(d.Program.src1) >= 0 then
+        Ist.insert ist rdt.(d.Program.src1);
+      if d.Program.src2 >= 0 && rdt.(d.Program.src2) >= 0 then
+        Ist.insert ist rdt.(d.Program.src2)
     end;
-    if d.Executor.dst >= 0 then rdt.(d.Executor.dst) <- pc
+    if d.Program.dst >= 0 then rdt.(d.Program.dst) <- pc
   done;
   { critical;
     tagged_dynamic = !tagged_dynamic;

@@ -50,7 +50,7 @@ let branch_entry branches pc =
     e
 
 let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
+  let n = Executor.length trace in
   let mem = Memory_system.create mem_params in
   let tage = Tage.create () in
   let loads = Hashtbl.create 64 in
@@ -72,78 +72,77 @@ let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
   let mem_depth = Hashtbl.create 1024 in
   (* Ring of recent LLC misses as (dyn index, depth). *)
   let recent_misses = Queue.create () in
-  Array.iteri
-    (fun i (d : Executor.dyn) ->
-      pc_execs.(d.Executor.pc) <- pc_execs.(d.Executor.pc) + 1;
-      let in_depth =
-        let d1 = if d.Executor.src1 >= 0 then reg_depth.(d.Executor.src1) else 0 in
-        let d2 = if d.Executor.src2 >= 0 then reg_depth.(d.Executor.src2) else 0 in
-        max d1 d2
+  for i = 0 to n - 1 do
+    let pc = Executor.pc trace i in
+    let d = Executor.decoded trace i in
+    let addr = Executor.addr trace i in
+    pc_execs.(pc) <- pc_execs.(pc) + 1;
+    let in_depth =
+      let d1 = if d.Program.src1 >= 0 then reg_depth.(d.Program.src1) else 0 in
+      let d2 = if d.Program.src2 >= 0 then reg_depth.(d.Program.src2) else 0 in
+      max d1 d2
+    in
+    (match d.Program.op with
+    | Isa.Load ->
+      incr total_loads;
+      let e = load_entry loads pc in
+      e.execs <- e.execs + 1;
+      if e.last_addr <> min_int then begin
+        let delta = addr - e.last_addr in
+        if delta = e.prev_delta then e.regular_deltas <- e.regular_deltas + 1;
+        e.prev_delta <- delta
+      end;
+      e.last_addr <- addr;
+      let stored_depth = Option.value ~default:0 (Hashtbl.find_opt mem_depth addr) in
+      let depth = max in_depth stored_depth in
+      let out_depth =
+        match Memory_system.load_functional mem ~addr with
+        | Memory_system.L1 -> depth
+        | Memory_system.Llc ->
+          e.l1_misses <- e.l1_misses + 1;
+          depth
+        | Memory_system.Mem ->
+          e.l1_misses <- e.l1_misses + 1;
+          e.llc_misses <- e.llc_misses + 1;
+          incr total_llc;
+          let depth = depth + 1 in
+          while (not (Queue.is_empty recent_misses))
+                && fst (Queue.peek recent_misses) < i - mlp_window do
+            ignore (Queue.pop recent_misses)
+          done;
+          Queue.push (i, depth) recent_misses;
+          let same_depth =
+            Queue.fold (fun n (_, dd) -> if dd = depth then n + 1 else n) 0
+              recent_misses
+          in
+          e.mlp_sum <- e.mlp_sum + same_depth;
+          depth
       in
-      (match d.Executor.op with
-      | Isa.Load ->
-        incr total_loads;
-        let e = load_entry loads d.Executor.pc in
-        e.execs <- e.execs + 1;
-        if e.last_addr <> min_int then begin
-          let delta = d.Executor.addr - e.last_addr in
-          if delta = e.prev_delta then e.regular_deltas <- e.regular_deltas + 1;
-          e.prev_delta <- delta
-        end;
-        e.last_addr <- d.Executor.addr;
-        let stored_depth =
-          Option.value ~default:0 (Hashtbl.find_opt mem_depth d.Executor.addr)
-        in
-        let depth = max in_depth stored_depth in
-        let out_depth =
-          match Memory_system.load_functional mem ~addr:d.Executor.addr with
-          | Memory_system.L1 -> depth
-          | Memory_system.Llc ->
-            e.l1_misses <- e.l1_misses + 1;
-            depth
-          | Memory_system.Mem ->
-            e.l1_misses <- e.l1_misses + 1;
-            e.llc_misses <- e.llc_misses + 1;
-            incr total_llc;
-            let depth = depth + 1 in
-            while (not (Queue.is_empty recent_misses))
-                  && fst (Queue.peek recent_misses) < i - mlp_window do
-              ignore (Queue.pop recent_misses)
-            done;
-            Queue.push (i, depth) recent_misses;
-            let same_depth =
-              Queue.fold (fun n (_, dd) -> if dd = depth then n + 1 else n) 0
-                recent_misses
-            in
-            e.mlp_sum <- e.mlp_sum + same_depth;
-            depth
-        in
-        if d.Executor.dst >= 0 then reg_depth.(d.Executor.dst) <- out_depth
-      | Isa.Store ->
-        ignore (Memory_system.load_functional mem ~addr:d.Executor.addr);
-        Hashtbl.replace mem_depth d.Executor.addr in_depth
-      | Isa.Branch _ ->
-        incr total_branches;
-        let e = branch_entry branches d.Executor.pc in
-        e.b_execs <- e.b_execs + 1;
-        let predicted =
-          Tage.predict_and_update tage ~pc:d.Executor.pc ~taken:d.Executor.taken
-        in
-        if predicted <> d.Executor.taken then begin
-          e.b_mispredicts <- e.b_mispredicts + 1;
-          incr total_mispredicts
-        end
-      | Isa.Div | Isa.Fp_div ->
-        let count = Option.value ~default:0 (Hashtbl.find_opt long_ops d.Executor.pc) in
-        Hashtbl.replace long_ops d.Executor.pc (count + 1);
-        if d.Executor.dst >= 0 then reg_depth.(d.Executor.dst) <- in_depth
-      | _ -> if d.Executor.dst >= 0 then reg_depth.(d.Executor.dst) <- in_depth))
-    dyns;
+      if d.Program.dst >= 0 then reg_depth.(d.Program.dst) <- out_depth
+    | Isa.Store ->
+      ignore (Memory_system.load_functional mem ~addr);
+      Hashtbl.replace mem_depth addr in_depth
+    | Isa.Branch _ ->
+      incr total_branches;
+      let e = branch_entry branches pc in
+      e.b_execs <- e.b_execs + 1;
+      let taken = Executor.taken trace i in
+      let predicted = Tage.predict_and_update tage ~pc ~taken in
+      if predicted <> taken then begin
+        e.b_mispredicts <- e.b_mispredicts + 1;
+        incr total_mispredicts
+      end
+    | Isa.Div | Isa.Fp_div ->
+      let count = Option.value ~default:0 (Hashtbl.find_opt long_ops pc) in
+      Hashtbl.replace long_ops pc (count + 1);
+      if d.Program.dst >= 0 then reg_depth.(d.Program.dst) <- in_depth
+    | _ -> if d.Program.dst >= 0 then reg_depth.(d.Program.dst) <- in_depth)
+  done;
   { loads;
     branch_table = branches;
     long_ops;
     pc_execs;
-    total_instrs = Array.length dyns;
+    total_instrs = n;
     total_loads = !total_loads;
     total_llc_misses = !total_llc;
     total_branches = !total_branches;

@@ -14,11 +14,11 @@ type t = {
 }
 
 (* Indices of dynamic instances of [pc], sampled evenly, at most [n]. *)
-let sample_instances dyns pc n =
+let sample_instances trace pc n =
   let all = ref [] in
-  Array.iteri
-    (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    if Executor.pc trace i = pc then all := i :: !all
+  done;
   let all = Array.of_list (List.rev !all) in
   let total = Array.length all in
   if total <= n then Array.to_list all
@@ -30,20 +30,20 @@ let sample_instances dyns pc n =
    termination of Figure 3).  Every reached producer's pc is merged into
    [in_slice].  Returns the instance's DAG: the expanded instructions and,
    for each, its producers among them. *)
-let walk_instance dyns (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx =
+let walk_instance trace (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx =
   (* pc -> the one dynamic instance of it this walk expands *)
   let expanded = Hashtbl.create 64 in
-  Hashtbl.add expanded dyns.(root_idx).Executor.pc root_idx;
+  Hashtbl.add expanded (Executor.pc trace root_idx) root_idx;
   let walked = ref [] in
   let frontier = Stack.create () in
   Stack.push root_idx frontier;
   while not (Stack.is_empty frontier) do
     let i = Stack.pop frontier in
-    let consumer_pc = dyns.(i).Executor.pc in
+    let consumer_pc = Executor.pc trace i in
     let prods = ref [] in
     let explore p =
       if p >= 0 then begin
-        let ppc = dyns.(p).Executor.pc in
+        let ppc = Executor.pc trace p in
         if not (Hashtbl.mem edges (ppc, consumer_pc)) then
           Hashtbl.add edges (ppc, consumer_pc) ();
         in_slice.(ppc) <- true;
@@ -64,7 +64,7 @@ let walk_instance dyns (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx 
      topological order and the root comes last. *)
   let walked = Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) !walked) in
   let nodes = Array.map fst walked in
-  let node_pcs = Array.map (fun i -> dyns.(i).Executor.pc) nodes in
+  let node_pcs = Array.map (Executor.pc trace) nodes in
   (* Each expanded instance has its own pc, so a pc names its position. *)
   let position = Hashtbl.create (Array.length nodes) in
   Array.iteri (fun k pc -> Hashtbl.add position pc k) node_pcs;
@@ -74,13 +74,12 @@ let walk_instance dyns (deps : Deps.t) ~follow_memory ~in_slice ~edges root_idx 
       Array.map
         (fun (_, prods) ->
           Array.of_list
-            (List.map (fun p -> Hashtbl.find position dyns.(p).Executor.pc) prods))
+            (List.map (fun p -> Hashtbl.find position (Executor.pc trace p)) prods))
         walked }
 
 let max_instances = 32
 
 let extract ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t) ~root_pc =
-  let dyns = trace.Executor.dyns in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   if root_pc < 0 || root_pc >= num_pcs then invalid_arg "Slicer.extract: bad root pc";
   let in_slice = Array.make num_pcs false in
@@ -88,8 +87,8 @@ let extract ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t) ~root_p
   let edges = Hashtbl.create 64 in
   let dags =
     List.map
-      (walk_instance dyns deps ~follow_memory ~in_slice ~edges)
-      (sample_instances dyns root_pc max_instances)
+      (walk_instance trace deps ~follow_memory ~in_slice ~edges)
+      (sample_instances trace root_pc max_instances)
   in
   let instances = List.length dags in
   let total_len = List.fold_left (fun n d -> n + Array.length d.nodes) 0 dags in

@@ -38,11 +38,10 @@ type t = {
 (* Latency weight of a dynamic instruction for critical-path analysis:
    fixed latencies from the instruction tables, AMAT for loads under the
    hierarchy the report was profiled on. *)
-let latency_of_dyn (report : Profiler.report) dyns i =
-  let d : Executor.dyn = dyns.(i) in
-  match d.Executor.op with
+let latency_of_dyn (report : Profiler.report) trace i =
+  match Executor.op trace i with
   | Isa.Load -> begin
-    match Hashtbl.find_opt report.Profiler.loads d.Executor.pc with
+    match Hashtbl.find_opt report.Profiler.loads (Executor.pc trace i) with
     | Some stats -> Profiler.amat_estimate report stats
     | None -> Isa.exec_latency Isa.Load
   end
@@ -56,7 +55,7 @@ let build_slice options trace deps report ~root_pc ~kind ~contribution =
   let full = Slicer.extract ~follow_memory:options.follow_memory trace deps ~root_pc in
   let kept_pcs =
     if options.critical_path_filter then begin
-      let latency_of = latency_of_dyn report trace.Executor.dyns in
+      let latency_of = latency_of_dyn report trace in
       let keep = Critical_path.filter ~theta ~latency_of full in
       List.filter (fun pc -> keep.(pc)) full.Slicer.pc_list
     end

@@ -14,11 +14,11 @@ let pp_violation fmt v =
 (* Even instance sampling, mirroring the published contract of
    Slicer.extract: at most [n] dynamic instances of [pc], evenly spaced
    over the trace. *)
-let sample_instances dyns pc n =
+let sample_instances trace pc n =
   let all = ref [] in
-  Array.iteri
-    (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    if Executor.pc trace i = pc then all := i :: !all
+  done;
   let all = Array.of_list (List.rev !all) in
   let total = Array.length all in
   if total <= n then Array.to_list all else List.init n (fun k -> all.(k * total / n))
@@ -28,19 +28,18 @@ let sample_instances dyns pc n =
    instance (the paper's recursive-dependency termination), memberships
    merged across instances. *)
 let expected_closure (trace : Executor.t) (deps : Deps.t) ~follow_memory ~root_pc =
-  let dyns = trace.Executor.dyns in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   let members = Array.make num_pcs false in
   members.(root_pc) <- true;
-  let roots = sample_instances dyns root_pc Slicer.max_instances in
+  let roots = sample_instances trace root_pc Slicer.max_instances in
   List.iter
     (fun root_idx ->
       let seen = Hashtbl.create 64 in
-      Hashtbl.add seen dyns.(root_idx).Executor.pc ();
+      Hashtbl.add seen (Executor.pc trace root_idx) ();
       let rec visit i =
         let expand p =
           if p >= 0 then begin
-            let ppc = dyns.(p).Executor.pc in
+            let ppc = Executor.pc trace p in
             members.(ppc) <- true;
             if not (Hashtbl.mem seen ppc) then begin
               Hashtbl.add seen ppc ();
@@ -59,18 +58,15 @@ let expected_closure (trace : Executor.t) (deps : Deps.t) ~follow_memory ~root_p
 (* All (producer pc, consumer pc) pairs that occur anywhere in the trace's
    dependency relation — the universe recorded slice edges must live in. *)
 let dependency_pairs (trace : Executor.t) (deps : Deps.t) ~follow_memory =
-  let dyns = trace.Executor.dyns in
   let pairs = Hashtbl.create 1024 in
-  Array.iteri
-    (fun i (d : Executor.dyn) ->
-      let add p =
-        if p >= 0 then
-          Hashtbl.replace pairs (dyns.(p).Executor.pc, d.Executor.pc) ()
-      in
-      add deps.Deps.prod1.(i);
-      add deps.Deps.prod2.(i);
-      if follow_memory then add deps.Deps.prod_mem.(i))
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    let add p =
+      if p >= 0 then Hashtbl.replace pairs (Executor.pc trace p, Executor.pc trace i) ()
+    in
+    add deps.Deps.prod1.(i);
+    add deps.Deps.prod2.(i);
+    if follow_memory then add deps.Deps.prod_mem.(i)
+  done;
   pairs
 
 let verify_slice ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t)

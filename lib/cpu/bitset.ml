@@ -7,7 +7,6 @@ type t = {
 
 let create bits = { bits; words = Array.make ((bits + bits_per_word - 1) / bits_per_word) 0 }
 
-
 let check t i = if i < 0 || i >= t.bits then invalid_arg "Bitset: index out of range"
 
 let set t i =
@@ -33,32 +32,12 @@ let is_empty t = all_zero t.words (Array.length t.words - 1)
 
 let same_width a b = if a.bits <> b.bits then invalid_arg "Bitset: width mismatch"
 
-let inter_into ~a ~b ~dst =
-  same_width a b;
-  same_width a dst;
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- a.words.(i) land b.words.(i)
-  done
-
 let diff_into ~a ~b ~dst =
   same_width a b;
   same_width a dst;
   for i = 0 to Array.length dst.words - 1 do
     dst.words.(i) <- a.words.(i) land lnot b.words.(i)
   done
-
-(* The scan helpers below live at top level and thread every piece of
-   state through their arguments: without flambda, a local [let rec]
-   that captures its environment allocates a closure block on the minor
-   heap at every call of the enclosing function, and these run in the
-   per-cycle select/wakeup path. *)
-
-let rec inter_empty_from aw bw n i =
-  i = n || (aw.(i) land bw.(i) = 0 && inter_empty_from aw bw n (i + 1))
-
-let inter_empty a b =
-  same_width a b;
-  inter_empty_from a.words b.words (Array.length a.words) 0
 
 (* Number of trailing zeros of a single-bit word, by binary search
    (straight-line: a [ref] here would be a 2-word allocation per call). *)
@@ -75,16 +54,6 @@ let bit_index bit =
   let b = b lsr s1 in
   s5 + s4 + s3 + s2 + s1 + (if b land 0x1 = 0 then 1 else 0)
 
-let iter_set f t =
-  for wi = 0 to Array.length t.words - 1 do
-    let w = ref t.words.(wi) in
-    while !w <> 0 do
-      let bit = !w land - !w in
-      f ((wi * bits_per_word) + bit_index bit);
-      w := !w land lnot bit
-    done
-  done
-
 (* Kernighan popcount on one word; the 64-bit SWAR constants don't fit
    OCaml's 63-bit immediates, and the word population is small here. *)
 let rec popcount w acc = if w = 0 then acc else popcount (w land (w - 1)) (acc + 1)
@@ -93,6 +62,12 @@ let rec count_words words wi acc =
   if wi < 0 then acc else count_words words (wi - 1) (popcount words.(wi) acc)
 
 let count t = count_words t.words (Array.length t.words - 1) 0
+
+(* The scan helpers below live at top level and thread every piece of
+   state through their arguments: without flambda, a local [let rec]
+   that captures its environment allocates a closure block on the minor
+   heap at every call of the enclosing function, and these run in the
+   per-cycle select/wakeup path. *)
 
 let rec first_set_word words nwords wi =
   if wi >= nwords then -1
@@ -133,13 +108,3 @@ let next_set_circular t i =
   if j >= 0 || i = 0 then j else next_set t 0
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
-
-let clear_bit_everywhere sets i =
-  (* Plain loop: an [Array.iter] closure here would allocate once per
-     issued instruction (this clears the age-matrix column). *)
-  let wi = i / bits_per_word in
-  let mask = lnot (1 lsl (i mod bits_per_word)) in
-  for k = 0 to Array.length sets - 1 do
-    let w = sets.(k).words in
-    w.(wi) <- w.(wi) land mask
-  done

@@ -12,17 +12,8 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val is_empty : t -> bool
-val inter_into : a:t -> b:t -> dst:t -> unit
-(** [dst := a AND b]; all three must share a width. *)
-
 val diff_into : a:t -> b:t -> dst:t -> unit
 (** [dst := a AND NOT b]. *)
-
-val inter_empty : t -> t -> bool
-(** Whether [a AND b] = 0 — the reduction-NOR of the hardware picker. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** Apply to every set bit, in increasing index order. *)
 
 val count : t -> int
 
@@ -40,8 +31,3 @@ val next_set_circular : t -> int -> int
     is empty.  [0 <= i <= width t]. *)
 
 val clear_all : t -> unit
-
-val clear_bit_everywhere : t array -> int -> unit
-(** Clear bit [i] in every bitset of the array — the hardware's column-wise
-    clear when an instruction-queue slot is freed.  All sets must share a
-    width that covers [i]. *)

@@ -23,7 +23,8 @@ let wheel_horizon = 1024
    each array; wakeup edges live in the intrusive [wakeup] lists. *)
 type state = {
   cfg : Cpu_config.t;
-  dyns : Executor.dyn array;
+  trace : Executor.t;
+  code : Program.decoded array;  (* the trace's static program *)
   layout : Layout.t;
   critical_of : int -> bool;  (* by dynamic index *)
   start : int;  (* dynamic index of the window's first instruction *)
@@ -33,6 +34,10 @@ type state = {
   ras : Ras.t;
   sched : Scheduler.t;
   rob_dyn : int array;  (* dynamic trace index, -1 when empty *)
+  (* Copied from the trace at dispatch: issue, execute and retire read
+     these instead of going back through the trace. *)
+  rob_pc : int array;
+  rob_addr : int array;  (* -1 when the op does not touch memory *)
   rob_state : int array;
   rob_deps_left : int array;
   rob_critical : bool array;
@@ -68,6 +73,8 @@ type state = {
   mutable retired : int;
   mutable retire_stop : int;  (* retirement ceiling: exact window boundaries *)
   (* statistics *)
+  mutable loads : int;
+  mutable stores : int;
   mutable branches : int;
   mutable branch_mispredicts : int;
   mutable btb_misses : int;
@@ -83,6 +90,9 @@ type state = {
   sb : Scoreboard.t option;  (* debug-mode invariant oracle, read-only *)
   obs : Obs_tracer.t option;  (* observability tracer, write-only sink *)
 }
+
+(* The static micro-op of ROB entry [r]. *)
+let rob_decoded s r = s.code.(s.rob_pc.(r))
 
 let rob_full s = s.rob_count >= s.cfg.Cpu_config.rob_size
 
@@ -135,7 +145,7 @@ let process_mshr_retries s =
 (* Charge [k] cycles of a stalled ROB head to its class ([k > 1] when
    quiet cycles are skipped in bulk). *)
 let attribute_head_stall s head k =
-  match s.dyns.(s.rob_dyn.(head)).Executor.op with
+  match (rob_decoded s head).Program.op with
   | Isa.Load ->
     let lvl = s.rob_level.(head) in
     if lvl = Memory_system.code_mem then s.stall_dram <- s.stall_dram + k
@@ -163,18 +173,21 @@ let rec retire s retired_now =
         Obs_tracer.on_retire tr ~cycle:s.cycle ~dyn:s.rob_dyn.(head)
           ~critical:s.rob_critical.(head)
       | None -> ());
-      let d = s.dyns.(s.rob_dyn.(head)) in
-      (match d.Executor.op with
+      let d = rob_decoded s head in
+      (match d.Program.op with
       | Isa.Store ->
-        Memory_system.store_commit s.mem ~cycle:s.cycle ~addr:d.Executor.addr;
-        if Int_table.find s.store_map d.Executor.addr = head then
-          Int_table.remove s.store_map d.Executor.addr;
-        s.sq_count <- s.sq_count - 1
-      | Isa.Load -> s.lq_count <- s.lq_count - 1
+        let addr = s.rob_addr.(head) in
+        Memory_system.store_commit s.mem ~cycle:s.cycle ~addr;
+        if Int_table.find s.store_map addr = head then Int_table.remove s.store_map addr;
+        s.sq_count <- s.sq_count - 1;
+        s.stores <- s.stores + 1
+      | Isa.Load ->
+        s.lq_count <- s.lq_count - 1;
+        s.loads <- s.loads + 1
       | _ -> ());
       if s.rob_critical.(head) then s.critical_retired <- s.critical_retired + 1;
-      if d.Executor.dst >= 0 && s.rename.(d.Executor.dst) = head then
-        s.rename.(d.Executor.dst) <- -1;
+      if d.Program.dst >= 0 && s.rename.(d.Program.dst) = head then
+        s.rename.(d.Program.dst) <- -1;
       s.rob_state.(head) <- st_empty;
       s.rob_dyn.(head) <- -1;
       s.rob_head <- (head + 1) mod s.cfg.Cpu_config.rob_size;
@@ -190,8 +203,7 @@ let rec retire s retired_now =
 
 (* Completion cycle, or -1 when the load must retry (MSHRs full). *)
 let execute s rob_idx =
-  let d = s.dyns.(s.rob_dyn.(rob_idx)) in
-  match d.Executor.op with
+  match (rob_decoded s rob_idx).Program.op with
   | Isa.Load ->
     if s.rob_forward.(rob_idx) then begin
       (* Store-to-load forwarding costs an L1-hit-like latency. *)
@@ -199,7 +211,8 @@ let execute s rob_idx =
       s.cycle + s.l1d_latency
     end
     else begin
-      let packed = Memory_system.load_raw s.mem ~cycle:s.cycle ~addr:d.Executor.addr in
+      let addr = s.rob_addr.(rob_idx) in
+      let packed = Memory_system.load_raw s.mem ~cycle:s.cycle ~addr in
       if packed < 0 then -1
       else begin
         s.rob_level.(rob_idx) <- packed land 3;
@@ -209,7 +222,7 @@ let execute s rob_idx =
     end
   | Isa.Prefetch ->
     (* Software prefetch: starts the fill, completes immediately. *)
-    ignore (Memory_system.load_raw s.mem ~cycle:s.cycle ~addr:d.Executor.addr);
+    ignore (Memory_system.load_raw s.mem ~cycle:s.cycle ~addr:s.rob_addr.(rob_idx));
     s.cycle + 1
   | op -> s.cycle + Isa.exec_latency op
 
@@ -226,7 +239,7 @@ let rec issue_loop s picks alu ld st =
       (* Selection-time introspection (scoreboard checks, tracer events)
          already ran inside [Scheduler.select] via the shared hook. *)
       let rob_idx = s.rs_owner.(slot) in
-      let fu = Isa.fu_of_op s.dyns.(s.rob_dyn.(rob_idx)).Executor.op in
+      let fu = Isa.fu_of_op (rob_decoded s rob_idx).Program.op in
       let avail =
         match fu with Isa.Fu_alu -> alu | Isa.Fu_load -> ld | Isa.Fu_store -> st
       in
@@ -282,8 +295,9 @@ let add_dep s consumer producer =
   end
 
 let dispatch_one s dyn_idx =
-  let d = s.dyns.(dyn_idx) in
-  let op = d.Executor.op in
+  let pc = Executor.pc s.trace dyn_idx in
+  let d = s.code.(pc) in
+  let op = d.Program.op in
   let is_load = op = Isa.Load in
   let is_store = op = Isa.Store in
   if rob_full s then false
@@ -297,6 +311,9 @@ let dispatch_one s dyn_idx =
       let rob_idx = rob_tail s in
       s.rob_count <- s.rob_count + 1;
       s.rob_dyn.(rob_idx) <- dyn_idx;
+      s.rob_pc.(rob_idx) <- pc;
+      let addr = Executor.addr s.trace dyn_idx in
+      s.rob_addr.(rob_idx) <- addr;
       s.rob_state.(rob_idx) <- st_waiting;
       s.rob_deps_left.(rob_idx) <- 0;
       Wakeup.reset s.wakeup rob_idx;
@@ -306,19 +323,19 @@ let dispatch_one s dyn_idx =
       s.rob_level.(rob_idx) <- 0;
       s.rs_owner.(slot) <- rob_idx;
       (* Register dependencies through the rename table. *)
-      if d.Executor.src1 >= 0 then begin
-        let p = s.rename.(d.Executor.src1) in
+      if d.Program.src1 >= 0 then begin
+        let p = s.rename.(d.Program.src1) in
         if p >= 0 then add_dep s rob_idx p
       end;
-      if d.Executor.src2 >= 0 && d.Executor.src2 <> d.Executor.src1 then begin
-        let p = s.rename.(d.Executor.src2) in
+      if d.Program.src2 >= 0 && d.Program.src2 <> d.Program.src1 then begin
+        let p = s.rename.(d.Program.src2) in
         if p >= 0 then add_dep s rob_idx p
       end;
       (* Memory dependency: a load after an in-flight store to the same
          address waits for the store and then forwards. *)
       if is_load then begin
         s.lq_count <- s.lq_count + 1;
-        let store_idx = Int_table.find s.store_map d.Executor.addr in
+        let store_idx = Int_table.find s.store_map addr in
         if store_idx >= 0 then begin
           s.rob_forward.(rob_idx) <- true;
           add_dep s rob_idx store_idx
@@ -326,9 +343,9 @@ let dispatch_one s dyn_idx =
       end;
       if is_store then begin
         s.sq_count <- s.sq_count + 1;
-        Int_table.replace s.store_map d.Executor.addr rob_idx
+        Int_table.replace s.store_map addr rob_idx
       end;
-      if d.Executor.dst >= 0 then s.rename.(d.Executor.dst) <- rob_idx;
+      if d.Program.dst >= 0 then s.rename.(d.Program.dst) <- rob_idx;
       if s.rob_deps_left.(rob_idx) = 0 then begin
         s.rob_state.(rob_idx) <- st_ready;
         Scheduler.mark_ready s.sched slot
@@ -365,21 +382,23 @@ let obs_redirect s dyn_idx kind =
   | Some tr -> Obs_tracer.on_redirect tr ~cycle:s.cycle ~dyn:dyn_idx ~kind
   | None -> ()
 
-let fetch_control s dyn_idx (d : Executor.dyn) =
-  match d.Executor.op with
+let fetch_control s dyn_idx pc =
+  match s.code.(pc).Program.op with
   | Isa.Branch _ ->
     s.branches <- s.branches + 1;
-    let predicted = Tage.predict_and_update s.tage ~pc:d.Executor.pc ~taken:d.Executor.taken in
-    if predicted <> d.Executor.taken then begin
+    let taken = Executor.taken s.trace dyn_idx in
+    let predicted = Tage.predict_and_update s.tage ~pc ~taken in
+    if predicted <> taken then begin
       s.branch_mispredicts <- s.branch_mispredicts + 1;
       obs_redirect s dyn_idx `Mispredict;
       s.waiting_dyn <- dyn_idx;
       `Blocked
     end
-    else if d.Executor.taken then begin
+    else if taken then begin
       (* Correctly predicted taken: the target must come from the BTB. *)
-      let target_ok = Btb.find_target s.btb ~pc:d.Executor.pc = d.Executor.next_pc in
-      Btb.update s.btb ~pc:d.Executor.pc ~target:d.Executor.next_pc;
+      let target = Executor.next_pc s.trace dyn_idx in
+      let target_ok = Btb.find_target s.btb ~pc = target in
+      Btb.update s.btb ~pc ~target;
       if target_ok then `End_group
       else begin
         s.btb_misses <- s.btb_misses + 1;
@@ -391,10 +410,10 @@ let fetch_control s dyn_idx (d : Executor.dyn) =
     else `Continue
   | Isa.Jump -> `End_group
   | Isa.Call ->
-    Ras.push s.ras (d.Executor.pc + 1);
+    Ras.push s.ras (pc + 1);
     `End_group
   | Isa.Ret ->
-    if Ras.pop_value s.ras = d.Executor.next_pc then `End_group
+    if Ras.pop_value s.ras = Executor.next_pc s.trace dyn_idx then `End_group
     else begin
       s.ras_mispredicts <- s.ras_mispredicts + 1;
       obs_redirect s dyn_idx `Ras_mispredict;
@@ -408,8 +427,8 @@ let rec fetch_loop s n fetched =
      && s.fq_len < s.fq_cap
   then begin
     let dyn_idx = s.fetch_idx in
-    let d = s.dyns.(dyn_idx) in
-    let addr = Layout.addr_of s.layout d.Executor.pc in
+    let pc = Executor.pc s.trace dyn_idx in
+    let addr = Layout.addr_of s.layout pc in
     let line = addr / line_bytes in
     if line <> s.current_line then begin
       let ready = Memory_system.fetch_raw s.mem ~cycle:s.cycle ~addr lsr 2 in
@@ -418,35 +437,34 @@ let rec fetch_loop s n fetched =
         s.fetch_blocked_until <- ready
       else begin
         s.current_line <- line;
-        fetch_one s n fetched dyn_idx d
+        fetch_one s n fetched dyn_idx pc
       end
     end
-    else fetch_one s n fetched dyn_idx d
+    else fetch_one s n fetched dyn_idx pc
   end
 
-and fetch_one s n fetched dyn_idx d =
+and fetch_one s n fetched dyn_idx pc =
   let tail = (s.fq_head + s.fq_len) mod s.fq_cap in
   s.fq_dyn.(tail) <- dyn_idx;
   s.fq_ready.(tail) <- s.cycle + Cpu_config.frontend_depth;
   s.fq_len <- s.fq_len + 1;
   (match s.obs with
-  | Some tr -> Obs_tracer.on_fetch tr ~cycle:s.cycle ~dyn:dyn_idx ~pc:d.Executor.pc
+  | Some tr -> Obs_tracer.on_fetch tr ~cycle:s.cycle ~dyn:dyn_idx ~pc
   | None -> ());
   s.fetch_idx <- s.fetch_idx + 1;
-  match fetch_control s dyn_idx d with
+  match fetch_control s dyn_idx pc with
   | `Continue -> fetch_loop s n (fetched + 1)
   | `End_group | `Blocked -> ()
 
 let fetch s =
   if s.cycle >= s.fetch_blocked_until && s.waiting_dyn < 0 then
-    fetch_loop s (Array.length s.dyns) 0
+    fetch_loop s (Executor.length s.trace) 0
 
 (* FDIP: run ahead of fetch along the fetch target queue and prefetch
    instruction lines.  Cannot run past an unresolved misprediction. *)
 let rec fdip_loop s limit budget scanned =
   if budget > 0 && scanned < 64 && s.fdip_idx < limit then begin
-    let d = s.dyns.(s.fdip_idx) in
-    let addr = Layout.addr_of s.layout d.Executor.pc in
+    let addr = Layout.addr_of s.layout (Executor.pc s.trace s.fdip_idx) in
     let budget =
       if addr / line_bytes <> s.current_line
          && not (Memory_system.probe_inst s.mem ~addr)
@@ -463,7 +481,7 @@ let rec fdip_loop s limit budget scanned =
 let fdip_limit s =
   if s.waiting_dyn >= 0 then s.waiting_dyn + 1
   else
-    let n = Array.length s.dyns in
+    let n = Executor.length s.trace in
     let ftq_end = s.fetch_idx + Cpu_config.ftq_entries in
     if ftq_end < n then ftq_end else n
 
@@ -508,10 +526,11 @@ let warm_create cfg =
 
 let warm_pos w = w.wpos
 
-let warm_touch w layout (d : Executor.dyn) =
+let warm_touch w layout trace i =
   (* Mirror the detail fetch stage's icache behaviour: one fetch per
      distinct consecutive line, not one per micro-op. *)
-  let addr = Layout.addr_of layout d.Executor.pc in
+  let pc = Executor.pc trace i in
+  let addr = Layout.addr_of layout pc in
   let line = addr / line_bytes in
   if line <> w.wline then begin
     ignore (Memory_system.fetch_functional w.wmem ~addr);
@@ -522,16 +541,16 @@ let warm_touch w layout (d : Executor.dyn) =
      predicted taken branch (a mispredict redirects before the BTB is
      consulted), so its contents converge to what a detail run reaching
      the same point would hold. *)
-  (match d.Executor.op with
+  (match Executor.op trace i with
   | Isa.Branch _ ->
-    let predicted = Tage.predict_and_update w.wtage ~pc:d.Executor.pc ~taken:d.Executor.taken in
-    if predicted && d.Executor.taken then
-      Btb.update w.wbtb ~pc:d.Executor.pc ~target:d.Executor.next_pc
-  | Isa.Call -> Ras.push w.wras (d.Executor.pc + 1)
+    let taken = Executor.taken trace i in
+    let predicted = Tage.predict_and_update w.wtage ~pc ~taken in
+    if predicted && taken then Btb.update w.wbtb ~pc ~target:(Executor.next_pc trace i)
+  | Isa.Call -> Ras.push w.wras (pc + 1)
   | Isa.Ret -> ignore (Ras.pop_value w.wras)
   | Isa.Load | Isa.Prefetch ->
-    ignore (Memory_system.load_functional w.wmem ~addr:d.Executor.addr)
-  | Isa.Store -> Memory_system.warm_store w.wmem ~addr:d.Executor.addr
+    ignore (Memory_system.load_functional w.wmem ~addr:(Executor.addr trace i))
+  | Isa.Store -> Memory_system.warm_store w.wmem ~addr:(Executor.addr trace i)
   | _ -> ());
   w.wpos <- w.wpos + 1
 
@@ -545,12 +564,11 @@ let layout_for ?(criticality = No_tags) (trace : Executor.t) =
 
 let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
     (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
   let layout = layout_for ~criticality trace in
   let critical_of =
     match criticality with
     | No_tags -> fun _ -> false
-    | Static_tags f -> fun dyn_idx -> f dyns.(dyn_idx).Executor.pc
+    | Static_tags f -> fun dyn_idx -> f (Executor.pc trace dyn_idx)
     | Dynamic_tags f -> f
   in
   let rob_size = cfg.Cpu_config.rob_size in
@@ -559,7 +577,8 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
   let mem_params = Memory_system.params warm.wmem in
   let s =
     { cfg;
-      dyns;
+      trace;
+      code = trace.Executor.prog.Program.code;
       layout;
       critical_of;
       start;
@@ -571,6 +590,8 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
         Scheduler.create ~seed:Cpu_config.seed ~slots:cfg.Cpu_config.rs_size
           ~span:rob_size cfg.Cpu_config.policy;
       rob_dyn = Array.make rob_size (-1);
+      rob_pc = Array.make rob_size 0;
+      rob_addr = Array.make rob_size (-1);
       rob_state = Array.make rob_size st_empty;
       rob_deps_left = Array.make rob_size 0;
       rob_critical = Array.make rob_size false;
@@ -605,6 +626,8 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
       cycle = 0;
       retired = 0;
       retire_stop = max_int;
+      loads = 0;
+      stores = 0;
       branches = 0;
       branch_mispredicts = 0;
       btb_misses = 0;
@@ -654,7 +677,7 @@ let make_state ?(criticality = No_tags) ?tracer ~warm ~start cfg
 let fq_head_fits s =
   s.fq_len > 0 && (not (rob_full s)) && Scheduler.free_slots s.sched > 0
   &&
-  match s.dyns.(s.fq_dyn.(s.fq_head)).Executor.op with
+  match Executor.op s.trace s.fq_dyn.(s.fq_head) with
   | Isa.Load -> s.lq_count < s.lq_size
   | Isa.Store -> s.sq_count < s.sq_size
   | _ -> true
@@ -679,7 +702,7 @@ let skip_quiet s ~cycle_budget =
   then begin
     let fits = fq_head_fits s in
     let fetch_free =
-      s.waiting_dyn < 0 && s.fetch_idx < Array.length s.dyns && s.fq_len < s.fq_cap
+      s.waiting_dyn < 0 && s.fetch_idx < Executor.length s.trace && s.fq_len < s.fq_cap
     in
     let limit = cycle_budget + 1 in
     let limit =
@@ -745,24 +768,13 @@ let run_cycles s ~target ~cycle_budget =
     if skip && s.retired < target then skip_quiet s ~cycle_budget
   done
 
-(* Loads/stores in the dynamic index range [lo, hi). *)
-let rec count_ops dyns lo hi loads stores =
-  if lo = hi then (loads, stores)
-  else
-    match dyns.(lo).Executor.op with
-    | Isa.Load -> count_ops dyns (lo + 1) hi (loads + 1) stores
-    | Isa.Store -> count_ops dyns (lo + 1) hi loads (stores + 1)
-    | _ -> count_ops dyns (lo + 1) hi loads stores
-
 (* The one place core state becomes a [Cpu_stats.t]: cumulative
-   counters since state creation, with [loads]/[stores] over the retired
-   dynamic range. *)
+   counters since state creation. *)
 let snapshot s =
-  let loads, stores = count_ops s.dyns s.start (s.start + s.retired) 0 0 in
   { Cpu_stats.cycles = s.cycle;
     retired = s.retired;
-    loads;
-    stores;
+    loads = s.loads;
+    stores = s.stores;
     branches = s.branches;
     branch_mispredicts = s.branch_mispredicts;
     btb_misses = s.btb_misses;
@@ -782,7 +794,7 @@ let snapshot s =
 
 let run_window ?criticality ?tracer ?warm ~start ~warmup ~measure cfg
     (trace : Executor.t) =
-  let n = Array.length trace.Executor.dyns in
+  let n = Executor.length trace in
   if start < 0 || start > n then invalid_arg "Cpu_core.run_window: start out of range";
   if warmup < 0 || measure <= 0 then
     invalid_arg "Cpu_core.run_window: warmup must be >= 0 and measure > 0";
@@ -812,5 +824,5 @@ let run_window ?criticality ?tracer ?warm ~start ~warmup ~measure cfg
   Cpu_stats.sub (snapshot s) before
 
 let run ?criticality ?tracer cfg (trace : Executor.t) =
-  let n = Array.length trace.Executor.dyns in
+  let n = Executor.length trace in
   run_window ?criticality ?tracer ~start:0 ~warmup:0 ~measure:(max 1 n) cfg trace

@@ -72,8 +72,8 @@ val warm_pos : warm -> int
 (** The next dynamic instruction index to be warmed (advanced by both
     {!warm_touch} and {!run_window}). *)
 
-val warm_touch : warm -> Layout.t -> Executor.dyn -> unit
-(** Fast-forward over one dynamic micro-op: touch the instruction cache
+val warm_touch : warm -> Layout.t -> Executor.t -> int -> unit
+(** Fast-forward over dynamic micro-op [i] of the trace: touch the instruction cache
     for its fetch line, replay it into the branch predictors, and warm
     the data hierarchy for its memory access — with no timing model.
     Must be called in trace order. *)

@@ -39,8 +39,7 @@ let run ?criticality ~(sample : Sample_config.t) cfg (trace : Executor.t) =
   (* Fast-forward warming fetches through the same layout as the
      detail windows. *)
   let layout = Cpu_core.layout_for ?criticality trace in
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
+  let n = Executor.length trace in
   let span = sample.unit_len + sample.warmup_len in
   let units = max 1 (min sample.units (max 1 (n / span))) in
   let stride = n / units in
@@ -51,7 +50,7 @@ let run ?criticality ~(sample : Sample_config.t) cfg (trace : Executor.t) =
     let boundary = k * stride in
     let m = max (boundary - sample.warmup_len) (Cpu_core.warm_pos warm) in
     while Cpu_core.warm_pos warm < m do
-      Cpu_core.warm_touch warm layout dyns.(Cpu_core.warm_pos warm)
+      Cpu_core.warm_touch warm layout trace (Cpu_core.warm_pos warm)
     done;
     let st =
       Cpu_core.run_window ?criticality ~warm ~start:m ~warmup:(boundary - m)

@@ -5,8 +5,7 @@ type t = {
 }
 
 let compute (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
+  let n = Executor.length trace in
   let prod1 = Array.make n (-1) in
   let prod2 = Array.make n (-1) in
   let prod_mem = Array.make n (-1) in
@@ -14,18 +13,18 @@ let compute (trace : Executor.t) =
   let last_writer = Array.make Isa.num_regs (-1) in
   let last_store = Hashtbl.create 4096 in
   for i = 0 to n - 1 do
-    let d = dyns.(i) in
-    if d.Executor.src1 >= 0 then prod1.(i) <- last_writer.(d.Executor.src1);
-    if d.Executor.src2 >= 0 then prod2.(i) <- last_writer.(d.Executor.src2);
-    (match d.Executor.op with
+    let d = Executor.decoded trace i in
+    if d.Program.src1 >= 0 then prod1.(i) <- last_writer.(d.Program.src1);
+    if d.Program.src2 >= 0 then prod2.(i) <- last_writer.(d.Program.src2);
+    (match d.Program.op with
     | Isa.Load -> begin
-      match Hashtbl.find_opt last_store d.Executor.addr with
+      match Hashtbl.find_opt last_store (Executor.addr trace i) with
       | Some j -> prod_mem.(i) <- j
       | None -> ()
     end
-    | Isa.Store -> Hashtbl.replace last_store d.Executor.addr i
+    | Isa.Store -> Hashtbl.replace last_store (Executor.addr trace i) i
     | _ -> ());
-    if d.Executor.dst >= 0 then last_writer.(d.Executor.dst) <- i
+    if d.Program.dst >= 0 then last_writer.(d.Program.dst) <- i
   done;
   { prod1; prod2; prod_mem }
 

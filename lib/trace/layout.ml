@@ -34,6 +34,8 @@ let static_bytes (prog : Program.t) ~critical =
 
 let dynamic_bytes (trace : Executor.t) ~critical =
   let code = trace.Executor.prog.Program.code in
-  Array.fold_left
-    (fun acc (d : Executor.dyn) -> acc + size_of code critical d.Executor.pc)
-    0 trace.Executor.dyns
+  let total = ref 0 in
+  for i = 0 to Executor.length trace - 1 do
+    total := !total + size_of code critical (Executor.pc trace i)
+  done;
+  !total

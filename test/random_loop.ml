@@ -1,9 +1,11 @@
 (* Random loop programs shared by the slicer and critical-path
    properties: a loop of blocks mixing gathers, stores, arithmetic and
    data-dependent branches, traced for 6,000 instructions.  [trace seed]
-   is deterministic in [seed]. *)
+   is deterministic in [seed]; [setup seed] is the program, initial
+   registers and memory image it runs.  Register 10 counts loop
+   iterations up to 1,000,000, then the program halts. *)
 
-let trace seed =
+let setup seed =
   let rng = Prng.create (1000 + seed) in
   let words = 512 in
   let base = 0x20000 in
@@ -54,17 +56,19 @@ let trace seed =
     @ [ Alu (Isa.Add, 10, 10, Imm 1); Br (Isa.Lt, 10, Imm 1_000_000, "loop"); Halt ]
   in
   let reg_init = List.init 10 (fun r -> (r + 1, Prng.int rng 1_000)) in
-  Executor.run ~reg_init ~mem_init:mem ~max_instrs:6_000
-    (assemble ~name:(Printf.sprintf "random%d" seed) code)
+  (assemble ~name:(Printf.sprintf "random%d" seed) code, reg_init, mem)
+
+let trace seed =
+  let prog, reg_init, mem = setup seed in
+  Executor.run ~reg_init ~mem_init:mem ~max_instrs:6_000 prog
 
 (* Static pcs of the loads and branches the trace executed: the slice
    roots the properties try. *)
 let roots (trace : Executor.t) =
   let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun (d : Executor.dyn) ->
-      match d.Executor.op with
-      | Isa.Load | Isa.Branch _ -> Hashtbl.replace seen d.Executor.pc ()
-      | _ -> ())
-    trace.Executor.dyns;
+  for i = 0 to Executor.length trace - 1 do
+    match Executor.op trace i with
+    | Isa.Load | Isa.Branch _ -> Hashtbl.replace seen (Executor.pc trace i) ()
+    | _ -> ()
+  done;
   Hashtbl.fold (fun pc () acc -> pc :: acc) seen []

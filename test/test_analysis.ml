@@ -49,7 +49,7 @@ let spill_chase_workload ?(nodes = 30_000) () =
 let test_profiler_counts () =
   let trace = spill_chase_workload () in
   let r = Profiler.profile trace in
-  check int "instruction count" (Array.length trace.Executor.dyns) r.Profiler.total_instrs;
+  check int "instruction count" (Executor.length trace) r.Profiler.total_instrs;
   check bool "loads counted" true (r.Profiler.total_loads > 0);
   check bool "branches counted" true (r.Profiler.total_branches > 0);
   (* pc 4 touches each node's line first, so it takes the misses; the
@@ -229,7 +229,7 @@ let test_critical_path_filters_cheap_side_chains () =
   let trace = Executor.run ~reg_init:[ (9, 0x600000) ] ~mem_init:mem ~max_instrs:100 prog in
   let deps = Deps.compute trace in
   let latency_of i =
-    match trace.Executor.dyns.(i).Executor.op with
+    match Executor.op trace i with
     | Isa.Load -> 150
     | op -> Isa.exec_latency op
   in
@@ -305,10 +305,9 @@ let prop_filter_within_slice =
     ~count:12 QCheck.small_int (fun seed ->
       let trace = Random_loop.trace seed in
       let deps = Deps.compute trace in
-      let dyns = trace.Executor.dyns in
       let latency_of i =
-        match dyns.(i).Executor.op with
-        | Isa.Load -> [| 4; 36; 130 |].(dyns.(i).Executor.pc mod 3)
+        match Executor.op trace i with
+        | Isa.Load -> [| 4; 36; 130 |].(Executor.pc trace i mod 3)
         | op -> Isa.exec_latency op
       in
       let subset a b = Array.for_all2 (fun x y -> (not x) || y) a b in
@@ -452,12 +451,10 @@ let test_ibda_misses_memory_deps () =
      store) never gets tagged. *)
   let trace = spill_chase_workload () in
   let result = Ibda.analyze Ibda.ist_infinite trace in
-  let dyns = trace.Executor.dyns in
   let store_tagged = ref false in
-  Array.iteri
-    (fun i (d : Executor.dyn) ->
-      if d.Executor.pc = 1 && Ibda.is_critical result i then store_tagged := true)
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    if Executor.pc trace i = 1 && Ibda.is_critical result i then store_tagged := true
+  done;
   check bool "spill store invisible to register-only IBDA" false !store_tagged
 
 let test_ibda_capacity_matters () =

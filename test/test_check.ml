@@ -411,12 +411,11 @@ let test_slice_order_dependent_finding () =
     { Program.op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; imm = 0; target = -1 }
   in
   let prog = { Program.name = "probe"; code = Array.make 5 nop; labels = [] } in
-  let dyn pc =
-    { Executor.pc; op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; addr = -1;
-      taken = false; next_pc = 0 }
-  in
   let trace =
-    { Executor.prog; dyns = [| dyn 4; dyn 2; dyn 3; dyn 2; dyn 1; dyn 0 |];
+    { Executor.prog;
+      dyns = Array.map (fun pc -> pc lsl 1) [| 4; 2; 3; 2; 1; 0 |];
+      addrs = Array.make 6 (-1);
+      final_pc = 0;
       halted = true }
   in
   let deps =

@@ -28,7 +28,7 @@ let counted_loop ~iters body =
 let test_all_retire () =
   let open Program in
   let stats, trace = run_insts (counted_loop ~iters:500 [ Nop; Nop; Nop ]) in
-  check int "every micro-op retires" (Array.length trace.Executor.dyns)
+  check int "every micro-op retires" (Executor.length trace)
     stats.Cpu_stats.retired
 
 let test_independent_alu_throughput () =
@@ -163,7 +163,7 @@ let test_dynamic_tags () =
       ~criticality:(Cpu_core.Dynamic_tags (fun i -> i mod 2 = 0))
       (counted_loop ~iters:300 [ Nop ])
   in
-  check int "every op retires with dynamic tags" (Array.length trace.Executor.dyns)
+  check int "every op retires with dynamic tags" (Executor.length trace)
     stats.Cpu_stats.retired;
   check bool "half the stream counted critical" true
     (abs (stats.Cpu_stats.critical_retired - (stats.Cpu_stats.retired / 2)) < 5)

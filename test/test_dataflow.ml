@@ -130,19 +130,18 @@ let prop_footprint_sound =
       let fp = Dataflow.Footprint.compute cfg ~ranges in
       let trace = Executor.run ~reg_init ~mem_init ~max_instrs:4_000 prog in
       Array.for_all
-        (fun (d : Executor.dyn) ->
-          d.Executor.addr < 0
+        (fun k ->
+          let pc = Executor.pc trace k and addr = Executor.addr trace k in
+          addr < 0
           ||
-          match fp.(d.Executor.pc) with
-          | Some i when Dataflow.Interval.mem d.Executor.addr i -> true
+          match fp.(pc) with
+          | Some i when Dataflow.Interval.mem addr i -> true
           | Some i ->
-            QCheck.Test.fail_reportf "pc %d: addr %d outside footprint %s"
-              d.Executor.pc d.Executor.addr
+            QCheck.Test.fail_reportf "pc %d: addr %d outside footprint %s" pc addr
               (Format.asprintf "%a" Dataflow.Interval.pp i)
           | None ->
-            QCheck.Test.fail_reportf "pc %d executed a memory op with no footprint"
-              d.Executor.pc)
-        trace.Executor.dyns)
+            QCheck.Test.fail_reportf "pc %d executed a memory op with no footprint" pc)
+        (Array.init (Executor.length trace) Fun.id))
 
 (* ---------------- property: fixpoint termination ---------------- *)
 

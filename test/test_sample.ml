@@ -281,11 +281,16 @@ let prop_fast_forward_matches_detailed_prefix =
       let prog, reg_init, mem_init = random_program seed in
       let max_instrs = 3_000 in
       let full = Executor.run ~reg_init ~mem_init ~max_instrs prog in
-      let n = Array.length full.Executor.dyns in
+      let n = Executor.length full in
       if n < 20 then true
       else begin
         let b = 1 + ((seed * 7919) mod (n - 1)) in
-        let prefix = Array.sub full.Executor.dyns 0 b in
+        let prefix =
+          { full with
+            Executor.dyns = Array.sub full.Executor.dyns 0 b;
+            addrs = Array.sub full.Executor.addrs 0 b;
+            final_pc = Executor.pc full b }
+        in
         let truncated =
           Executor.run ~reg_init ~mem_init ~max_instrs:b prog
         in
@@ -293,19 +298,21 @@ let prop_fast_forward_matches_detailed_prefix =
         let step = ref 0 in
         let on_step _pc regs =
           (if !step < b && !bad_addr = None then
-             let d = prefix.(!step) in
-             let code = prog.Program.code.(d.Executor.pc) in
+             let code = prog.Program.code.(Executor.pc prefix !step) in
              let expect =
-               match d.Executor.op with
+               match Executor.op prefix !step with
                | Isa.Load | Isa.Prefetch -> regs.(code.Program.src1) + code.Program.imm
                | Isa.Store -> regs.(code.Program.src2) + code.Program.imm
                | _ -> -1
              in
-             if expect <> d.Executor.addr then bad_addr := Some !step);
+             if expect <> Executor.addr prefix !step then bad_addr := Some !step);
           incr step
         in
         ignore (Executor.run ~reg_init ~mem_init ~on_step ~max_instrs prog);
-        if truncated.Executor.dyns <> prefix then
+        if truncated.Executor.dyns <> prefix.Executor.dyns
+           || truncated.Executor.addrs <> prefix.Executor.addrs
+           || truncated.Executor.final_pc <> prefix.Executor.final_pc
+        then
           QCheck.Test.fail_report "truncated run <> prefix of the full trace"
         else
           match !bad_addr with
@@ -313,7 +320,6 @@ let prop_fast_forward_matches_detailed_prefix =
             QCheck.Test.fail_reportf
               "micro-op %d: effective address <> replay-oracle registers" i
           | None ->
-            let prefix = { full with Executor.dyns = prefix } in
             let stats = Cpu_core.run cfg prefix in
             if stats.Cpu_stats.retired <> b then
               QCheck.Test.fail_reportf

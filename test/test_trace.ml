@@ -1,5 +1,5 @@
-(* Tests for the trace substrate: PRNG, growable vectors, the assembler,
-   the functional executor, dependency pre-computation and code layout. *)
+(* Tests for the trace substrate: PRNG, the assembler, the functional
+   executor, dependency pre-computation and code layout. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -28,28 +28,6 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   check bool "shuffle preserves elements" true (sorted = Array.init 64 (fun i -> i));
   check bool "shuffle moved something" true (a <> Array.init 64 (fun i -> i))
-
-(* ---------------- Vec ---------------- *)
-
-let test_vec_grows () =
-  let v = Vec.create ~capacity:2 ~dummy:0 () in
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  check int "length" 100 (Vec.length v);
-  check int "first" 0 (Vec.get v 0);
-  check int "last" 99 (Vec.get v 99);
-  Vec.set v 50 (-1);
-  check int "set/get" (-1) (Vec.get v 50);
-  check int "to_array length" 100 (Array.length (Vec.to_array v));
-  Vec.clear v;
-  check int "cleared" 0 (Vec.length v)
-
-let test_vec_bounds () =
-  let v = Vec.create ~dummy:0 () in
-  Vec.push v 1;
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec.get") (fun () ->
-      ignore (Vec.get v 1))
 
 (* ---------------- Mem_image ---------------- *)
 
@@ -214,10 +192,10 @@ let test_executor_arithmetic () =
   check bool "halted" true trace.Executor.halted;
   (* the store captured the final accumulator *)
   let store =
-    Array.to_list trace.Executor.dyns
-    |> List.find (fun (d : Executor.dyn) -> d.Executor.op = Isa.Store)
+    List.init (Executor.length trace) Fun.id
+    |> List.find (fun i -> Executor.op trace i = Isa.Store)
   in
-  check int "store address" 0 store.Executor.addr
+  check int "store address" 0 (Executor.addr trace store)
 
 let test_executor_memory () =
   let open Program in
@@ -225,9 +203,8 @@ let test_executor_memory () =
     run_program ~regs:[ (1, 1000) ]
       [ Li (2, 77); St (2, 1, 8); Ld (3, 1, 8); St (3, 1, 16); Halt ]
   in
-  let dyns = trace.Executor.dyns in
-  check int "load sees stored value via addr" 1008 dyns.(2).Executor.addr;
-  check int "second store writes loaded value" 1016 dyns.(3).Executor.addr
+  check int "load sees stored value via addr" 1008 (Executor.addr trace 2);
+  check int "second store writes loaded value" 1016 (Executor.addr trace 3)
 
 let test_executor_branch_outcomes () =
   let open Program in
@@ -235,10 +212,9 @@ let test_executor_branch_outcomes () =
     run_program ~regs:[ (1, 5) ]
       [ Br (Isa.Gt, 1, Imm 3, "taken"); Nop; Label "taken"; Halt ]
   in
-  let d = trace.Executor.dyns.(0) in
-  check bool "branch taken" true d.Executor.taken;
-  check int "branch target" 2 d.Executor.next_pc;
-  check int "nop skipped" 2 (Array.length trace.Executor.dyns)
+  check bool "branch taken" true (Executor.taken trace 0);
+  check int "branch target" 2 (Executor.next_pc trace 0);
+  check int "nop skipped" 2 (Executor.length trace)
 
 let test_executor_call_ret () =
   let open Program in
@@ -246,21 +222,21 @@ let test_executor_call_ret () =
     run_program
       [ Call "f"; Li (1, 1); Halt; Label "f"; Li (2, 2); Ret ]
   in
-  let pcs = Array.map (fun (d : Executor.dyn) -> d.Executor.pc) trace.Executor.dyns in
+  let pcs = Array.init (Executor.length trace) (Executor.pc trace) in
   check bool "call/ret sequence" true (pcs = [| 0; 3; 4; 1; 2 |])
 
 let test_executor_ret_underflow_halts () =
   let open Program in
   let trace = run_program [ Ret; Nop ] in
   check bool "ret on empty stack halts" true trace.Executor.halted;
-  check int "only the ret executed" 1 (Array.length trace.Executor.dyns)
+  check int "only the ret executed" 1 (Executor.length trace)
 
 let test_executor_max_instrs () =
   let open Program in
   let prog = Program.assemble ~name:"inf" [ Label "l"; Nop; Jmp "l" ] in
   let trace = Executor.run ~max_instrs:100 prog in
   check bool "not halted" false trace.Executor.halted;
-  check int "cut at limit" 100 (Array.length trace.Executor.dyns)
+  check int "cut at limit" 100 (Executor.length trace)
 
 let test_executor_counters () =
   let open Program in
@@ -291,7 +267,27 @@ let prop_executor_deterministic =
       let prog = assemble ~name:"rand" (insts @ [ Halt ]) in
       let t1 = Executor.run ~reg_init:[ (9, 4096) ] ~max_instrs:1000 prog in
       let t2 = Executor.run ~reg_init:[ (9, 4096) ] ~max_instrs:1000 prog in
-      t1.Executor.dyns = t2.Executor.dyns)
+      t1.Executor.dyns = t2.Executor.dyns && t1.Executor.addrs = t2.Executor.addrs)
+
+(* The packed trace against the record-per-micro-op reference on random
+   loop programs.  Starting the iteration counter [k] short of its bound
+   makes the loop exit and halt inside some budgets, so halting and
+   cut-off runs are both covered, as are zero-length ones. *)
+let prop_executor_matches_reference =
+  QCheck.Test.make ~name:"packed trace = reference executor" ~count:60
+    QCheck.(triple small_nat small_nat (int_bound 6_000))
+    (fun (seed, k, budget) ->
+      let prog, reg_init, mem = Random_loop.setup seed in
+      let reg_init =
+        if k mod 3 = 0 then reg_init
+        else (10, 1_000_000 - (k mod 40)) :: List.remove_assoc 10 reg_init
+      in
+      let t = Executor.run ~reg_init ~mem_init:mem ~max_instrs:budget prog in
+      let r = Ref_executor.run ~reg_init ~mem_init:mem ~max_instrs:budget prog in
+      match Ref_executor.agree r t with
+      | None -> true
+      | Some msg ->
+        QCheck.Test.fail_reportf "seed %d, k %d, budget %d: %s" seed k budget msg)
 
 (* ---------------- Deps ---------------- *)
 
@@ -354,9 +350,6 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_prng_determinism;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes ] );
-      ( "vec",
-        [ Alcotest.test_case "push/grow/get" `Quick test_vec_grows;
-          Alcotest.test_case "bounds check" `Quick test_vec_bounds ] );
       ( "mem_image",
         [ Alcotest.test_case "views isolated both ways" `Quick test_mem_image_view_isolated;
           QCheck_alcotest.to_alcotest prop_mem_image_matches_hashtbl ] );
@@ -372,7 +365,8 @@ let () =
           Alcotest.test_case "ret underflow halts" `Quick test_executor_ret_underflow_halts;
           Alcotest.test_case "instruction budget" `Quick test_executor_max_instrs;
           Alcotest.test_case "load/branch counters" `Quick test_executor_counters;
-          QCheck_alcotest.to_alcotest prop_executor_deterministic ] );
+          QCheck_alcotest.to_alcotest prop_executor_deterministic;
+          QCheck_alcotest.to_alcotest prop_executor_matches_reference ] );
       ( "deps",
         [ Alcotest.test_case "register producers" `Quick test_deps_registers;
           Alcotest.test_case "dependency through memory" `Quick test_deps_through_memory;

@@ -6,6 +6,10 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+(* Two traces record the same run: every pc, branch outcome and address. *)
+let same_trace t1 t2 =
+  t1.Executor.dyns = t2.Executor.dyns && t1.Executor.addrs = t2.Executor.addrs
+
 let profile name =
   let w = Catalog.make ~input:Workload.Train ~instrs:50_000 name in
   let trace = Workload.trace w in
@@ -18,7 +22,7 @@ let test_catalog_complete () =
       let w = Catalog.make ~input:Workload.Ref ~instrs:5_000 name in
       let trace = Workload.trace w in
       check bool (name ^ " produces a full trace") true
-        (Array.length trace.Executor.dyns >= 4_999))
+        (Executor.length trace >= 4_999))
     Catalog.names
 
 let test_catalog_unknown () =
@@ -28,14 +32,14 @@ let test_catalog_unknown () =
 let test_inputs_differ () =
   let t1 = Workload.trace (Catalog.make ~input:Workload.Train ~instrs:5_000 "mcf") in
   let t2 = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:5_000 "mcf") in
-  check bool "train and ref traces differ" true (t1.Executor.dyns <> t2.Executor.dyns);
+  check bool "train and ref traces differ" true (not (same_trace t1 t2));
   check int "same static program" (Array.length t1.Executor.prog.Program.code)
     (Array.length t2.Executor.prog.Program.code)
 
 let test_deterministic_generation () =
   let t1 = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:5_000 "xz") in
   let t2 = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:5_000 "xz") in
-  check bool "same input, same trace" true (t1.Executor.dyns = t2.Executor.dyns)
+  check bool "same input, same trace" true (same_trace t1 t2)
 
 (* Executor.run stores into a copy-on-write view, so the declared image
    seeds any number of identical runs and keeps its bounds. *)
@@ -46,7 +50,7 @@ let test_retrace_leaves_image () =
       let bounds = Mem_image.bounds w.Workload.mem_init in
       let t1 = Workload.trace w in
       let t2 = Workload.trace w in
-      check bool (name ^ ": same trace twice") true (t1.Executor.dyns = t2.Executor.dyns);
+      check bool (name ^ ": same trace twice") true (same_trace t1 t2);
       check bool (name ^ ": image bounds unchanged") true
         (Mem_image.bounds w.Workload.mem_init = bounds))
     Catalog.names
@@ -86,10 +90,11 @@ let test_pointer_chase_variants () =
   let prefetched = Catalog.pointer_chase ~instrs:5_000 ~with_prefetch:true () in
   let count_prefetches w =
     let trace = Workload.trace w in
-    Array.fold_left
-      (fun acc (d : Executor.dyn) ->
-        if d.Executor.op = Isa.Prefetch then acc + 1 else acc)
-      0 trace.Executor.dyns
+    let n = ref 0 in
+    for i = 0 to Executor.length trace - 1 do
+      if Executor.op trace i = Isa.Prefetch then incr n
+    done;
+    !n
   in
   check int "no prefetches in the plain kernel" 0 (count_prefetches plain);
   check bool "prefetch variant issues prefetches" true (count_prefetches prefetched > 10)
@@ -99,33 +104,30 @@ let test_moses_has_deep_chains () =
   ignore r;
   let deps = Deps.compute trace in
   (* find a level-3 load (depends on a load that depends on a load) *)
-  let dyns = trace.Executor.dyns in
+  let is_load i = Executor.op trace i = Isa.Load in
   let has_deep_chain = ref false in
-  Array.iteri
-    (fun i (d : Executor.dyn) ->
-      if d.Executor.op = Isa.Load then begin
-        let p1 = deps.Deps.prod1.(i) in
-        if p1 >= 0 && dyns.(p1).Executor.op = Isa.Load then begin
-          let p2 = deps.Deps.prod1.(p1) in
-          if p2 >= 0 && dyns.(p2).Executor.op = Isa.Load then has_deep_chain := true
-        end
-      end)
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    if is_load i then begin
+      let p1 = deps.Deps.prod1.(i) in
+      if p1 >= 0 && is_load p1 then begin
+        let p2 = deps.Deps.prod1.(p1) in
+        if p2 >= 0 && is_load p2 then has_deep_chain := true
+      end
+    end
+  done;
   check bool "three dependent load levels" true !has_deep_chain
 
 let test_namd_spills_through_memory () =
   let trace, _ = profile "namd" in
   let deps = Deps.compute trace in
-  let dyns = trace.Executor.dyns in
   let found = ref false in
-  Array.iteri
-    (fun i (d : Executor.dyn) ->
-      if d.Executor.op = Isa.Load && deps.Deps.prod_mem.(i) >= 0 then begin
-        (* a load whose value comes from an in-flight store: the spill *)
-        let producer = dyns.(deps.Deps.prod_mem.(i)) in
-        if producer.Executor.op = Isa.Store then found := true
-      end)
-    dyns;
+  for i = 0 to Executor.length trace - 1 do
+    if Executor.op trace i = Isa.Load && deps.Deps.prod_mem.(i) >= 0 then begin
+      (* a load whose value comes from an in-flight store: the spill *)
+      let producer = deps.Deps.prod_mem.(i) in
+      if Executor.op trace producer = Isa.Store then found := true
+    end
+  done;
   check bool "address chain passes through the stack" true !found
 
 let test_gcc_code_footprint () =
@@ -134,9 +136,37 @@ let test_gcc_code_footprint () =
     (Array.length w.Workload.program.Program.code > 800);
   let trace = Workload.trace w in
   let has_calls =
-    Array.exists (fun (d : Executor.dyn) -> d.Executor.op = Isa.Call) trace.Executor.dyns
+    List.exists
+      (fun i -> Executor.op trace i = Isa.Call)
+      (List.init (Executor.length trace) Fun.id)
   in
   check bool "gcc exercises call/return" true has_calls
+
+(* Every catalog kernel, on both inputs, reads back from the packed
+   trace exactly as the record-per-micro-op reference executor traces it. *)
+let test_catalog_matches_reference () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (input, tag) ->
+          let w = Catalog.make ~input ~instrs:20_000 name in
+          let r =
+            Ref_executor.run ~reg_init:w.Workload.reg_init ~mem_init:w.Workload.mem_init
+              ~max_instrs:w.Workload.max_instrs w.Workload.program
+          in
+          match Ref_executor.agree r (Workload.trace w) with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s (%s): %s" name tag msg)
+        [ (Workload.Train, "train"); (Workload.Ref, "ref") ])
+    Catalog.names
+
+(* The trace keeps two words per micro-op: everything reachable from it,
+   the program included, stays under 20 B per instruction. *)
+let test_trace_bytes_per_instr () =
+  let t = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:100_000 "mcf") in
+  let bytes = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8) in
+  let per_instr = float_of_int bytes /. float_of_int (Executor.length t) in
+  if per_instr > 20. then Alcotest.failf "%.1f B per instruction (limit 20)" per_instr
 
 let () =
   Alcotest.run "workloads"
@@ -152,4 +182,8 @@ let () =
           Alcotest.test_case "pointer-chase variants" `Quick test_pointer_chase_variants;
           Alcotest.test_case "moses chain depth" `Quick test_moses_has_deep_chains;
           Alcotest.test_case "namd memory spills" `Quick test_namd_spills_through_memory;
-          Alcotest.test_case "gcc code footprint" `Quick test_gcc_code_footprint ] ) ]
+          Alcotest.test_case "gcc code footprint" `Quick test_gcc_code_footprint;
+          Alcotest.test_case "catalog traces = reference executor" `Quick
+            test_catalog_matches_reference;
+          Alcotest.test_case "trace bytes per instruction" `Quick
+            test_trace_bytes_per_instr ] ) ]
